@@ -1,12 +1,11 @@
 package lambdanic
 
-// One benchmark per table and figure of the paper's evaluation (§6).
-// Each benchmark regenerates its experiment on the simulated testbed
-// and reports the paper's headline quantities as custom metrics, so
-// `go test -bench=. -benchmem` reproduces the entire evaluation.
-// Full-size runs (experiments.Default) back EXPERIMENTS.md; the
-// benchmarks use a reduced configuration per iteration to keep
-// `-bench=.` runs fast while preserving every measured ratio.
+// Benchmarks of the extension experiments nothing else times: the
+// ablations, scale-out, the load-latency curve and the SmartNIC classes.
+// Each regenerates its experiment on the simulated testbed at a reduced
+// configuration and reports its headline quantities as custom metrics.
+// The paper's own tables and figures are timed by the sim_paper workload
+// of bench/ (experiments.fig*_s / table*_s).
 
 import (
 	"testing"
@@ -17,158 +16,6 @@ import (
 // benchConfig returns the per-iteration experiment size.
 func benchConfig() experiments.Config {
 	return experiments.Quick()
-}
-
-func BenchmarkTable1SmartNICComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table1()
-		if len(rows) != 3 {
-			b.Fatal("table 1 incomplete")
-		}
-	}
-}
-
-func BenchmarkFigure6LatencyECDF(b *testing.B) {
-	cfg := benchConfig()
-	var series []experiments.LatencySeries
-	for i := 0; i < b.N; i++ {
-		var err error
-		series, err = experiments.Figure6(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	by := map[string]float64{}
-	for _, s := range series {
-		by[s.Workload+"/"+string(s.Backend)] = s.Summary.Mean
-	}
-	b.ReportMetric(by["web-server/bare-metal"]/by["web-server/lambda-nic"], "web-bare/nic-x")
-	b.ReportMetric(by["web-server/container"]/by["web-server/lambda-nic"], "web-container/nic-x")
-	b.ReportMetric(by["image-transformer/bare-metal"]/by["image-transformer/lambda-nic"], "img-bare/nic-x")
-	b.ReportMetric(by["web-server/lambda-nic"]*1e6, "nic-web-latency-us")
-}
-
-func BenchmarkFigure7Throughput(b *testing.B) {
-	cfg := benchConfig()
-	var points []experiments.ThroughputPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		points, err = experiments.Figure7(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	by := map[string]float64{}
-	for _, p := range points {
-		key := p.Workload + "/" + string(p.Backend)
-		if p.Threads > 1 {
-			by[key] = p.PerSecond
-		}
-	}
-	b.ReportMetric(by["web-server/lambda-nic"], "nic-web-req/s")
-	b.ReportMetric(by["web-server/lambda-nic"]/by["web-server/bare-metal"], "web-nic/bare-x")
-	b.ReportMetric(by["key-value-client/lambda-nic"]/by["key-value-client/container"], "kv-nic/container-x")
-}
-
-func BenchmarkFigure8ContentionCDF(b *testing.B) {
-	cfg := benchConfig()
-	var results []experiments.ContentionResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		results, err = experiments.Figure8Table2(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	by := map[experiments.BackendID]experiments.ContentionResult{}
-	for _, r := range results {
-		by[r.Backend] = r
-	}
-	nic := by[experiments.BackendLambdaNIC].Summary.Mean
-	b.ReportMetric(by[experiments.BackendBareMetal].Summary.Mean/nic, "bare/nic-latency-x")
-	b.ReportMetric(by[experiments.BackendBareMetal1Core].Summary.Mean/nic, "1core/nic-latency-x")
-}
-
-func BenchmarkTable2ContentionThroughput(b *testing.B) {
-	cfg := benchConfig()
-	var results []experiments.ContentionResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		results, err = experiments.Figure8Table2(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range results {
-		switch r.Backend {
-		case experiments.BackendLambdaNIC:
-			b.ReportMetric(r.PerSecond, "nic-req/s")
-		case experiments.BackendBareMetal:
-			b.ReportMetric(r.PerSecond, "bare-req/s")
-		case experiments.BackendBareMetal1Core:
-			b.ReportMetric(r.PerSecond, "bare1core-req/s")
-		}
-	}
-}
-
-func BenchmarkTable3ResourceUtilization(b *testing.B) {
-	cfg := benchConfig()
-	var rows []experiments.Table3Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Table3(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		switch r.Backend {
-		case experiments.BackendLambdaNIC:
-			b.ReportMetric(r.Usage.NICMemoryMiB, "nic-mem-MiB")
-		case experiments.BackendBareMetal:
-			b.ReportMetric(r.Usage.HostMemoryMiB, "bare-mem-MiB")
-		case experiments.BackendContainer:
-			b.ReportMetric(r.Usage.HostMemoryMiB, "container-mem-MiB")
-		}
-	}
-}
-
-func BenchmarkTable4StartupTimes(b *testing.B) {
-	cfg := benchConfig()
-	var rows []experiments.Table4Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Table4(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		switch r.Backend {
-		case experiments.BackendLambdaNIC:
-			b.ReportMetric(r.Startup.Seconds(), "nic-startup-s")
-			b.ReportMetric(r.SizeMiB, "nic-size-MiB")
-		case experiments.BackendContainer:
-			b.ReportMetric(r.Startup.Seconds(), "container-startup-s")
-		}
-	}
-}
-
-func BenchmarkFigure9OptimizerEffectiveness(b *testing.B) {
-	cfg := benchConfig()
-	var results []PassResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		results, err = experiments.Figure9(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	naive := float64(results[0].Instructions)
-	final := float64(results[len(results)-1].Instructions)
-	b.ReportMetric(naive, "naive-instr")
-	b.ReportMetric(final, "optimized-instr")
-	b.ReportMetric(100*(naive-final)/naive, "reduction-pct")
 }
 
 // Ablation benches for the design choices DESIGN.md calls out (D1-D3)

@@ -1,71 +1,78 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"lambdanic/internal/benchio"
 )
 
+// TestRunSingleExperiments runs every registered experiment end-to-end
+// through the CLI entry point at smoke size, from an empty working
+// directory: without -bench-out/-slo-out/-trace-out no experiment may
+// leave a file behind (the repo root holds committed BENCH_*.json
+// artefacts a stray default filename would overwrite).
 func TestRunSingleExperiments(t *testing.T) {
-	// Fast experiments run end-to-end through the CLI entry point.
-	for _, exp := range []string{"table1", "table4", "fig9"} {
-		if err := run([]string{"-quick", "-experiment", exp}); err != nil {
-			t.Errorf("run(%s): %v", exp, err)
-		}
+	for _, exp := range experimentTable {
+		t.Run(exp.name, func(t *testing.T) {
+			dir := t.TempDir()
+			t.Chdir(dir)
+			if err := run([]string{"-quick", "-short", "-experiment", exp.name}); err != nil {
+				t.Fatalf("run(%s): %v", exp.name, err)
+			}
+			left, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range left {
+				t.Errorf("run(%s) left %s behind", exp.name, f.Name())
+			}
+		})
 	}
 }
 
-func TestRunChaosShort(t *testing.T) {
-	// The CI smoke target: short chaos run plus the marked trace export.
-	out := t.TempDir() + "/chaos.json"
-	if err := run([]string{"-short", "-experiment", "chaos", "-trace-out", out}); err != nil {
+func TestRunWritesRequestedArtefacts(t *testing.T) {
+	// The CI smoke targets: short runs plus the files the flags name.
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "chaos.json")
+	slo := filepath.Join(dir, "SLO_chaos.json")
+	if err := run([]string{"-short", "-experiment", "chaos", "-trace-out", trace, "-slo-out", slo}); err != nil {
 		t.Fatalf("run(chaos -short): %v", err)
 	}
-}
-
-func TestRunRPCBenchQuick(t *testing.T) {
-	// The CI benchmark target: quick rpcbench run plus the JSON report.
-	out := t.TempDir() + "/BENCH_rpc.json"
-	if err := run([]string{"-quick", "-experiment", "rpcbench", "-bench-out", out}); err != nil {
-		t.Fatalf("run(rpcbench -quick): %v", err)
+	for _, path := range []string{trace, slo} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s not written (%v)", path, err)
+		}
 	}
-	data, err := os.ReadFile(out)
+
+	bench := filepath.Join(dir, "BENCH_sim.json")
+	if err := run([]string{"-quick", "-experiment", "simbench", "-bench-out", bench}); err != nil {
+		t.Fatalf("run(simbench -quick): %v", err)
+	}
+	rep, err := benchio.ReadJSON(bench)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var rep benchio.Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("BENCH_rpc.json not valid JSON: %v", err)
 	}
 	if len(rep.Results) == 0 {
 		t.Error("report has no results")
 	}
 }
 
-func TestRunLambdaBenchQuick(t *testing.T) {
-	// The CI benchmark target: quick lambdabench run plus the JSON report.
-	out := t.TempDir() + "/BENCH_lambda.json"
-	if err := run([]string{"-quick", "-experiment", "lambdabench", "-bench-out", out}); err != nil {
-		t.Fatalf("run(lambdabench -quick): %v", err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchio.Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("BENCH_lambda.json not valid JSON: %v", err)
-	}
-	if len(rep.Results) != 6 {
-		t.Errorf("report has %d results, want 6 (3 workloads x 2 engines)", len(rep.Results))
-	}
-}
-
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-experiment", "bogus"}); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+func TestRunParallelOnlyWhereItApplies(t *testing.T) {
+	for _, exp := range []string{"all", "chaos", "table1"} {
+		if err := run([]string{"-quick", "-parallel", "-experiment", exp}); err == nil {
+			t.Errorf("-parallel accepted for %s", exp)
+		}
+	}
+	if err := run([]string{"-quick", "-parallel", "-experiment", "loadcurve"}); err != nil {
+		t.Errorf("-parallel loadcurve: %v", err)
 	}
 }
 

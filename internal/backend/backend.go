@@ -349,74 +349,6 @@ func (b *LambdaNIC) invokeLambda(id uint32, payload []byte, flow uint64, tr *obs
 	b.sim.Schedule(wire, inject)
 }
 
-// WireDelay returns the one-way link latency for a payload of n bytes —
-// the delay a parallel-domain caller must model for the request hop it
-// performs itself (sim.Parallel Send).
-func (b *LambdaNIC) WireDelay(n int) sim.Time { return b.testbed.Link.OneWay(n) }
-
-// InvokeDelivered runs an invocation whose request already crossed the
-// wire: the caller modeled the request hop (typically as a cross-domain
-// sim.Parallel message of WireDelay latency), so the NIC injects at the
-// current time. done fires at NIC completion time with the response's
-// wire delay, which the caller models on the way back. Event-for-event
-// this matches InvokeTraced on a shared clock: the request hop and
-// response hop each cost exactly one scheduled event in either mode,
-// which is what keeps parallel and merged chaos runs differentially
-// identical. Multi-packet payloads still pay the RDMA commit here,
-// device-side.
-func (b *LambdaNIC) InvokeDelivered(id uint32, payload []byte, tr *obs.Req, done func(Result, sim.Time)) {
-	b.InvokeFlowDelivered(id, payload, 0, tr, done)
-}
-
-// InvokeFlowDelivered is InvokeDelivered carrying a flow key into the
-// NIC's per-core warm-state model (zero means untracked). It is the
-// parallel-domain twin of InvokeFlow: identical event counts keep
-// serial and parallel runs differentially identical.
-func (b *LambdaNIC) InvokeFlowDelivered(id uint32, payload []byte, flow uint64, tr *obs.Req, done func(Result, sim.Time)) {
-	if done == nil {
-		done = func(Result, sim.Time) {}
-	}
-	if b.exe == nil {
-		done(Result{Err: ErrNotDeployed}, 0)
-		return
-	}
-	b.inflight++
-	if b.inflight > b.maxInflight {
-		b.maxInflight = b.inflight
-	}
-	if len(payload) > b.maxPayload {
-		b.maxPayload = len(payload)
-	}
-	packets := workloads.Packets(len(payload))
-	inject := func() {
-		req := &nicsim.Request{LambdaID: id, Payload: payload, Packets: packets, FlowKey: flow, Trace: tr}
-		b.nic.Inject(req, func(resp nicsim.Response, err error) {
-			b.inflight--
-			if err != nil {
-				done(Result{Err: err}, 0)
-				return
-			}
-			done(Result{Payload: resp.Payload}, b.testbed.Link.OneWay(len(resp.Payload)))
-		})
-	}
-	if packets > 1 {
-		sent := b.sim.Now()
-		b.rdma.Write(b.region.Key(), 0, payload, func(err error) {
-			if err != nil {
-				b.inflight--
-				done(Result{Err: err}, 0)
-				return
-			}
-			if tr != nil {
-				tr.AddSpan(obs.StageTransport, "net", "rdma-commit", sent, b.sim.Now())
-			}
-			inject()
-		})
-		return
-	}
-	inject()
-}
-
 // Usage implements Backend: λ-NIC consumes NIC memory (firmware plus
 // in-flight working sets) and near-zero host resources (Table 3).
 func (b *LambdaNIC) Usage() Usage {
@@ -454,10 +386,9 @@ func NewContainer(s *sim.Sim, tb cluster.Testbed) (*Host, error) {
 	return newHost(s, tb, cpusim.ModeContainer, false)
 }
 
-// NewBareMetalQuiet is NewBareMetal without scheduling jitter:
-// differential experiments (serial vs parallel domains, ladder vs heap)
-// need the host path to draw nothing from the simulator's RNG, since
-// the domains' RNG streams differ between topologies.
+// NewBareMetalQuiet is NewBareMetal without scheduling jitter: the host
+// path draws nothing from the simulator's RNG, for experiments whose
+// pre-drawn load schedule must be the only source of randomness.
 func NewBareMetalQuiet(s *sim.Sim, tb cluster.Testbed) (*Host, error) {
 	return newHostWithJitter(s, tb, cpusim.ModeBareMetal, false, false)
 }
@@ -544,43 +475,6 @@ func (h *Host) InvokeTraced(id uint32, payload []byte, tr *obs.Req, done func(Re
 				done(Result{Err: err})
 			})
 		})
-	})
-}
-
-// WireDelay returns the one-way link latency for a payload of n bytes —
-// the delay a parallel-domain caller must model for the request hop it
-// performs itself (sim.Parallel Send).
-func (h *Host) WireDelay(n int) sim.Time { return h.testbed.Link.OneWay(n) }
-
-// InvokeDelivered runs an invocation whose request already crossed the
-// wire: the caller modeled the request hop (typically as a cross-domain
-// sim.Parallel message of WireDelay latency), so the host submits at
-// the current time. done fires at service completion with the
-// response's wire delay, which the caller models on the way back. It
-// is the parallel-domain twin of InvokeTraced: the request hop and
-// response hop each cost exactly one scheduled event in either mode,
-// which keeps serial and parallel boundary runs differentially
-// identical.
-func (h *Host) InvokeDelivered(id uint32, payload []byte, tr *obs.Req, done func(Result, sim.Time)) {
-	if done == nil {
-		done = func(Result, sim.Time) {}
-	}
-	if !h.deployed {
-		done(Result{Err: ErrNotDeployed}, 0)
-		return
-	}
-	h.inflight++
-	if h.inflight > h.maxInflight {
-		h.maxInflight = h.inflight
-	}
-	packets := workloads.Packets(len(payload))
-	submitted := h.sim.Now()
-	h.host.Submit(id, len(payload), packets, func(err error) {
-		h.inflight--
-		if tr != nil {
-			tr.AddSpan(obs.StageHost, "host/"+h.name, "service", submitted, h.sim.Now())
-		}
-		done(Result{Err: err}, h.testbed.Link.OneWay(256))
 	})
 }
 

@@ -1,9 +1,8 @@
-// Package benchio drives RPC targets closed- and open-loop and reports
-// throughput, latency percentiles, and allocation rates — the measured
-// counterpart to the paper's claim that the data plane, not the
-// harness, should set the throughput ceiling (§6.2). The cmd/lnic-bench
-// rpcbench experiment uses it to write BENCH_rpc.json, giving the repo
-// a tracked perf trajectory across PRs.
+// Package benchio is the benchmark-artifact schema behind the committed
+// BENCH_*.json files: the row and report types cmd/lnic-bench's
+// experiments fill in, their JSON round trip, and the regression guards
+// CI runs against the committed baselines. zipf.go adds the seeded Zipf
+// generator the skew experiment draws flows from.
 package benchio
 
 import (
@@ -11,16 +10,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// Call issues one request against the benchmarked target and reports
-// whether it failed. Implementations must be safe for concurrent use.
-type Call func() error
 
 // Result is one benchmark configuration's measurement.
 type Result struct {
@@ -45,9 +37,7 @@ type Result struct {
 	P50Ns     int64   `json:"p50_ns"`
 	P90Ns     int64   `json:"p90_ns"`
 	P99Ns     int64   `json:"p99_ns"`
-	// P999Ns is the 99.9th percentile; zero when the sample count is too
-	// small for the tail to be meaningful (populated by fill for any
-	// non-empty run, but older reports omit it).
+	// P999Ns is the 99.9th percentile; older reports omit it.
 	P999Ns int64 `json:"p999_ns,omitempty"`
 
 	// AllocsPerOp and BytesPerOp are process-wide deltas divided by
@@ -57,178 +47,11 @@ type Result struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 }
 
-// Report is the serialized benchmark output (BENCH_rpc.json).
+// Report is the serialized benchmark output (BENCH_*.json).
 type Report struct {
 	GoVersion  string   `json:"go_version"`
 	GOMAXPROCS int      `json:"gomaxprocs"`
 	Results    []Result `json:"results"`
-}
-
-// ClosedLoop runs concurrency callers back-to-back for roughly the
-// given duration and measures service throughput and latency.
-func ClosedLoop(name, transport string, concurrency int, d time.Duration, call Call) Result {
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	lat := make([][]time.Duration, concurrency)
-	errs := make([]int, concurrency)
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-
-	deadline := time.Now().Add(d)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < concurrency; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			samples := lat[i][:0]
-			for time.Now().Before(deadline) {
-				t0 := time.Now()
-				err := call()
-				samples = append(samples, time.Since(t0))
-				if err != nil {
-					errs[i]++
-				}
-			}
-			lat[i] = samples
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-
-	all := merge(lat)
-	res := Result{
-		Name:        name,
-		Transport:   transport,
-		Mode:        "closed",
-		Concurrency: concurrency,
-		Requests:    len(all),
-	}
-	for _, e := range errs {
-		res.Errors += e
-	}
-	fill(&res, all, elapsed)
-	if n := len(all); n > 0 {
-		res.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(n)
-		res.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
-	}
-	return res
-}
-
-// OpenLoop offers requests at a fixed rate for roughly the given
-// duration, with at most maxInflight outstanding; arrivals beyond the
-// cap are shed and counted. Latencies include queueing at the target.
-func OpenLoop(name, transport string, rps float64, d time.Duration, maxInflight int, call Call) Result {
-	if rps <= 0 {
-		rps = 1
-	}
-	if maxInflight < 1 {
-		maxInflight = 64
-	}
-	interval := time.Duration(float64(time.Second) / rps)
-	n := int(float64(d) / float64(interval))
-	if n < 1 {
-		n = 1
-	}
-
-	var (
-		mu      sync.Mutex
-		lat     = make([]time.Duration, 0, n)
-		errors_ int
-		shed    int
-	)
-	sem := make(chan struct{}, maxInflight)
-	var wg sync.WaitGroup
-	var inFlightErrs atomic.Int64
-
-	start := time.Now()
-	next := start
-	for i := 0; i < n; i++ {
-		if wait := time.Until(next); wait > 0 {
-			time.Sleep(wait)
-		}
-		next = next.Add(interval)
-		select {
-		case sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				t0 := time.Now()
-				err := call()
-				dur := time.Since(t0)
-				<-sem
-				if err != nil {
-					inFlightErrs.Add(1)
-				}
-				mu.Lock()
-				lat = append(lat, dur)
-				mu.Unlock()
-			}()
-		default:
-			shed++
-		}
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	errors_ = int(inFlightErrs.Load())
-
-	res := Result{
-		Name:       name,
-		Transport:  transport,
-		Mode:       "open",
-		OfferedRPS: rps,
-		Requests:   len(lat),
-		Errors:     errors_,
-		Shed:       shed,
-	}
-	fill(&res, lat, elapsed)
-	return res
-}
-
-func merge(parts [][]time.Duration) []time.Duration {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	all := make([]time.Duration, 0, total)
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	return all
-}
-
-func fill(res *Result, lat []time.Duration, elapsed time.Duration) {
-	if len(lat) == 0 || elapsed <= 0 {
-		return
-	}
-	res.ReqPerSec = float64(len(lat)) / elapsed.Seconds()
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	res.P50Ns = int64(Percentile(lat, 0.50))
-	res.P90Ns = int64(Percentile(lat, 0.90))
-	res.P99Ns = int64(Percentile(lat, 0.99))
-	res.P999Ns = int64(Percentile(lat, 0.999))
-}
-
-// Percentile returns the p-quantile (0 ≤ p ≤ 1) of sorted durations
-// using nearest-rank; zero for an empty slice.
-func Percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	idx := int(p * float64(len(sorted)))
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // NewReport wraps results with the run's environment.

@@ -2,107 +2,11 @@ package benchio
 
 import (
 	"encoding/json"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
-
-func TestPercentile(t *testing.T) {
-	sorted := make([]time.Duration, 100)
-	for i := range sorted {
-		sorted[i] = time.Duration(i+1) * time.Millisecond
-	}
-	tests := []struct {
-		p    float64
-		want time.Duration
-	}{
-		{0, time.Millisecond},
-		{0.5, 51 * time.Millisecond},
-		{0.99, 100 * time.Millisecond},
-		{1, 100 * time.Millisecond},
-	}
-	for _, tt := range tests {
-		if got := Percentile(sorted, tt.p); got != tt.want {
-			t.Errorf("Percentile(%.2f) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Errorf("Percentile(nil) = %v", got)
-	}
-}
-
-func TestClosedLoopCountsAndThroughput(t *testing.T) {
-	res := ClosedLoop("t", "memnet", 4, 50*time.Millisecond, func() error {
-		time.Sleep(100 * time.Microsecond)
-		return nil
-	})
-	if res.Requests == 0 {
-		t.Fatal("no requests recorded")
-	}
-	if res.Mode != "closed" || res.Concurrency != 4 {
-		t.Errorf("mode/concurrency = %s/%d", res.Mode, res.Concurrency)
-	}
-	if res.ReqPerSec <= 0 {
-		t.Errorf("ReqPerSec = %f", res.ReqPerSec)
-	}
-	if res.P50Ns <= 0 || res.P99Ns < res.P50Ns {
-		t.Errorf("percentiles p50=%d p99=%d", res.P50Ns, res.P99Ns)
-	}
-}
-
-func TestClosedLoopCountsErrors(t *testing.T) {
-	fail := errors.New("boom")
-	n := 0
-	res := ClosedLoop("t", "memnet", 1, 10*time.Millisecond, func() error {
-		n++
-		if n%2 == 0 {
-			return fail
-		}
-		return nil
-	})
-	if res.Errors == 0 {
-		t.Error("errors not counted")
-	}
-	if res.Errors > res.Requests {
-		t.Errorf("errors %d > requests %d", res.Errors, res.Requests)
-	}
-}
-
-func TestOpenLoopRespectsOfferedRate(t *testing.T) {
-	res := OpenLoop("t", "memnet", 2000, 100*time.Millisecond, 64, func() error {
-		time.Sleep(50 * time.Microsecond)
-		return nil
-	})
-	if res.Mode != "open" || res.OfferedRPS != 2000 {
-		t.Errorf("mode/rate = %s/%f", res.Mode, res.OfferedRPS)
-	}
-	// ~200 arrivals offered; allow a broad band for scheduler jitter.
-	total := res.Requests + res.Shed
-	if total < 100 || total > 300 {
-		t.Errorf("arrivals = %d, want ≈200", total)
-	}
-}
-
-func TestOpenLoopShedsOverCap(t *testing.T) {
-	block := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		res := OpenLoop("t", "memnet", 5000, 50*time.Millisecond, 1, func() error {
-			<-block
-			return nil
-		})
-		if res.Shed == 0 {
-			t.Error("expected shed arrivals with in-flight cap 1")
-		}
-	}()
-	time.Sleep(80 * time.Millisecond)
-	close(block)
-	<-done
-}
 
 func TestWriteJSONRoundTrip(t *testing.T) {
 	dir := t.TempDir()

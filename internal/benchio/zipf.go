@@ -4,9 +4,9 @@ package benchio
 //
 // math/rand's Zipf is not reproducible across Go releases (its
 // rejection sampler's draw count depends on internal generator
-// details), and the skew experiment needs bit-identical arrival
-// schedules across serial and parallel simulator runs. This generator
-// therefore owns everything: a splitmix64 PRNG and plain CDF inversion
+// details), and the skew experiment's committed BENCH_skew.json rows
+// need bit-identical arrival schedules on every toolchain. This
+// generator therefore owns everything: a splitmix64 PRNG and plain CDF inversion
 // over a precomputed table, so (seed, n, s) fully determines the i-th
 // draw forever.
 

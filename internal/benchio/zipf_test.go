@@ -127,10 +127,3 @@ func TestGuardLatency(t *testing.T) {
 		t.Errorf("new/zero rows failed the guard: %v", err)
 	}
 }
-
-func TestFillPopulatesP999(t *testing.T) {
-	res := ClosedLoop("t", "memnet", 2, 20e6, func() error { return nil })
-	if res.Requests > 0 && res.P999Ns < res.P99Ns {
-		t.Errorf("p999 %d < p99 %d", res.P999Ns, res.P99Ns)
-	}
-}

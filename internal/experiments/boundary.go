@@ -51,8 +51,7 @@ import (
 // (within tolerance) than the better static policy in every phase of
 // the curve, while its provisioned NIC-core·time is strictly lower than
 // static-nic's. Fingerprints (event count, final clock) are
-// bit-identical between Boundary and BoundaryParallel and across sim
-// kernels.
+// bit-identical across sim kernels.
 
 // Boundary placement policy names (also the benchmark row names).
 const (
@@ -374,8 +373,7 @@ type BoundaryPolicyStat struct {
 	// pool size × NPU cores per NIC, integrated over the run. The cost
 	// axis of the Pareto claim.
 	NICCoreSeconds float64
-	// Executed / FinalClock fingerprint the policy's simulation run:
-	// Boundary and BoundaryParallel produce identical values.
+	// Executed / FinalClock fingerprint the policy's simulation run.
 	Executed   uint64
 	FinalClock time.Duration
 }
@@ -383,8 +381,6 @@ type BoundaryPolicyStat struct {
 // BoundaryReport is the experiment's outcome.
 type BoundaryReport struct {
 	Rows []BoundaryPolicyStat
-	// Domains is per policy run (1 serial; 2+NICs parallel).
-	Domains int
 	// Pareto is the verdict: dynamic's p99 is within tolerance of the
 	// better static policy in every phase and overall, at strictly
 	// lower NIC-core cost than static-nic.
@@ -401,75 +397,14 @@ func (r *BoundaryReport) Row(policy string) *BoundaryPolicyStat {
 	return nil
 }
 
-// boundaryTopology is the seam between the harness and one policy's
-// cluster: a NIC route, a host route, and the run/fingerprint hooks.
-type boundaryTopology struct {
-	ctrl     *sim.Sim
-	nic      func(name string, id uint32, payload []byte, done func(backend.Result))
-	host     func(id uint32, payload []byte, done func(backend.Result))
-	run      func() error
-	executed func() uint64
-	clock    func() sim.Time
-	domains  int
-}
-
-func boundaryNIC(cfg Config, bc BoundaryConfig, s *sim.Sim, wls []*workloads.Workload) (*backend.LambdaNIC, error) {
-	b, err := backend.NewLambdaNIC(s, bc.testbed(cfg), nicsim.DispatchUniform)
-	if err != nil {
-		return nil, fmt.Errorf("boundary: %w", err)
-	}
-	if err := b.Deploy(wls); err != nil {
-		return nil, fmt.Errorf("boundary: %w", err)
-	}
-	return b, nil
-}
-
-func boundaryHost(cfg Config, s *sim.Sim, wls []*workloads.Workload) (*backend.Host, error) {
-	h, err := backend.NewBareMetalQuiet(s, cfg.Testbed)
-	if err != nil {
-		return nil, fmt.Errorf("boundary: %w", err)
-	}
-	if err := h.Deploy(wls); err != nil {
-		return nil, fmt.Errorf("boundary: %w", err)
-	}
-	return h, nil
-}
-
-// Boundary runs all three policies with each cluster on one clock.
+// Boundary runs all three policies, each on a fresh cluster, over one
+// shared load curve.
 func Boundary(cfg Config, bc BoundaryConfig) (*BoundaryReport, error) {
 	bc = bc.withDefaults()
 	sched := boundarySchedule(cfg, bc)
-	names := chaosNames(bc.NICs)
-	rep := &BoundaryReport{Domains: 1}
+	rep := &BoundaryReport{}
 	for _, policy := range []string{BoundaryPolicyNIC, BoundaryPolicyHost, BoundaryPolicyDyn} {
-		wls := bc.workloadSet()
-		s := cfg.newSim()
-		nics := make(map[string]*backend.LambdaNIC, bc.NICs)
-		for _, name := range names {
-			b, err := boundaryNIC(cfg, bc, s, wls)
-			if err != nil {
-				return nil, err
-			}
-			nics[name] = b
-		}
-		host, err := boundaryHost(cfg, s, wls)
-		if err != nil {
-			return nil, err
-		}
-		topo := &boundaryTopology{
-			ctrl: s,
-			nic: func(name string, id uint32, payload []byte, done func(backend.Result)) {
-				nics[name].InvokeTraced(id, payload, nil, done)
-			},
-			host: func(id uint32, payload []byte, done func(backend.Result)) {
-				host.InvokeTraced(id, payload, nil, done)
-			},
-			run:      s.RunUntilIdle,
-			executed: func() uint64 { return s.Executed },
-			clock:    s.Now,
-			domains:  1,
-		}
-		row, err := boundaryRun(cfg, bc, wls, names, topo, sched, policy)
+		row, err := boundaryRun(cfg, bc, sched, policy)
 		if err != nil {
 			return nil, err
 		}
@@ -479,74 +414,25 @@ func Boundary(cfg Config, bc BoundaryConfig) (*BoundaryReport, error) {
 	return rep, nil
 }
 
-// BoundaryParallel runs the same three clusters with each NIC and the
-// host in their own simulation domains under the conservative parallel
-// coordinator; wire hops cost exactly one scheduled event each, as in
-// the serial path, so the report is bit-identical to Boundary.
-func BoundaryParallel(cfg Config, bc BoundaryConfig) (*BoundaryReport, error) {
-	bc = bc.withDefaults()
-	sched := boundarySchedule(cfg, bc)
-	names := chaosNames(bc.NICs)
-	tb := bc.testbed(cfg)
-	rep := &BoundaryReport{Domains: 2 + bc.NICs}
-	for _, policy := range []string{BoundaryPolicyNIC, BoundaryPolicyHost, BoundaryPolicyDyn} {
-		wls := bc.workloadSet()
-		p := sim.NewParallel(tb.Link.OneWay(0))
-		ctrl := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-		doms := make(map[string]*sim.Domain, bc.NICs)
-		nics := make(map[string]*backend.LambdaNIC, bc.NICs)
-		for _, name := range names {
-			d := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-			b, err := boundaryNIC(cfg, bc, d.Sim, wls)
-			if err != nil {
-				return nil, err
-			}
-			doms[name], nics[name] = d, b
-		}
-		hd := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-		host, err := boundaryHost(cfg, hd.Sim, wls)
-		if err != nil {
-			return nil, err
-		}
-		topo := &boundaryTopology{
-			ctrl: ctrl.Sim,
-			nic: func(name string, id uint32, payload []byte, done func(backend.Result)) {
-				d, b := doms[name], nics[name]
-				ctrl.Send(d.ID(), b.WireDelay(len(payload)), func() {
-					b.InvokeDelivered(id, payload, nil, func(res backend.Result, back sim.Time) {
-						d.Send(ctrl.ID(), back, func() { done(res) })
-					})
-				})
-			},
-			host: func(id uint32, payload []byte, done func(backend.Result)) {
-				ctrl.Send(hd.ID(), host.WireDelay(len(payload)), func() {
-					host.InvokeDelivered(id, payload, nil, func(res backend.Result, back sim.Time) {
-						hd.Send(ctrl.ID(), back, func() { done(res) })
-					})
-				})
-			},
-			run:      p.RunUntilIdle,
-			executed: p.Executed,
-			clock:    p.Clock,
-			domains:  2 + len(names),
-		}
-		row, err := boundaryRun(cfg, bc, wls, names, topo, sched, policy)
-		if err != nil {
-			return nil, err
-		}
-		rep.Rows = append(rep.Rows, row)
+// boundaryRun is the harness for one policy: build its cluster (the
+// down-binned NIC rack plus one full-size, jitter-free host), replay the
+// shared schedule through the policy's routing, and — for the dynamic
+// policy — run the control loop (autoscaler pool sizing, shadow probes,
+// placement engine, three-step migrations) on the virtual clock.
+func boundaryRun(cfg Config, bc BoundaryConfig, sched []boundaryArrival, policy string) (BoundaryPolicyStat, error) {
+	wls := bc.workloadSet()
+	r, err := newRack(cfg, bc.testbed(cfg), bc.NICs,
+		nicsim.Config{Dispatch: nicsim.DispatchUniform}, wls)
+	if err != nil {
+		return BoundaryPolicyStat{}, fmt.Errorf("boundary: %w", err)
 	}
-	rep.Pareto = boundaryVerdict(bc, rep)
-	return rep, nil
-}
-
-// boundaryRun is the topology-independent harness for one policy:
-// replay the shared schedule through the policy's routing, and — for
-// the dynamic policy — run the control loop (autoscaler pool sizing,
-// shadow probes, placement engine, three-step migrations) on the
-// virtual clock.
-func boundaryRun(cfg Config, bc BoundaryConfig, wls []*workloads.Workload, names []string, topo *boundaryTopology, sched []boundaryArrival, policy string) (BoundaryPolicyStat, error) {
-	s := topo.ctrl
+	if r.host, err = backend.NewBareMetalQuiet(r.sim, cfg.Testbed); err != nil {
+		return BoundaryPolicyStat{}, fmt.Errorf("boundary: %w", err)
+	}
+	if err := r.host.Deploy(wls); err != nil {
+		return BoundaryPolicyStat{}, fmt.Errorf("boundary: %w", err)
+	}
+	s, names := r.sim, r.names
 	end := sim.Time(bc.totalDur())
 	nicThreads := float64(2) // per down-binned NIC
 	hostThreads := float64(cfg.Testbed.Host.PhysicalCores * cfg.Testbed.Host.ThreadsPerCore)
@@ -619,13 +505,13 @@ func boundaryRun(cfg Config, bc BoundaryConfig, wls []*workloads.Workload, names
 			nicInflight++
 			w := rr % pool
 			rr++
-			topo.nic(names[w], wls[class].ID, payload, func(res backend.Result) {
+			r.nics[names[w]].InvokeTraced(wls[class].ID, payload, nil, func(res backend.Result) {
 				nicInflight--
 				finish(res)
 			})
 		} else {
 			hostInflight++
-			topo.host(wls[class].ID, payload, func(res backend.Result) {
+			r.host.InvokeTraced(wls[class].ID, payload, nil, func(res backend.Result) {
 				hostInflight--
 				finish(res)
 			})
@@ -781,10 +667,11 @@ func boundaryRun(cfg Config, bc BoundaryConfig, wls []*workloads.Workload, names
 		})
 	}
 
-	if err := topo.run(); err != nil {
+	executed, clock, err := r.run()
+	if err != nil {
 		return BoundaryPolicyStat{}, fmt.Errorf("boundary/%s: %w", policy, err)
 	}
-	accrueCost(topo.clock())
+	accrueCost(clock)
 	if policy == BoundaryPolicyHost {
 		coreSeconds = 0
 	}
@@ -798,8 +685,8 @@ func boundaryRun(cfg Config, bc BoundaryConfig, wls []*workloads.Workload, names
 		P999:           time.Duration(overall.P999() * float64(time.Second)),
 		ScaleOps:       scaleOps,
 		NICCoreSeconds: coreSeconds,
-		Executed:       topo.executed(),
-		FinalClock:     time.Duration(topo.clock()),
+		Executed:       executed,
+		FinalClock:     clock,
 	}
 	if eng != nil {
 		row.Migrations = eng.Migrations()
@@ -925,7 +812,7 @@ func RenderBoundary(rep *BoundaryReport) string {
 		}
 	}
 	if len(rep.Rows) > 0 {
-		fmt.Fprintf(&b, "  fingerprint: %d domains", rep.Domains)
+		fmt.Fprintf(&b, "  fingerprint:")
 		for _, row := range rep.Rows {
 			fmt.Fprintf(&b, " %s=%d@%v", row.Policy, row.Executed, row.FinalClock)
 		}

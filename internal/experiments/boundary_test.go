@@ -160,28 +160,6 @@ func TestBoundaryScheduleDeterministic(t *testing.T) {
 	}
 }
 
-func TestBoundarySerialParallelIdentical(t *testing.T) {
-	cfg, bc := boundaryQuickConfig(sim.KernelLadder)
-	serial, err := Boundary(cfg, bc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := BoundaryParallel(cfg, bc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parallel.Domains != bc.withDefaults().NICs+2 {
-		t.Errorf("parallel domains = %d, want %d", parallel.Domains, bc.withDefaults().NICs+2)
-	}
-	if !reflect.DeepEqual(serial.Rows, parallel.Rows) {
-		t.Errorf("serial and parallel runs diverged:\nserial:   %+v\nparallel: %+v",
-			serial.Rows, parallel.Rows)
-	}
-	if serial.Pareto != parallel.Pareto {
-		t.Errorf("verdicts diverged: serial=%v parallel=%v", serial.Pareto, parallel.Pareto)
-	}
-}
-
 func TestBoundaryKernelsIdentical(t *testing.T) {
 	cfgHeap, bc := boundaryQuickConfig(sim.KernelHeap)
 	heap, err := Boundary(cfgHeap, bc)

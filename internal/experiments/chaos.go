@@ -146,16 +146,11 @@ type ChaosReport struct {
 	Transitions []healthd.Transition
 	// Survivors is the placement after eviction.
 	Survivors []string
-	// Executed is the total number of simulation events fired, summed
-	// across domains when the run is parallel. Chaos and ChaosParallel
-	// produce identical counts — the differential determinism check.
-	Executed uint64
-	// FinalClock is the virtual time of the last fired event (the most
-	// advanced domain clock in a parallel run).
+	// Executed is the total number of simulation events fired and
+	// FinalClock the virtual time of the last one: the run's determinism
+	// fingerprint, identical across queue kernels.
+	Executed   uint64
 	FinalClock time.Duration
-	// Domains is the number of simulation domains the run used (1 for
-	// the shared-clock mode; 1 control + 1 per worker when parallel).
-	Domains int
 	// Requests and Marks feed the Chrome trace export; fault events
 	// appear as global instant markers.
 	Requests []*obs.Req
@@ -180,12 +175,12 @@ const (
 // chaosRouter spreads requests round-robin over the placed workers with
 // a per-attempt timeout and failover — the gateway's weakly-consistent
 // delivery (D3) against a fleet that can lose members mid-run. Routes
-// come from the control store's placement watch; the actual round trip
-// to a worker goes through the topology's route function, so the router
-// is oblivious to whether the fleet shares its clock.
+// come from the control store's placement watch. A crashed worker is a
+// black hole — its round trip never completes — so the per-attempt
+// timeout is the only failure signal.
 type chaosRouter struct {
 	s        *sim.Sim
-	route    func(name string, id uint32, payload []byte, tr *obs.Req, done func(backend.Result))
+	nics     map[string]*backend.LambdaNIC
 	timeout  time.Duration
 	attempts int
 
@@ -228,7 +223,7 @@ func (r *chaosRouter) invoke(id uint32, payload []byte, tr *obs.Req, attempt int
 		}
 		done(backend.Result{Err: err})
 	}
-	r.route(name, id, payload, tr, func(res backend.Result) {
+	r.nics[name].InvokeTraced(id, payload, tr, func(res backend.Result) {
 		if finished {
 			// A late response after the attempt timed out: the router
 			// has already failed over.
@@ -260,136 +255,17 @@ type chaosSample struct {
 	failed  bool
 }
 
-// chaosTopology is how the chaos harness reaches the worker fleet. The
-// control plane — router, manager, detector, load generator, report —
-// always lives on ctrl; the worker NICs either share that clock (Chaos)
-// or run one simulation domain each under the conservative parallel
-// coordinator (ChaosParallel). Everything above this seam is identical
-// between the two modes, which is what makes the differential
-// determinism check meaningful.
-type chaosTopology struct {
-	ctrl *sim.Sim
-	// route performs one full round trip to the named worker — request
-	// wire hop, NIC execution, response wire hop — calling done back on
-	// ctrl's clock. A crashed worker is a black hole: done never fires.
-	route func(name string, id uint32, payload []byte, tr *obs.Req, done func(backend.Result))
-	// nic returns the named worker's device for fault application.
-	nic func(name string) *nicsim.NIC
-	// deviceAt schedules fn at t on the simulation owning the named
-	// worker's device. Only called before run starts.
-	deviceAt func(name string, t sim.Time, fn func())
-	run      func() error
-	executed func() uint64
-	clock    func() sim.Time
-	domains  int
-}
-
-func chaosNames(workers int) []string {
-	names := make([]string, workers)
-	for i := range names {
-		names[i] = fmt.Sprintf("m%d", i+2)
-	}
-	return names
-}
-
-func newChaosNIC(cfg Config, s *sim.Sim, web *workloads.Workload) (*backend.LambdaNIC, error) {
-	b, err := backend.NewLambdaNIC(s, cfg.Testbed, nicsim.DispatchUniform)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-	if err := b.Deploy([]*workloads.Workload{web}); err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-	return b, nil
-}
-
-// Chaos runs the chaos experiment (see the package comment above) with
-// the whole fleet on one clock and returns the phase report.
+// Chaos runs the chaos experiment (see the comment at the top of this
+// file) and returns the phase report.
 func Chaos(cfg Config, ch ChaosConfig) (*ChaosReport, error) {
 	ch = ch.withDefaults()
 	web := workloads.WebServer()
-	names := chaosNames(ch.Workers)
-
-	// Worker fleet: one simulated NIC per worker, all on one clock.
-	s := cfg.newSim()
-	nics := make(map[string]*backend.LambdaNIC, ch.Workers)
-	for _, name := range names {
-		b, err := newChaosNIC(cfg, s, web)
-		if err != nil {
-			return nil, err
-		}
-		nics[name] = b
+	r, err := newRack(cfg, cfg.Testbed, ch.Workers,
+		nicsim.Config{Dispatch: nicsim.DispatchUniform}, []*workloads.Workload{web})
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	topo := &chaosTopology{
-		ctrl: s,
-		route: func(name string, id uint32, payload []byte, tr *obs.Req, done func(backend.Result)) {
-			nics[name].InvokeTraced(id, payload, tr, done)
-		},
-		nic:      func(name string) *nicsim.NIC { return nics[name].NIC() },
-		deviceAt: func(name string, t sim.Time, fn func()) { s.At(t, fn) },
-		run:      s.RunUntilIdle,
-		executed: func() uint64 { return s.Executed },
-		clock:    s.Now,
-		domains:  1,
-	}
-	return chaosRun(cfg, ch, web, names, topo)
-}
-
-// ChaosParallel runs the same experiment with each worker NIC in its
-// own simulation domain, synchronized to the control-plane domain by
-// the inter-NIC link's minimum one-way latency (the lookahead). Wire
-// hops become cross-domain messages: the request hop is a ctrl→worker
-// Send of WireDelay(len(payload)), the response hop a worker→ctrl Send
-// of the response's wire delay — each exactly one scheduled event, just
-// like the Schedule calls of the shared-clock path, so event counts,
-// clocks, and the report are bit-identical to Chaos while worker
-// domains execute on separate cores. NIC-internal trace spans are
-// skipped in this mode (the span container would cross goroutines);
-// spans never schedule events, so timing is unaffected.
-func ChaosParallel(cfg Config, ch ChaosConfig) (*ChaosReport, error) {
-	ch = ch.withDefaults()
-	web := workloads.WebServer()
-	names := chaosNames(ch.Workers)
-
-	// The lookahead is the link's propagation floor: every wire hop is
-	// OneWay(n) >= OneWay(0), so Send's minimum-latency clamp never
-	// engages and cross-domain timing matches the shared clock exactly.
-	p := sim.NewParallel(cfg.Testbed.Link.OneWay(0))
-	ctrl := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-	doms := make(map[string]*sim.Domain, ch.Workers)
-	nics := make(map[string]*backend.LambdaNIC, ch.Workers)
-	for _, name := range names {
-		d := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-		b, err := newChaosNIC(cfg, d.Sim, web)
-		if err != nil {
-			return nil, err
-		}
-		doms[name], nics[name] = d, b
-	}
-	topo := &chaosTopology{
-		ctrl: ctrl.Sim,
-		route: func(name string, id uint32, payload []byte, tr *obs.Req, done func(backend.Result)) {
-			d, b := doms[name], nics[name]
-			ctrl.Send(d.ID(), b.WireDelay(len(payload)), func() {
-				b.InvokeDelivered(id, payload, nil, func(res backend.Result, back sim.Time) {
-					d.Send(ctrl.ID(), back, func() { done(res) })
-				})
-			})
-		},
-		nic:      func(name string) *nicsim.NIC { return nics[name].NIC() },
-		deviceAt: func(name string, t sim.Time, fn func()) { doms[name].At(t, fn) },
-		run:      p.RunUntilIdle,
-		executed: p.Executed,
-		clock:    p.Clock,
-		domains:  1 + len(names),
-	}
-	return chaosRun(cfg, ch, web, names, topo)
-}
-
-// chaosRun is the topology-independent harness: control plane, fault
-// timeline, load, and phase bucketing.
-func chaosRun(cfg Config, ch ChaosConfig, web *workloads.Workload, names []string, topo *chaosTopology) (*ChaosReport, error) {
-	s := topo.ctrl
+	s, names := r.sim, r.names
 	collector := obs.NewCollector(func() time.Duration { return s.Now() },
 		obs.WithSampleEvery(ch.TraceSampleEvery))
 
@@ -417,7 +293,7 @@ func chaosRun(cfg Config, ch ChaosConfig, web *workloads.Workload, names []strin
 
 	router := &chaosRouter{
 		s:        s,
-		route:    topo.route,
+		nics:     r.nics,
 		timeout:  ch.AttemptTimeout,
 		attempts: ch.Attempts,
 	}
@@ -433,12 +309,10 @@ func chaosRun(cfg Config, ch ChaosConfig, web *workloads.Workload, names []strin
 	rep := &ChaosReport{HeartbeatInterval: ch.HeartbeatInterval}
 	end := sim.Time(ch.Duration)
 
-	// The telemetry plane rides the run on the control domain's virtual
-	// clock: a rolling window of a few heartbeat intervals, graded
-	// against the provider's objectives at every detector check. The
-	// sampling piggybacks on the existing check event, so the event
-	// count — and with it the Chaos/ChaosParallel differential — is
-	// untouched.
+	// The telemetry plane rides the run on the virtual clock: a rolling
+	// window of a few heartbeat intervals, graded against the provider's
+	// objectives at every detector check. The sampling piggybacks on the
+	// existing check event, so it adds nothing to the event count.
 	slo, err := telemetry.NewSLOTracker(
 		telemetry.NewWindowed(telemetry.WindowConfig{
 			Slots:        4,
@@ -526,24 +400,23 @@ func chaosRun(cfg Config, ch ChaosConfig, web *workloads.Workload, names []strin
 	timeline := &faults.Timeline{Faults: []faults.SimFault{
 		{At: sim.Time(ch.KillAt), Kind: faults.FaultNICCrash, Target: victim},
 	}}
-	// Each fault costs exactly two scheduled events in every topology:
-	// the device-side application on the simulation owning the target
-	// NIC, and a control-side mirror that suppresses the victim's
-	// heartbeats and stamps the report. On a shared clock both land on
-	// the same queue; under parallel domains the device half runs in the
-	// worker's domain. No cross-domain message is needed at the fault
-	// instant — a crash is a silent black hole, so only the heartbeat
-	// silence (already control-side) carries the failure signal.
+	// Each fault costs exactly two scheduled events (the event count is
+	// part of the fingerprint): the device-side application, and a
+	// control-side mirror that suppresses the victim's heartbeats and
+	// stamps the report. The crash itself signals nothing — it is a
+	// silent black hole — so only the heartbeat silence carries the
+	// failure to the detector.
 	for _, f := range timeline.Sorted() {
 		f := f
-		topo.deviceAt(f.Target, f.At, func() {
+		s.At(f.At, func() {
+			nic := r.nics[f.Target].NIC()
 			switch f.Kind {
 			case faults.FaultNICCrash:
-				topo.nic(f.Target).Crash()
+				nic.Crash()
 			case faults.FaultNICRecover:
-				topo.nic(f.Target).Recover()
+				nic.Recover()
 			case faults.FaultDegrade:
-				topo.nic(f.Target).SetSlowdown(f.Factor)
+				nic.SetSlowdown(f.Factor)
 			}
 		})
 		s.At(f.At, func() {
@@ -583,12 +456,10 @@ func chaosRun(cfg Config, ch ChaosConfig, web *workloads.Workload, names []strin
 		at += sim.Time(rng.ExpFloat64() / ch.RatePerSec * float64(time.Second))
 	}
 
-	if err := topo.run(); err != nil {
+	rep.Executed, rep.FinalClock, err = r.run()
+	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	rep.Executed = topo.executed()
-	rep.FinalClock = topo.clock()
-	rep.Domains = topo.domains
 	if rep.KillAt == 0 {
 		return nil, errors.New("chaos: kill never fired (KillAt past Duration?)")
 	}

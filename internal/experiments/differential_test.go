@@ -7,11 +7,10 @@ import (
 	"lambdanic/internal/sim"
 )
 
-// The simulation kernel is swappable (ladder queue vs binary heap) and
-// the chaos fleet can run parallel per-NIC domains. All of those must
-// be implementation details: same seed, same experiment, bit-identical
-// results. These tests are the cross-kernel / cross-topology
-// differential that pins that down.
+// The simulation kernel is swappable (ladder queue vs binary heap), and
+// independent sweep points can run concurrently. Both must be
+// implementation details: same seed, same experiment, bit-identical
+// results. These tests are the differential that pins that down.
 
 func withKernel(cfg Config, k sim.KernelKind) Config {
 	cfg.Kernel = k
@@ -33,9 +32,7 @@ func TestFigure6KernelDifferential(t *testing.T) {
 }
 
 // chaosFingerprint is everything a chaos run reports except the raw
-// trace spans: parallel mode skips NIC-internal span recording (the
-// container would cross goroutines), so spans are the one field allowed
-// to differ across topologies.
+// trace spans, fault marks and SLO timeline.
 type chaosFingerprint struct {
 	Phases            []ChaosPhase
 	Killed            string
@@ -74,28 +71,8 @@ func TestChaosDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ChaosParallel(withKernel(Quick(), sim.KernelLadder), ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parHeap, err := ChaosParallel(withKernel(Quick(), sim.KernelHeap), ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	want := fingerprint(ladder)
-	for name, rep := range map[string]*ChaosReport{
-		"heap": heap, "parallel-ladder": par, "parallel-heap": parHeap,
-	} {
-		if got := fingerprint(rep); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s chaos run diverged:\n got=%+v\nwant=%+v", name, got, want)
-		}
-	}
-	if par.Domains != ch.Workers+1 {
-		t.Errorf("parallel run used %d domains, want %d", par.Domains, ch.Workers+1)
-	}
-	if ladder.Domains != 1 {
-		t.Errorf("shared-clock run reports %d domains, want 1", ladder.Domains)
+	if got, want := fingerprint(heap), fingerprint(ladder); !reflect.DeepEqual(got, want) {
+		t.Errorf("heap chaos run diverged:\n got=%+v\nwant=%+v", got, want)
 	}
 }
 

@@ -12,7 +12,7 @@
 //
 // Each experiment builds fresh simulations and backends so runs are
 // independent and deterministic. The same generators back the
-// bench_test.go targets and the cmd/lnic-bench binary.
+// cmd/lnic-bench binary and the sim_paper workload of bench/.
 package experiments
 
 import (

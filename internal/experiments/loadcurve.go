@@ -90,7 +90,7 @@ func LoadLatencyCurve(cfg Config) ([]LoadPoint, error) {
 
 // LoadLatencyCurveParallel computes the same sweep with every
 // (backend, rate) point in its own simulation domain, run concurrently
-// by an independent sim.Parallel group. Each point's simulation is
+// by a sim.Parallel group. Each point's simulation is
 // seeded and driven exactly as in LoadLatencyCurve, so the output is
 // bitwise identical to the serial sweep — the points were always
 // independent simulations; this just stops running them one at a time.
@@ -102,13 +102,13 @@ func LoadLatencyCurveParallel(cfg Config) ([]LoadPoint, error) {
 		requests = 200
 	}
 	backends := []BackendID{BackendLambdaNIC, BackendBareMetal}
-	p := sim.NewParallel(0)
+	p := sim.NewParallel()
 	out := make([]LoadPoint, 0, len(backends)*len(rates))
 	results := make([]*trace.Result, 0, len(backends)*len(rates))
 	for _, bid := range backends {
 		for _, rate := range rates {
 			d := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-			b, err := cfg.newBackendOn(d.Sim, bid, cfg.set())
+			b, err := cfg.newBackendOn(d, bid, cfg.set())
 			if err != nil {
 				return nil, err
 			}
@@ -117,7 +117,7 @@ func LoadLatencyCurveParallel(cfg Config) ([]LoadPoint, error) {
 				Requests:   requests,
 				Warmup:     cfg.Warmup,
 				Gen:        trace.Fixed(web.ID, web.MakeRequest),
-			}.Start(d.Sim, b)
+			}.Start(d, b)
 			if err != nil {
 				return nil, fmt.Errorf("loadcurve %s@%.0f: %w", bid, rate, err)
 			}

@@ -100,11 +100,10 @@ func ScaleOut(cfg Config) ([]ScaleOutPoint, error) {
 // closed-loop driver, and sim.Parallel runs the domains concurrently.
 // The scale-out workload has no cross-worker traffic — the shared-clock
 // version's round-robin driver is the only coupling — so the domains
-// are declared independent (zero lookahead) and each worker carries the
-// same per-worker load as in the merged run (Concurrency callers,
-// requests/worker). Every domain is seeded identically, so per-worker
-// results are bit-identical to a one-worker run and across repetitions,
-// regardless of core count.
+// are independent and each worker carries the same per-worker load as
+// in the merged run (Concurrency callers, requests/worker). Every
+// domain is seeded identically, so per-worker results are bit-identical
+// to a one-worker run and across repetitions, regardless of core count.
 func ParallelScaleOut(cfg Config) ([]ScaleOutPoint, error) {
 	img := workloads.ImageTransformer(128, 128)
 	set := []*workloads.Workload{
@@ -116,11 +115,11 @@ func ParallelScaleOut(cfg Config) ([]ScaleOutPoint, error) {
 		requests = 100
 	}
 	run := func(workers int) (float64, error) {
-		p := sim.NewParallel(0)
+		p := sim.NewParallel()
 		results := make([]*trace.Result, workers)
 		for i := 0; i < workers; i++ {
 			d := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-			b, err := backend.NewLambdaNIC(d.Sim, cfg.Testbed, nicsim.DispatchUniform)
+			b, err := backend.NewLambdaNIC(d, cfg.Testbed, nicsim.DispatchUniform)
 			if err != nil {
 				return 0, err
 			}
@@ -132,7 +131,7 @@ func ParallelScaleOut(cfg Config) ([]ScaleOutPoint, error) {
 				Requests:    requests,
 				Warmup:      cfg.Warmup,
 				Gen:         trace.Fixed(img.ID, img.MakeRequest),
-			}.Start(d.Sim, b)
+			}.Start(d, b)
 			if err != nil {
 				return 0, err
 			}

@@ -6,20 +6,16 @@ import (
 	"strings"
 	"time"
 
-	"lambdanic/internal/backend"
 	"lambdanic/internal/benchio"
-	"lambdanic/internal/nicsim"
 	"lambdanic/internal/sim"
-	"lambdanic/internal/trace"
-	"lambdanic/internal/workloads"
 )
 
 // The simbench experiment measures the simulation kernel itself — the
 // substrate every other experiment runs on — in wall-clock time, and
 // writes BENCH_sim.json so the repo tracks scheduler throughput across
-// PRs the same way it tracks the RPC data plane (BENCH_rpc.json).
+// PRs.
 //
-// Three row families:
+// Two row families:
 //
 //   - sched/<kernel>[-pooled]: steady-state self-rescheduling event
 //     load with the NIC-simulation delay mixture (mostly microsecond
@@ -29,10 +25,6 @@ import (
 //   - timers/<kernel>: timeout churn — a ring of pending timers, each
 //     driver tick rescheduling the oldest (sim.Reschedule's fired-event
 //     fast path), the dominant pattern of RPC timeout management.
-//   - scaleout16/domains=D: a 16-NIC closed-loop fleet packed into D
-//     independent simulation domains run by sim.Parallel. Total work is
-//     identical for every D (the domains never interact), so events/sec
-//     versus D is a pure parallel-speedup curve, bounded by GOMAXPROCS.
 //
 // In every row ReqPerSec is simulation events fired per wall-clock
 // second and Requests is the number of events fired.
@@ -44,14 +36,6 @@ type SimBenchConfig struct {
 	// Outstanding is the number of concurrent event chains (sched rows)
 	// and pending timers (timer rows).
 	Outstanding int
-	// ScaleRequests is the closed-loop request count per NIC in the
-	// scale-out rows.
-	ScaleRequests int
-	// NICs is the fleet size of the scale-out rows.
-	NICs int
-	// Domains are the domain counts to pack the fleet into; each must
-	// divide NICs.
-	Domains []int
 	// Reps runs every scenario this many times and keeps the fastest
 	// measurement — best-of-N, the standard defense against scheduler
 	// and GC noise when a regression gate reads the numbers.
@@ -60,42 +44,23 @@ type SimBenchConfig struct {
 
 // DefaultSimBench returns the full-size kernel benchmark.
 func DefaultSimBench() SimBenchConfig {
-	return SimBenchConfig{
-		Events:        2_000_000,
-		Outstanding:   32_768,
-		ScaleRequests: 2_000,
-		NICs:          16,
-		Domains:       []int{1, 2, 4, 8, 16},
-		Reps:          3,
-	}
+	return SimBenchConfig{Events: 2_000_000, Outstanding: 32_768, Reps: 3}
 }
 
 // QuickSimBench returns a reduced configuration for smoke runs and CI.
 func QuickSimBench() SimBenchConfig {
-	return SimBenchConfig{
-		Events:        500_000,
-		Outstanding:   32_768,
-		ScaleRequests: 2_000,
-		NICs:          16,
-		Domains:       []int{1, 2, 4, 8, 16},
-		Reps:          3,
-	}
+	return SimBenchConfig{Events: 500_000, Outstanding: 32_768, Reps: 3}
 }
 
-// simBenchRow measures one scenario reps times — prep builds the
-// scenario outside the clock, the returned runner executes it — and
-// keeps the fastest repetition. The memory-stats delta divided by fired
-// events gives allocs/event; the pooling rows should drive it to ~0.
-func simBenchRow(name string, concurrency, reps int, prep func() (func() uint64, error)) (benchio.Result, error) {
+// simBenchRow measures one scenario reps times and keeps the fastest
+// repetition. The memory-stats delta divided by fired events gives
+// allocs/event; the pooling rows should drive it to ~0.
+func simBenchRow(name string, reps int, run func() uint64) benchio.Result {
 	if reps < 1 {
 		reps = 1
 	}
 	var best benchio.Result
 	for rep := 0; rep < reps; rep++ {
-		run, err := prep()
-		if err != nil {
-			return benchio.Result{}, err
-		}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
@@ -108,7 +73,7 @@ func simBenchRow(name string, concurrency, reps int, prep func() (func() uint64,
 			Name:        name,
 			Transport:   "sim",
 			Mode:        "closed",
-			Concurrency: concurrency,
+			Concurrency: 1,
 			Requests:    int(executed),
 		}
 		if elapsed > 0 && executed > 0 {
@@ -120,7 +85,7 @@ func simBenchRow(name string, concurrency, reps int, prep func() (func() uint64,
 			best = res
 		}
 	}
-	return best, nil
+	return best
 }
 
 // schedDelay is the steady-state delay mixture: 70% NPU service times
@@ -186,47 +151,10 @@ func runTimerChurn(seed int64, kind sim.KernelKind, events, outstanding int) uin
 	return s.Executed
 }
 
-// prepScaleOutDomains packs the NIC fleet into domainCount independent
-// simulation domains — fleet construction (firmware compile, RDMA
-// region registration) happens here, OUTSIDE the timed window, so the
-// returned runner measures only event execution under sim.Parallel.
-func prepScaleOutDomains(cfg Config, sb SimBenchConfig, domainCount int) (func() (uint64, error), error) {
-	web := workloads.WebServer()
-	p := sim.NewParallel(0)
-	perDomain := sb.NICs / domainCount
-	for d := 0; d < domainCount; d++ {
-		dom := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-		for j := 0; j < perDomain; j++ {
-			b, err := backend.NewLambdaNIC(dom.Sim, cfg.Testbed, nicsim.DispatchUniform)
-			if err != nil {
-				return nil, err
-			}
-			if err := b.Deploy([]*workloads.Workload{web}); err != nil {
-				return nil, err
-			}
-			if _, err := (trace.ClosedLoop{
-				Concurrency: 8,
-				Requests:    sb.ScaleRequests,
-				Warmup:      sb.ScaleRequests / 10,
-				Gen:         trace.Fixed(web.ID, web.MakeRequest),
-			}).Start(dom.Sim, b); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return func() (uint64, error) {
-		if err := p.RunUntilIdle(); err != nil {
-			return 0, err
-		}
-		return p.Executed(), nil
-	}, nil
-}
-
 // SimBench measures the simulation kernel and returns the report
 // written to BENCH_sim.json.
-func SimBench(cfg Config, sb SimBenchConfig) (benchio.Report, error) {
+func SimBench(cfg Config, sb SimBenchConfig) benchio.Report {
 	var results []benchio.Result
-
 	for _, row := range []struct {
 		name   string
 		kind   sim.KernelKind
@@ -238,17 +166,10 @@ func SimBench(cfg Config, sb SimBenchConfig) (benchio.Report, error) {
 		{"sched/ladder-pooled", sim.KernelLadder, true},
 	} {
 		row := row
-		res, err := simBenchRow(row.name, 1, sb.Reps, func() (func() uint64, error) {
-			return func() uint64 {
-				return runSched(cfg.Seed, row.kind, row.pooled, sb.Events, sb.Outstanding)
-			}, nil
-		})
-		if err != nil {
-			return benchio.Report{}, fmt.Errorf("simbench: %w", err)
-		}
-		results = append(results, res)
+		results = append(results, simBenchRow(row.name, sb.Reps, func() uint64 {
+			return runSched(cfg.Seed, row.kind, row.pooled, sb.Events, sb.Outstanding)
+		}))
 	}
-
 	for _, row := range []struct {
 		name string
 		kind sim.KernelKind
@@ -257,46 +178,11 @@ func SimBench(cfg Config, sb SimBenchConfig) (benchio.Report, error) {
 		{"timers/ladder", sim.KernelLadder},
 	} {
 		row := row
-		res, err := simBenchRow(row.name, 1, sb.Reps, func() (func() uint64, error) {
-			return func() uint64 {
-				return runTimerChurn(cfg.Seed, row.kind, sb.Events, sb.Outstanding)
-			}, nil
-		})
-		if err != nil {
-			return benchio.Report{}, fmt.Errorf("simbench: %w", err)
-		}
-		results = append(results, res)
+		results = append(results, simBenchRow(row.name, sb.Reps, func() uint64 {
+			return runTimerChurn(cfg.Seed, row.kind, sb.Events, sb.Outstanding)
+		}))
 	}
-
-	for _, d := range sb.Domains {
-		if d <= 0 || sb.NICs%d != 0 {
-			return benchio.Report{}, fmt.Errorf("simbench: %d domains does not divide %d NICs", d, sb.NICs)
-		}
-		d := d
-		var runErr error
-		res, err := simBenchRow(fmt.Sprintf("scaleout16/domains=%d", d), d, sb.Reps, func() (func() uint64, error) {
-			run, err := prepScaleOutDomains(cfg, sb, d)
-			if err != nil {
-				return nil, err
-			}
-			return func() uint64 {
-				n, err := run()
-				if err != nil {
-					runErr = err
-				}
-				return n
-			}, nil
-		})
-		if err != nil {
-			return benchio.Report{}, fmt.Errorf("simbench: %w", err)
-		}
-		if runErr != nil {
-			return benchio.Report{}, fmt.Errorf("simbench: %w", runErr)
-		}
-		results = append(results, res)
-	}
-
-	return benchio.NewReport(results), nil
+	return benchio.NewReport(results)
 }
 
 // RenderSimBench prints the kernel benchmark report, including the
@@ -317,14 +203,6 @@ func RenderSimBench(rep benchio.Report) string {
 		if lp, ok := byName["sched/ladder-pooled"]; ok {
 			fmt.Fprintf(&b, "  single-thread speedup (ladder-pooled vs heap): %.2fx\n",
 				lp.ReqPerSec/heap.ReqPerSec)
-		}
-	}
-	if d1, ok := byName["scaleout16/domains=1"]; ok && d1.ReqPerSec > 0 {
-		for _, r := range rep.Results {
-			var d int
-			if _, err := fmt.Sscanf(r.Name, "scaleout16/domains=%d", &d); err == nil && d > 1 {
-				fmt.Fprintf(&b, "  %-24s parallel speedup: %.2fx\n", r.Name, r.ReqPerSec/d1.ReqPerSec)
-			}
 		}
 	}
 	return b.String()

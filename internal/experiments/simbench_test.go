@@ -8,25 +8,14 @@ import (
 // tinySimBench keeps the unit test fast; the real sizes run under
 // cmd/lnic-bench.
 func tinySimBench() SimBenchConfig {
-	return SimBenchConfig{
-		Events:        5_000,
-		Outstanding:   128,
-		ScaleRequests: 30,
-		NICs:          16,
-		Domains:       []int{1, 4},
-		Reps:          1,
-	}
+	return SimBenchConfig{Events: 5_000, Outstanding: 128, Reps: 1}
 }
 
 func TestSimBench(t *testing.T) {
-	rep, err := SimBench(Quick(), tinySimBench())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := SimBench(Quick(), tinySimBench())
 	want := []string{
 		"sched/heap", "sched/heap-pooled", "sched/ladder", "sched/ladder-pooled",
 		"timers/heap", "timers/ladder",
-		"scaleout16/domains=1", "scaleout16/domains=4",
 	}
 	if len(rep.Results) != len(want) {
 		t.Fatalf("got %d rows, want %d: %+v", len(rep.Results), len(want), rep.Results)
@@ -44,30 +33,13 @@ func TestSimBench(t *testing.T) {
 		}
 	}
 
-	// The domain packing must not change the work: identical fleets in
-	// 1 and 4 domains fire identical event counts.
-	d1 := rep.Results[byName["scaleout16/domains=1"]]
-	d4 := rep.Results[byName["scaleout16/domains=4"]]
-	if d1.Requests != d4.Requests {
-		t.Errorf("domain packing changed event count: 1 domain fired %d, 4 domains %d",
-			d1.Requests, d4.Requests)
-	}
-
 	// Identical sched scenarios across kernels fire identical counts.
 	if a, b := rep.Results[byName["sched/heap"]].Requests,
 		rep.Results[byName["sched/ladder"]].Requests; a != b {
 		t.Errorf("sched event counts differ across kernels: heap=%d ladder=%d", a, b)
 	}
 
-	if out := RenderSimBench(rep); !strings.Contains(out, "scaleout16/domains=4") {
+	if out := RenderSimBench(rep); !strings.Contains(out, "timers/ladder") {
 		t.Errorf("render missing rows:\n%s", out)
-	}
-}
-
-func TestSimBenchRejectsBadDomains(t *testing.T) {
-	sb := tinySimBench()
-	sb.Domains = []int{3} // does not divide 16
-	if _, err := SimBench(Quick(), sb); err == nil {
-		t.Fatal("3 domains over 16 NICs should error")
 	}
 }

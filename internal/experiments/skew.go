@@ -42,7 +42,7 @@ import (
 //
 // The report compares p50/p99/p999, per-worker load spread, and warm-
 // hit rate per policy; its fingerprint (event count, final clock) is
-// bit-identical between Skew and SkewParallel and between sim kernels.
+// bit-identical between sim kernels.
 
 // Skew dispatch policy names (also the benchmark row names).
 const (
@@ -233,8 +233,7 @@ type SkewPolicyStat struct {
 	// Warm-state outcome summed across the rack's NICs.
 	WarmHits, WarmMisses uint64
 	WarmRate             float64
-	// Executed / FinalClock fingerprint the policy's simulation run:
-	// Skew and SkewParallel produce identical values.
+	// Executed / FinalClock fingerprint the policy's simulation run.
 	Executed   uint64
 	FinalClock time.Duration
 }
@@ -242,8 +241,6 @@ type SkewPolicyStat struct {
 // SkewReport is the experiment's outcome.
 type SkewReport struct {
 	Rows []SkewPolicyStat
-	// Domains is per policy run (1 serial; 1+Workers parallel).
-	Domains int
 	// Affine is the verdict: pinned+mig beats round-robin on p99 AND on
 	// warm-hit rate.
 	Affine bool
@@ -260,8 +257,8 @@ func (r *SkewReport) Row(policy string) *SkewPolicyStat {
 }
 
 // skewArrival is one scheduled request; the schedule is drawn up front
-// from seeded generators so every policy, topology, and kernel consumes
-// the exact same load.
+// from seeded generators so every policy and kernel consumes the exact
+// same load.
 type skewArrival struct {
 	at   sim.Time
 	flow uint64
@@ -403,33 +400,6 @@ func (d *migDispatch) tick(loads []dispatch.Load) int {
 
 func (d *migDispatch) pins() int { return len(d.pinned) }
 
-// skewTopology is the seam between the harness and one policy's rack —
-// the tenants-experiment shape, plus the flow key on the route.
-type skewTopology struct {
-	ctrl     *sim.Sim
-	route    func(name string, id uint32, payload []byte, flow uint64, done func(backend.Result))
-	nic      func(name string) *nicsim.NIC
-	run      func() error
-	executed func() uint64
-	clock    func() sim.Time
-	domains  int
-}
-
-func skewNIC(cfg Config, sc SkewConfig, s *sim.Sim, web *workloads.Workload) (*backend.LambdaNIC, error) {
-	b, err := backend.NewLambdaNICWithConfig(s, sc.testbed(cfg), nicsim.Config{
-		Dispatch:        nicsim.DispatchUniform,
-		WarmFlows:       sc.WarmFlows,
-		ColdStartCycles: sc.ColdStartCycles,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("skew: %w", err)
-	}
-	if err := b.Deploy([]*workloads.Workload{web}); err != nil {
-		return nil, fmt.Errorf("skew: %w", err)
-	}
-	return b, nil
-}
-
 func (c SkewConfig) dispatcher(policy string, names []string, seed uint64) skewDispatcher {
 	switch policy {
 	case SkewPolicyRR:
@@ -441,35 +411,14 @@ func (c SkewConfig) dispatcher(policy string, names []string, seed uint64) skewD
 	}
 }
 
-// Skew runs all three policies with each rack on one clock.
+// Skew runs all three policies, each on a fresh rack, over one shared
+// arrival schedule.
 func Skew(cfg Config, sc SkewConfig) (*SkewReport, error) {
 	sc = sc.withDefaults()
 	sched := skewSchedule(cfg, sc)
-	names := chaosNames(sc.Workers)
-	rep := &SkewReport{Domains: 1}
+	rep := &SkewReport{}
 	for _, policy := range []string{SkewPolicyRR, SkewPolicyPinned, SkewPolicyMig} {
-		web := sc.workload()
-		s := cfg.newSim()
-		nics := make(map[string]*backend.LambdaNIC, sc.Workers)
-		for _, name := range names {
-			b, err := skewNIC(cfg, sc, s, web)
-			if err != nil {
-				return nil, err
-			}
-			nics[name] = b
-		}
-		topo := &skewTopology{
-			ctrl: s,
-			route: func(name string, id uint32, payload []byte, flow uint64, done func(backend.Result)) {
-				nics[name].InvokeFlow(id, payload, flow, nil, done)
-			},
-			nic:      func(name string) *nicsim.NIC { return nics[name].NIC() },
-			run:      s.RunUntilIdle,
-			executed: func() uint64 { return s.Executed },
-			clock:    s.Now,
-			domains:  1,
-		}
-		row, err := skewRun(cfg, sc, web, names, topo, sched, policy)
+		row, err := skewRun(cfg, sc, sched, policy)
 		if err != nil {
 			return nil, err
 		}
@@ -479,62 +428,21 @@ func Skew(cfg Config, sc SkewConfig) (*SkewReport, error) {
 	return rep, nil
 }
 
-// SkewParallel runs the same three racks with each worker NIC in its
-// own simulation domain under the conservative parallel coordinator;
-// wire hops cost exactly one scheduled event each, as in the serial
-// path, so the report is bit-identical to Skew.
-func SkewParallel(cfg Config, sc SkewConfig) (*SkewReport, error) {
-	sc = sc.withDefaults()
-	sched := skewSchedule(cfg, sc)
-	names := chaosNames(sc.Workers)
-	tb := sc.testbed(cfg)
-	rep := &SkewReport{Domains: 1 + sc.Workers}
-	for _, policy := range []string{SkewPolicyRR, SkewPolicyPinned, SkewPolicyMig} {
-		web := sc.workload()
-		p := sim.NewParallel(tb.Link.OneWay(0))
-		ctrl := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-		doms := make(map[string]*sim.Domain, sc.Workers)
-		nics := make(map[string]*backend.LambdaNIC, sc.Workers)
-		for _, name := range names {
-			d := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-			b, err := skewNIC(cfg, sc, d.Sim, web)
-			if err != nil {
-				return nil, err
-			}
-			doms[name], nics[name] = d, b
-		}
-		topo := &skewTopology{
-			ctrl: ctrl.Sim,
-			route: func(name string, id uint32, payload []byte, flow uint64, done func(backend.Result)) {
-				d, b := doms[name], nics[name]
-				ctrl.Send(d.ID(), b.WireDelay(len(payload)), func() {
-					b.InvokeFlowDelivered(id, payload, flow, nil, func(res backend.Result, back sim.Time) {
-						d.Send(ctrl.ID(), back, func() { done(res) })
-					})
-				})
-			},
-			nic:      func(name string) *nicsim.NIC { return nics[name].NIC() },
-			run:      p.RunUntilIdle,
-			executed: p.Executed,
-			clock:    p.Clock,
-			domains:  1 + len(names),
-		}
-		row, err := skewRun(cfg, sc, web, names, topo, sched, policy)
-		if err != nil {
-			return nil, err
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-	rep.Affine = skewVerdict(rep)
-	return rep, nil
-}
-
-// skewRun is the topology-independent harness for one policy: issue the
+// skewRun is the harness for one policy: build its rack, issue the
 // shared schedule through the policy's dispatcher, feed the healthd
 // detector smoothed load on the virtual clock, rebalance on ticks, and
 // summarize.
-func skewRun(cfg Config, sc SkewConfig, web *workloads.Workload, names []string, topo *skewTopology, sched []skewArrival, policy string) (SkewPolicyStat, error) {
-	s := topo.ctrl
+func skewRun(cfg Config, sc SkewConfig, sched []skewArrival, policy string) (SkewPolicyStat, error) {
+	web := sc.workload()
+	r, err := newRack(cfg, sc.testbed(cfg), sc.Workers, nicsim.Config{
+		Dispatch:        nicsim.DispatchUniform,
+		WarmFlows:       sc.WarmFlows,
+		ColdStartCycles: sc.ColdStartCycles,
+	}, []*workloads.Workload{web})
+	if err != nil {
+		return SkewPolicyStat{}, fmt.Errorf("skew: %w", err)
+	}
+	s, names := r.sim, r.names
 	end := sim.Time(sc.Duration)
 	disp := sc.dispatcher(policy, names, uint64(cfg.Seed))
 
@@ -581,7 +489,7 @@ func skewRun(cfg Config, sc SkewConfig, web *workloads.Workload, names []string,
 			w := disp.pick(a.flow)
 			inflight[w]++
 			start := s.Now()
-			topo.route(names[w], web.ID, payload, a.flow, func(res backend.Result) {
+			r.nics[names[w]].InvokeFlow(web.ID, payload, a.flow, nil, func(res backend.Result) {
 				inflight[w]--
 				completed[w]++
 				if res.Err != nil {
@@ -592,7 +500,8 @@ func skewRun(cfg Config, sc SkewConfig, web *workloads.Workload, names []string,
 			})
 		})
 	}
-	if err := topo.run(); err != nil {
+	executed, clock, err := r.run()
+	if err != nil {
 		return SkewPolicyStat{}, fmt.Errorf("skew/%s: %w", policy, err)
 	}
 
@@ -605,8 +514,8 @@ func skewRun(cfg Config, sc SkewConfig, web *workloads.Workload, names []string,
 		P50:         time.Duration(lat.P50() * float64(time.Second)),
 		P99:         time.Duration(lat.P99() * float64(time.Second)),
 		P999:        time.Duration(lat.P999() * float64(time.Second)),
-		Executed:    topo.executed(),
-		FinalClock:  time.Duration(topo.clock()),
+		Executed:    executed,
+		FinalClock:  clock,
 	}
 	var sum, max uint64
 	for _, c := range completed {
@@ -619,7 +528,7 @@ func skewRun(cfg Config, sc SkewConfig, web *workloads.Workload, names []string,
 		row.Spread = float64(max) * float64(len(names)) / float64(sum)
 	}
 	for _, name := range names {
-		st := topo.nic(name).Stats()
+		st := r.nics[name].NIC().Stats()
 		row.WarmHits += st.WarmHits
 		row.WarmMisses += st.WarmMisses
 	}
@@ -682,7 +591,7 @@ func RenderSkew(rep *SkewReport) string {
 			row.Spread, 100*row.WarmRate, row.Migrations, row.PinnedFlows)
 	}
 	if len(rep.Rows) > 0 {
-		fmt.Fprintf(&b, "  fingerprint: %d domains", rep.Domains)
+		fmt.Fprintf(&b, "  fingerprint:")
 		for _, row := range rep.Rows {
 			fmt.Fprintf(&b, " %s=%d@%v", row.Policy, row.Executed, row.FinalClock)
 		}

@@ -121,28 +121,6 @@ func TestSkewScheduleDeterministic(t *testing.T) {
 	}
 }
 
-func TestSkewSerialParallelIdentical(t *testing.T) {
-	cfg, sc := skewQuickConfig(sim.KernelLadder)
-	serial, err := Skew(cfg, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := SkewParallel(cfg, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parallel.Domains != sc.Workers+1 {
-		t.Errorf("parallel domains = %d, want %d", parallel.Domains, sc.Workers+1)
-	}
-	if !reflect.DeepEqual(serial.Rows, parallel.Rows) {
-		t.Errorf("serial and parallel runs diverged:\nserial:   %+v\nparallel: %+v",
-			serial.Rows, parallel.Rows)
-	}
-	if serial.Affine != parallel.Affine {
-		t.Errorf("verdicts diverged: serial=%v parallel=%v", serial.Affine, parallel.Affine)
-	}
-}
-
 func TestSkewKernelsIdentical(t *testing.T) {
 	cfgHeap, sc := skewQuickConfig(sim.KernelHeap)
 	heap, err := Skew(cfgHeap, sc)

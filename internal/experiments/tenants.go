@@ -204,17 +204,16 @@ type TenantsReport struct {
 	// WorstBurn/FinalBurn are the interactive latency objective's
 	// error-budget burn extremes from the SLO tracker.
 	WorstBurn, FinalBurn float64
-	// Executed / FinalClock / Domains are the determinism fingerprint:
-	// Tenants and TenantsParallel produce identical values.
+	// Executed / FinalClock are the determinism fingerprint: identical
+	// across queue kernels.
 	Executed   uint64
 	FinalClock time.Duration
-	Domains    int
 	// SLO is the interactive tenant's full error-budget timeline.
 	SLO *telemetry.SLOReport
 }
 
-// tenantsPlane is the control-plane state shared by both topologies:
-// the real workload manager with tenants registered and bound, the
+// tenantsPlane is the experiment's control-plane state: the real
+// workload manager with tenants registered and bound, the
 // admission controller loaded with the batch tenant's quota, and the
 // classifier/weights the NIC schedulers consume.
 type tenantsPlane struct {
@@ -258,7 +257,7 @@ func newTenantsPlane(cfg Config, tc TenantsConfig) (*tenantsPlane, error) {
 		return nil, fmt.Errorf("tenants: %w", err)
 	}
 	// Snapshot the binding into a plain map: the classifier runs on the
-	// NIC hot path in every domain, so it must not take registry locks.
+	// NIC hot path, so it must not take registry locks.
 	byLambda := map[uint32]uint32{webID: vip.ID, batchID: bulk.ID}
 	adm := tenant.NewAdmission()
 	if err := adm.SetQuota(vip); err != nil {
@@ -276,114 +275,6 @@ func newTenantsPlane(cfg Config, tc TenantsConfig) (*tenantsPlane, error) {
 	}, nil
 }
 
-func (p *tenantsPlane) newNIC(s *sim.Sim, tb cluster.Testbed) (*backend.LambdaNIC, error) {
-	b, err := backend.NewLambdaNICWithConfig(s, tb, nicsim.Config{
-		Dispatch:      nicsim.DispatchTenantWFQ,
-		TenantOf:      p.tenantOf,
-		TenantWeights: p.weights,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("tenants: %w", err)
-	}
-	// Each NIC compiles its own firmware image so no executable state
-	// is shared across parallel domains.
-	if err := b.Deploy([]*workloads.Workload{p.web, p.batch}); err != nil {
-		return nil, fmt.Errorf("tenants: %w", err)
-	}
-	return b, nil
-}
-
-// tenantsTopology is the seam between the harness and the rack — the
-// same shape as the chaos topology: the control plane always lives on
-// ctrl; the NICs either share that clock (Tenants) or run one domain
-// each (TenantsParallel).
-type tenantsTopology struct {
-	ctrl     *sim.Sim
-	route    func(name string, id uint32, payload []byte, done func(backend.Result))
-	nic      func(name string) *nicsim.NIC
-	run      func() error
-	executed func() uint64
-	clock    func() sim.Time
-	domains  int
-}
-
-// Tenants runs the multi-tenant isolation experiment with the whole
-// rack on one clock.
-func Tenants(cfg Config, tc TenantsConfig) (*TenantsReport, error) {
-	tc = tc.withDefaults()
-	plane, err := newTenantsPlane(cfg, tc)
-	if err != nil {
-		return nil, err
-	}
-	tb := tc.testbed(cfg)
-	names := chaosNames(tc.Workers)
-	s := cfg.newSim()
-	nics := make(map[string]*backend.LambdaNIC, tc.Workers)
-	for _, name := range names {
-		b, err := plane.newNIC(s, tb)
-		if err != nil {
-			return nil, err
-		}
-		nics[name] = b
-	}
-	topo := &tenantsTopology{
-		ctrl: s,
-		route: func(name string, id uint32, payload []byte, done func(backend.Result)) {
-			nics[name].InvokeTraced(id, payload, nil, done)
-		},
-		nic:      func(name string) *nicsim.NIC { return nics[name].NIC() },
-		run:      s.RunUntilIdle,
-		executed: func() uint64 { return s.Executed },
-		clock:    s.Now,
-		domains:  1,
-	}
-	return tenantsRun(tc, plane, names, topo)
-}
-
-// TenantsParallel runs the same experiment with each worker NIC in its
-// own simulation domain under the conservative parallel coordinator.
-// Wire hops become cross-domain messages costing exactly one scheduled
-// event each — the same count as the shared-clock path — so the report
-// is bit-identical to Tenants.
-func TenantsParallel(cfg Config, tc TenantsConfig) (*TenantsReport, error) {
-	tc = tc.withDefaults()
-	plane, err := newTenantsPlane(cfg, tc)
-	if err != nil {
-		return nil, err
-	}
-	tb := tc.testbed(cfg)
-	names := chaosNames(tc.Workers)
-	p := sim.NewParallel(tb.Link.OneWay(0))
-	ctrl := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-	doms := make(map[string]*sim.Domain, tc.Workers)
-	nics := make(map[string]*backend.LambdaNIC, tc.Workers)
-	for _, name := range names {
-		d := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-		b, err := plane.newNIC(d.Sim, tb)
-		if err != nil {
-			return nil, err
-		}
-		doms[name], nics[name] = d, b
-	}
-	topo := &tenantsTopology{
-		ctrl: ctrl.Sim,
-		route: func(name string, id uint32, payload []byte, done func(backend.Result)) {
-			d, b := doms[name], nics[name]
-			ctrl.Send(d.ID(), b.WireDelay(len(payload)), func() {
-				b.InvokeDelivered(id, payload, nil, func(res backend.Result, back sim.Time) {
-					d.Send(ctrl.ID(), back, func() { done(res) })
-				})
-			})
-		},
-		nic:      func(name string) *nicsim.NIC { return nics[name].NIC() },
-		run:      p.RunUntilIdle,
-		executed: p.Executed,
-		clock:    p.Clock,
-		domains:  1 + len(names),
-	}
-	return tenantsRun(tc, plane, names, topo)
-}
-
 // tenantsSample is one arrival for phase bucketing.
 type tenantsSample struct {
 	tenantID uint32
@@ -393,14 +284,27 @@ type tenantsSample struct {
 	failed   bool
 }
 
-// tenantsRun is the topology-independent harness: admission, load,
-// SLO grading, and phase bucketing.
-func tenantsRun(tc TenantsConfig, plane *tenantsPlane, names []string, topo *tenantsTopology) (*TenantsReport, error) {
-	s := topo.ctrl
+// Tenants runs the multi-tenant isolation experiment: admission, load,
+// SLO grading, and phase bucketing over one rack.
+func Tenants(cfg Config, tc TenantsConfig) (*TenantsReport, error) {
+	tc = tc.withDefaults()
+	plane, err := newTenantsPlane(cfg, tc)
+	if err != nil {
+		return nil, err
+	}
+	r, err := newRack(cfg, tc.testbed(cfg), tc.Workers, nicsim.Config{
+		Dispatch:      nicsim.DispatchTenantWFQ,
+		TenantOf:      plane.tenantOf,
+		TenantWeights: plane.weights,
+	}, []*workloads.Workload{plane.web, plane.batch})
+	if err != nil {
+		return nil, fmt.Errorf("tenants: %w", err)
+	}
+	s, names := r.sim, r.names
 	end := sim.Time(tc.Duration)
 
-	// The interactive tenant's SLO, graded on the control domain's
-	// virtual clock every sampling interval.
+	// The interactive tenant's SLO, graded on the virtual clock every
+	// sampling interval.
 	slo, err := telemetry.NewSLOTracker(
 		telemetry.NewWindowed(telemetry.WindowConfig{
 			Slots:        4,
@@ -431,7 +335,7 @@ func tenantsRun(tc TenantsConfig, plane *tenantsPlane, names []string, topo *ten
 	sampleEv = s.Schedule(tc.SampleInterval, sample)
 
 	// Load: both tenants' arrival schedules are drawn up front from the
-	// control domain's seeded source — interactive first, then the
+	// simulation's seeded source — interactive first, then the
 	// burst — so the whole run is a pure function of the seed. Every
 	// arrival passes gateway admission on the virtual clock before any
 	// wire event is scheduled; shed requests never touch the rack.
@@ -449,7 +353,7 @@ func tenantsRun(tc TenantsConfig, plane *tenantsPlane, names []string, topo *ten
 			}
 			name := names[next%len(names)]
 			next++
-			topo.route(name, wl.ID, payload, func(res backend.Result) {
+			r.nics[name].InvokeTraced(wl.ID, payload, nil, func(res backend.Result) {
 				lat := s.Now() - start
 				if tenantID == plane.vipID {
 					sloMeter.Observe(lat, res.Err != nil)
@@ -473,20 +377,21 @@ func tenantsRun(tc TenantsConfig, plane *tenantsPlane, names []string, topo *ten
 		at += sim.Time(rng.ExpFloat64() / tc.BurstRate * float64(time.Second))
 	}
 
-	if err := topo.run(); err != nil {
+	executed, clock, err := r.run()
+	if err != nil {
 		return nil, fmt.Errorf("tenants: %w", err)
 	}
 
 	rep := &TenantsReport{
 		IsolationP99: tc.IsolationP99,
 		Shed:         plane.adm.TotalShed(),
-		Executed:     topo.executed(),
-		FinalClock:   topo.clock(),
-		Domains:      topo.domains,
+		Executed:     executed,
+		FinalClock:   clock,
 	}
 	for _, name := range names {
-		rep.InteractiveCompleted += topo.nic(name).TenantCompleted(plane.vipID)
-		rep.BatchCompleted += topo.nic(name).TenantCompleted(plane.bulkID)
+		nic := r.nics[name].NIC()
+		rep.InteractiveCompleted += nic.TenantCompleted(plane.vipID)
+		rep.BatchCompleted += nic.TenantCompleted(plane.bulkID)
 	}
 	sloReport := slo.Report()
 	rep.SLO = &sloReport
@@ -578,9 +483,9 @@ func RenderTenants(rep *TenantsReport) string {
 	}
 	fmt.Fprintf(&b, "Tenants: interactive p99 during burst %v (bound %v, %s); admission shed %d; burn worst %.2fx final %.2fx\n",
 		rep.DuringP99, rep.IsolationP99, verdict, rep.Shed, rep.WorstBurn, rep.FinalBurn)
-	fmt.Fprintf(&b, "  NIC completions: %s=%d %s=%d (%d domains, %d events)\n",
+	fmt.Fprintf(&b, "  NIC completions: %s=%d %s=%d (%d events)\n",
 		tenantsInteractive, rep.InteractiveCompleted, tenantsBatch, rep.BatchCompleted,
-		rep.Domains, rep.Executed)
+		rep.Executed)
 	fmt.Fprintf(&b, "  %-6s %-7s %9s %7s %7s %11s %11s\n",
 		"tenant", "phase", "requests", "errors", "shed", "p50", "p99")
 	for _, p := range rep.Phases {

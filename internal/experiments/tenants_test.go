@@ -111,24 +111,6 @@ func tenantsPrint(rep *TenantsReport) tenantsFingerprint {
 	}
 }
 
-func TestTenantsSerialParallelIdentical(t *testing.T) {
-	cfg, tc := tenantsQuickConfig(sim.KernelLadder)
-	serial, err := Tenants(cfg, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := TenantsParallel(cfg, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parallel.Domains != tc.Workers+1 {
-		t.Errorf("parallel domains = %d, want %d", parallel.Domains, tc.Workers+1)
-	}
-	if a, b := tenantsPrint(serial), tenantsPrint(parallel); !reflect.DeepEqual(a, b) {
-		t.Errorf("serial and parallel runs diverged:\nserial:   %+v\nparallel: %+v", a, b)
-	}
-}
-
 func TestTenantsKernelsIdentical(t *testing.T) {
 	cfgHeap, tc := tenantsQuickConfig(sim.KernelHeap)
 	heap, err := Tenants(cfgHeap, tc)

@@ -1,278 +1,46 @@
 package sim
 
-import (
-	"sort"
-)
+import "sync"
 
-// Parallel coordinates several simulation domains — each a full Sim
-// with its own kernel, clock, and RNG — under conservative synchronous
-// lookahead synchronization. It is the multi-NIC scaleout mode: one
-// domain per NIC/host runs on its own core, and determinism is
-// preserved by construction rather than by luck.
+// Parallel runs several independent simulations concurrently — the
+// multi-core mode for sweeps whose points never interact (scale-out
+// workers, load-curve points). Each domain is a full Sim with its own
+// kernel, clock, and RNG, and runs to completion on its own goroutine;
+// nothing is shared, so scheduling, pooling, and RNG draws need no locks
+// and every domain's results are bit-identical to running it alone.
 //
-// The protocol is null-message-free barrier rounds. Each round the
-// coordinator takes tmin, the earliest pending event time across all
-// domains, and lets every domain execute events strictly before
-// tmin + lookahead concurrently. Cross-domain interactions go through
-// Domain.Send, which models a link of latency >= lookahead; outboxes
-// are collected at the barrier and delivered before the next round in
-// a deterministic (at, src, order) sort. Because a message sent at
-// time t >= tmin arrives at t + lookahead >= tmin + lookahead — at or
-// after the window edge every domain stopped at — no domain can
-// receive an event in its past, and the round's executions are
-// independent. See DESIGN.md "Simulation kernel" for the proof sketch.
-//
-// With lookahead <= 0 the domains are declared non-interacting: Send
-// panics, and Run executes each domain to completion concurrently in a
-// single round.
-//
-// Within a round each domain runs on exactly one goroutine and touches
-// only its own state, so scheduling, pooling, and RNG draws need no
-// locks; the coordinator synchronizes rounds with channels. Results
-// are bit-identical across runs and across worker interleavings for a
-// fixed domain count and lookahead.
+// Domains must not touch each other's state: there is no cross-domain
+// messaging. Simulations that interact belong on one Sim.
 type Parallel struct {
-	lookahead Time
-	domains   []*Domain
-	// Serial forces rounds to execute domains sequentially in id order
-	// on the calling goroutine — same results, no concurrency. Tests
-	// use it to prove the parallel execution is interleaving-free.
-	Serial bool
+	domains []*Sim
 }
 
-// Domain is one simulation domain inside a Parallel group. It embeds
-// its Sim, so components built on a *Sim run unchanged inside a domain.
-type Domain struct {
-	*Sim
-	par   *Parallel
-	id    int
-	out   []xmsg
-	order uint64
+// NewParallel returns an empty group.
+func NewParallel() *Parallel { return &Parallel{} }
+
+// NewDomainKernel adds a simulation with the given seed and queue kernel
+// to the group and returns it.
+func (p *Parallel) NewDomainKernel(seed int64, kind KernelKind) *Sim {
+	s := NewWithKernel(seed, kind)
+	p.domains = append(p.domains, s)
+	return s
 }
 
-// xmsg is a cross-domain event in flight between rounds.
-type xmsg struct {
-	src, dst int
-	order    uint64 // per-source send counter, for deterministic ties
-	at       Time
-	fn       func()
-}
-
-// NewParallel returns a coordinator whose domains may interact through
-// links of latency at least lookahead. A non-positive lookahead
-// declares the domains independent (no Send allowed).
-func NewParallel(lookahead Time) *Parallel {
-	return &Parallel{lookahead: lookahead}
-}
-
-// Lookahead returns the group's synchronization lookahead.
-func (p *Parallel) Lookahead() Time { return p.lookahead }
-
-// NewDomain adds a domain backed by the default ladder kernel.
-func (p *Parallel) NewDomain(seed int64) *Domain {
-	return p.NewDomainKernel(seed, KernelLadder)
-}
-
-// NewDomainKernel adds a domain with an explicit queue kernel.
-func (p *Parallel) NewDomainKernel(seed int64, kind KernelKind) *Domain {
-	d := &Domain{Sim: NewWithKernel(seed, kind), par: p, id: len(p.domains)}
-	p.domains = append(p.domains, d)
-	return d
-}
-
-// Domains returns the group's domains in id order.
-func (p *Parallel) Domains() []*Domain { return p.domains }
-
-// ID returns the domain's index within its group.
-func (d *Domain) ID() int { return d.id }
-
-// Send schedules fn on domain dst after at least the group's lookahead
-// of virtual time — the cross-domain counterpart of Schedule, modeling
-// a message over the inter-NIC link. A delay below the lookahead is
-// clamped up to it: the lookahead is the link's minimum latency, so a
-// shorter delay would be a modeling error (and would break the
-// synchronization invariant). Must be called from the sending domain's
-// own callbacks.
-func (d *Domain) Send(dst int, delay Time, fn func()) {
-	la := d.par.lookahead
-	if la <= 0 {
-		panic("sim: Send on an independent (lookahead<=0) parallel group")
-	}
-	if delay < la {
-		delay = la
-	}
-	d.out = append(d.out, xmsg{
-		src: d.id, dst: dst, order: d.order, at: d.Sim.Now() + delay, fn: fn,
-	})
-	d.order++
-}
-
-// Executed sums fired events across all domains.
-func (p *Parallel) Executed() uint64 {
-	var n uint64
-	for _, d := range p.domains {
-		n += d.Executed
-	}
-	return n
-}
-
-// Clock returns the most advanced domain clock.
-func (p *Parallel) Clock() Time {
-	var t Time
-	for _, d := range p.domains {
-		if d.Now() > t {
-			t = d.Now()
-		}
-	}
-	return t
-}
-
-// Pending sums pending events across all domains.
-func (p *Parallel) Pending() int {
-	n := 0
-	for _, d := range p.domains {
-		n += d.Sim.Pending()
-	}
-	return n
-}
-
-// Run executes all domains until every queue drains, every clock passes
-// horizon, or a domain calls Stop. A zero horizon means no time limit.
-// Like Sim.Run it clears stop flags on entry, parks clocks at the
-// horizon when one is given, and returns ErrStopped if halted.
+// Run executes every domain's Sim.Run(horizon) concurrently and waits
+// for all of them. A domain that calls Stop halts only itself; Run then
+// returns ErrStopped — the first error in domain order, so error
+// reporting is deterministic too.
 func (p *Parallel) Run(horizon Time) error {
-	for _, d := range p.domains {
-		d.stopped = false
-	}
-	if p.lookahead <= 0 {
-		return p.runRound(func(d *Domain) error { return d.Sim.Run(horizon) })
-	}
-
-	// Persistent per-domain workers: rounds are numerous (one per
-	// lookahead-wide event cluster), so goroutine spawns per round
-	// would dominate small-lookahead runs.
 	errs := make([]error, len(p.domains))
-	var starts []chan Time
-	var done chan struct{}
-	if !p.Serial {
-		starts = make([]chan Time, len(p.domains))
-		done = make(chan struct{})
-		for i, d := range p.domains {
-			starts[i] = make(chan Time)
-			go func(i int, d *Domain) {
-				for limit := range starts[i] {
-					errs[i] = d.Sim.runWindow(limit)
-					done <- struct{}{}
-				}
-			}(i, d)
-		}
-		defer func() {
-			for _, c := range starts {
-				close(c)
-			}
-		}()
+	var wg sync.WaitGroup
+	for i, s := range p.domains {
+		wg.Add(1)
+		go func(i int, s *Sim) {
+			defer wg.Done()
+			errs[i] = s.Run(horizon)
+		}(i, s)
 	}
-	round := func(limit Time) error {
-		if p.Serial {
-			for i, d := range p.domains {
-				errs[i] = d.Sim.runWindow(limit)
-			}
-		} else {
-			for _, c := range starts {
-				c <- limit
-			}
-			for range p.domains {
-				<-done
-			}
-		}
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var inbox []xmsg
-	for {
-		// Deliver last round's cross-domain messages in a deterministic
-		// order so destination seq assignment (and thus tie-breaks)
-		// never depends on worker interleaving.
-		sort.Slice(inbox, func(i, j int) bool {
-			a, b := inbox[i], inbox[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			return a.order < b.order
-		})
-		for _, m := range inbox {
-			p.domains[m.dst].At(m.at, m.fn)
-		}
-		inbox = inbox[:0]
-
-		tmin, any := Time(0), false
-		for _, d := range p.domains {
-			if at, ok := d.nextAt(); ok && (!any || at < tmin) {
-				tmin, any = at, true
-			}
-		}
-		if !any {
-			break
-		}
-		if horizon > 0 && tmin > horizon {
-			break
-		}
-		limit := tmin + p.lookahead
-		if horizon > 0 && limit > horizon {
-			// runWindow fires strictly below limit; include the horizon
-			// itself, matching Run's at <= horizon.
-			limit = horizon + 1
-		}
-		if err := round(limit); err != nil {
-			return err
-		}
-		for _, d := range p.domains {
-			inbox = append(inbox, d.out...)
-			d.out = d.out[:0]
-		}
-	}
-	if horizon > 0 {
-		for _, d := range p.domains {
-			if d.now < horizon {
-				d.now = horizon
-			}
-		}
-	}
-	return nil
-}
-
-// RunUntilIdle executes until every domain's queue drains.
-func (p *Parallel) RunUntilIdle() error { return p.Run(0) }
-
-// runRound executes body for every domain — concurrently, one
-// goroutine per domain, unless Serial is set. The first error in
-// domain-id order wins, so error reporting is deterministic too.
-func (p *Parallel) runRound(body func(*Domain) error) error {
-	errs := make([]error, len(p.domains))
-	if p.Serial {
-		for i, d := range p.domains {
-			errs[i] = body(d)
-		}
-	} else {
-		done := make(chan struct{})
-		for i, d := range p.domains {
-			go func(i int, d *Domain) {
-				errs[i] = body(d)
-				done <- struct{}{}
-			}(i, d)
-		}
-		for range p.domains {
-			<-done
-		}
-	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -280,3 +48,6 @@ func (p *Parallel) runRound(body func(*Domain) error) error {
 	}
 	return nil
 }
+
+// RunUntilIdle executes until every domain's queue drains.
+func (p *Parallel) RunUntilIdle() error { return p.Run(0) }

@@ -5,201 +5,46 @@ import (
 	"time"
 )
 
-// TestParallelPingPong bounces a message between two domains and checks
-// the delivery times follow the link lookahead exactly.
-func TestParallelPingPong(t *testing.T) {
-	const la = 450 * time.Nanosecond
-	p := NewParallel(la)
-	a := p.NewDomain(1)
-	b := p.NewDomain(2)
-
-	var log []struct {
-		dom int
-		at  Time
-	}
-	hops := 0
-	var hop func(d *Domain, peer int) func()
-	hop = func(d *Domain, peer int) func() {
-		return func() {
-			log = append(log, struct {
-				dom int
-				at  Time
-			}{d.ID(), d.Now()})
-			hops++
-			if hops < 6 {
-				d.Send(peer, la, hop(p.Domains()[peer], d.ID()))
-			}
-		}
-	}
-	a.Schedule(0, hop(a, b.ID()))
-	if err := p.RunUntilIdle(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if hops != 6 {
-		t.Fatalf("hops %d, want 6", hops)
-	}
-	for i, e := range log {
-		wantDom := i % 2
-		wantAt := Time(i) * la
-		if e.dom != wantDom || e.at != wantAt {
-			t.Fatalf("hop %d on domain %d at %v, want domain %d at %v",
-				i, e.dom, e.at, wantDom, wantAt)
-		}
-	}
-}
-
-// TestParallelMatchesSerial runs a messy multi-domain workload twice —
-// once with concurrent workers, once with the Serial flag — and
-// requires identical executed counts, clocks, and per-domain logs:
-// the proof that results never depend on worker interleaving.
-func TestParallelMatchesSerial(t *testing.T) {
-	run := func(serial bool) ([]uint64, []Time, [][]Time) {
-		const la = time.Microsecond
-		p := NewParallel(la)
-		p.Serial = serial
-		const n = 4
-		logs := make([][]Time, n)
-		for i := 0; i < n; i++ {
-			p.NewDomain(int64(i + 1))
-		}
-		for i, d := range p.Domains() {
-			i, d := i, d
-			var tick func()
-			count := 0
-			tick = func() {
-				logs[i] = append(logs[i], d.Now())
-				count++
-				if count < 50 {
-					// Deterministic per-domain jitter plus a cross-domain
-					// send every few ticks.
-					delay := Time(d.Rand().Intn(3000)) * time.Nanosecond
-					d.Schedule(delay, tick)
-					if count%5 == 0 {
-						dst := (i + 1) % n
-						d.Send(dst, la+delay, func() {
-							logs[dst] = append(logs[dst], p.Domains()[dst].Now())
-						})
-					}
-				}
-			}
-			d.Schedule(Time(i)*100*time.Nanosecond, tick)
-		}
-		if err := p.RunUntilIdle(); err != nil {
-			t.Fatalf("run(serial=%v): %v", serial, err)
-		}
-		execs := make([]uint64, n)
-		clocks := make([]Time, n)
-		for i, d := range p.Domains() {
-			execs[i] = d.Executed
-			clocks[i] = d.Now()
-		}
-		return execs, clocks, logs
-	}
-
-	se, sc, sl := run(true)
-	pe, pc, pl := run(false)
-	for i := range se {
-		if se[i] != pe[i] {
-			t.Fatalf("domain %d executed %d serial vs %d parallel", i, se[i], pe[i])
-		}
-		if sc[i] != pc[i] {
-			t.Fatalf("domain %d clock %v serial vs %v parallel", i, sc[i], pc[i])
-		}
-		if len(sl[i]) != len(pl[i]) {
-			t.Fatalf("domain %d log %d serial vs %d parallel", i, len(sl[i]), len(pl[i]))
-		}
-		for j := range sl[i] {
-			if sl[i][j] != pl[i][j] {
-				t.Fatalf("domain %d log[%d] %v serial vs %v parallel",
-					i, j, sl[i][j], pl[i][j])
-			}
-		}
-	}
-}
-
-// TestParallelHorizon checks Run(horizon) semantics match Sim.Run:
-// events at the horizon fire, later ones stay pending, and every clock
-// parks at the horizon.
-func TestParallelHorizon(t *testing.T) {
-	p := NewParallel(time.Microsecond)
-	a := p.NewDomain(1)
-	b := p.NewDomain(2)
-	fired := 0
-	a.Schedule(time.Millisecond, func() { fired++ })  // exactly at horizon
-	b.Schedule(2*time.Millisecond, func() { fired++ }) // beyond
-	if err := p.Run(time.Millisecond); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if fired != 1 {
-		t.Fatalf("fired %d, want 1 (event at horizon fires, later one does not)", fired)
-	}
-	if a.Now() != time.Millisecond || b.Now() != time.Millisecond {
-		t.Fatalf("clocks %v %v, want both at horizon", a.Now(), b.Now())
-	}
-	if p.Pending() != 1 {
-		t.Fatalf("pending %d, want 1", p.Pending())
-	}
-	// Resuming past the horizon fires the rest.
-	if err := p.RunUntilIdle(); err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if fired != 2 || p.Clock() != 2*time.Millisecond {
-		t.Fatalf("after resume: fired=%d clock=%v", fired, p.Clock())
-	}
-}
-
-// TestParallelStop propagates a domain's Stop as ErrStopped.
-func TestParallelStop(t *testing.T) {
-	p := NewParallel(time.Microsecond)
-	a := p.NewDomain(1)
-	p.NewDomain(2)
-	a.Schedule(time.Microsecond, func() { a.Stop() })
-	a.Schedule(time.Millisecond, func() { t.Fatal("event after Stop fired") })
-	if err := p.Run(0); err != ErrStopped {
-		t.Fatalf("err = %v, want ErrStopped", err)
-	}
-}
-
-// TestParallelIndependent covers lookahead<=0: domains run to
-// completion concurrently and Send is rejected.
+// TestParallelIndependent: domains run to completion concurrently, each
+// firing exactly its own events.
 func TestParallelIndependent(t *testing.T) {
-	p := NewParallel(0)
+	p := NewParallel()
+	var doms []*Sim
 	for i := 0; i < 4; i++ {
-		d := p.NewDomain(int64(i))
+		d := p.NewDomainKernel(int64(i), KernelLadder)
 		n := 10 * (i + 1)
 		for j := 0; j < n; j++ {
 			d.Schedule(Time(j)*time.Microsecond, func() {})
 		}
+		doms = append(doms, d)
 	}
 	if err := p.RunUntilIdle(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if p.Executed() != 10+20+30+40 {
-		t.Fatalf("executed %d, want 100", p.Executed())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Send on independent group did not panic")
+	for i, d := range doms {
+		if want := uint64(10 * (i + 1)); d.Executed != want {
+			t.Errorf("domain %d executed %d, want %d", i, d.Executed, want)
 		}
-	}()
-	p.Domains()[0].Send(1, 0, func() {})
+		if d.Pending() != 0 {
+			t.Errorf("domain %d has %d events pending", i, d.Pending())
+		}
+	}
 }
 
-// TestParallelSendClampsDelay: a sub-lookahead delay is raised to the
-// lookahead (the link cannot be faster than its modeled latency).
-func TestParallelSendClampsDelay(t *testing.T) {
-	const la = time.Microsecond
-	p := NewParallel(la)
-	a := p.NewDomain(1)
-	b := p.NewDomain(2)
-	var arrived Time
-	a.Schedule(0, func() {
-		a.Send(b.ID(), 10*time.Nanosecond, func() { arrived = b.Now() })
-	})
-	if err := p.RunUntilIdle(); err != nil {
-		t.Fatalf("run: %v", err)
+// TestParallelStop propagates a domain's Stop as ErrStopped without
+// halting the other domains.
+func TestParallelStop(t *testing.T) {
+	p := NewParallel()
+	a := p.NewDomainKernel(1, KernelLadder)
+	b := p.NewDomainKernel(2, KernelLadder)
+	a.Schedule(time.Microsecond, func() { a.Stop() })
+	a.Schedule(time.Millisecond, func() { t.Error("event after Stop fired") })
+	fired := false
+	b.Schedule(time.Millisecond, func() { fired = true })
+	if err := p.Run(0); err != ErrStopped {
+		t.Fatalf("err = %v, want ErrStopped", err)
 	}
-	if arrived != la {
-		t.Fatalf("arrived at %v, want clamped to lookahead %v", arrived, la)
+	if !fired {
+		t.Error("independent domain did not run to completion")
 	}
 }

@@ -19,10 +19,8 @@
 // fire-and-forget After/At/AfterArg entry points are recycled through a
 // free list, so the schedule/fire hot loop allocates nothing.
 //
-// For multi-NIC runs, parallel.go adds conservative parallel execution:
-// each NIC/host becomes a simulation domain with its own kernel, and
-// domains synchronize in barrier rounds bounded by the inter-domain
-// link-latency lookahead.
+// parallel.go runs several independent simulations concurrently, one per
+// core, for sweeps whose points never interact.
 package sim
 
 import (
@@ -302,12 +300,6 @@ func (s *Sim) peek() (entry, bool) {
 	}
 }
 
-// nextAt returns the time of the earliest pending event.
-func (s *Sim) nextAt() (Time, bool) {
-	en, ok := s.peek()
-	return en.at, ok
-}
-
 // fire consumes and executes the entry peek returned. Pooled events are
 // recycled before the callback runs, so a callback scheduling new
 // pooled work reuses the Event it was invoked from.
@@ -353,22 +345,6 @@ func (s *Sim) Run(horizon Time) error {
 		s.now = horizon
 	}
 	return nil
-}
-
-// runWindow fires events strictly before limit without advancing the
-// clock past the last fired event — the per-round body the parallel
-// coordinator uses, where the clock must not outrun the barrier.
-func (s *Sim) runWindow(limit Time) error {
-	for {
-		if s.stopped {
-			return ErrStopped
-		}
-		en, ok := s.peek()
-		if !ok || en.at >= limit {
-			return nil
-		}
-		s.fire(en)
-	}
 }
 
 // RunUntilIdle executes events until none remain, with no time horizon.
