@@ -234,6 +234,12 @@ func (w *Worker) Installed() []uint32 {
 	return out
 }
 
+// handle serves one request: the one-sided bypass if the workload has
+// one and it hits, the lambda otherwise. Both run directly on
+// req.Payload, the transport's pooled buffer for the request (for a
+// multi-fragment request, the one buffer it was reassembled into),
+// which is recycled once the reply is sent — a Handle or Bypass that
+// keeps any of it must copy (workloads.TestHandlersDoNotRetainPayload).
 func (w *Worker) handle(req *transport.Message) ([]byte, error) {
 	w.inflight.Add(1)
 	defer w.inflight.Add(-1)

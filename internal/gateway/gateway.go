@@ -391,6 +391,12 @@ func (g *Gateway) instrumentsCopy() *instruments {
 // worker), the gateway fails over along the flow's ring successors —
 // the same deterministic order on every gateway — before giving up,
 // keeping a lambda available while any replica lives.
+//
+// req.Payload is the transport's pooled buffer for the request (for a
+// multi-fragment request, the one buffer it was reassembled into) and
+// every upstream attempt streams straight out of it; it is recycled
+// when handle has returned and the reply is sent, so nothing here may
+// keep it.
 func (g *Gateway) handle(req *transport.Message) ([]byte, error) {
 	// Tenant admission runs before any routing work: an over-quota
 	// request costs the gateway one bucket probe, nothing upstream.

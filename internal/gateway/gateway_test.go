@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lambdanic/internal/dispatch"
+	"lambdanic/internal/faults"
 	"lambdanic/internal/transport"
 )
 
@@ -227,13 +228,43 @@ func TestGatewayUpstreamTimeout(t *testing.T) {
 	}
 }
 
+// TestGatewayRetransmitsThroughLoss drops packets on a fixed schedule —
+// windows of per-link packet indexes, which no goroutine interleaving
+// can move — on all four directions of client ↔ gateway ↔ worker, and
+// never more in a row than the retry budgets cover (the gateway's
+// upstream endpoint gives up after 5 attempts). Every call must still
+// succeed, by retransmission at the hop that lost the packet.
 func TestGatewayRetransmitsThroughLoss(t *testing.T) {
 	n := transport.NewMemNetwork(5)
-	n.LossRate = 0.3
-	echoWorker(t, n, "w1")
-	gw := newGateway(t, n)
+	lose := func(from, to string, first, last uint64) faults.Rule {
+		return faults.Rule{From: from, To: to, FirstPacket: first, LastPacket: last, Partition: true}
+	}
+	inj := faults.NewInjector(5,
+		lose("client", "gw", 0, 1), // the first request: the client retransmits
+		lose("gw", "w1", 0, 2),     // then two upstream attempts in a row: the gateway retransmits
+		lose("w1", "gw", 0, 1),     // then the worker's reply: it is replayed from the dedup cache
+		lose("gw", "client", 0, 1), // then the gateway's reply: likewise
+		lose("gw", "w1", 6, 7),     // and once more on later calls, one hop at a time
+		lose("w1", "gw", 4, 5),
+		lose("gw", "client", 5, 6),
+	)
+	listen := func(name string) net.PacketConn {
+		conn, err := n.Listen(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inj.WrapConn(conn, name)
+	}
+	worker := transport.NewEndpoint(listen("w1"), func(req *transport.Message) ([]byte, error) {
+		return []byte("w1:" + string(req.Payload)), nil
+	})
+	defer worker.Close()
+	gw := New(listen("gw"))
+	defer gw.Close()
 	gw.SetRoute(1, []net.Addr{transport.MemAddr("w1")})
-	cli := testClient(t, n, transport.WithTimeout(50*time.Millisecond), transport.WithRetries(20))
+	cli := transport.NewEndpoint(listen("client"), nil,
+		transport.WithTimeout(50*time.Millisecond), transport.WithRetries(40))
+	defer cli.Close()
 	for i := 0; i < 10; i++ {
 		resp, err := cli.Call(context.Background(), transport.MemAddr("gw"), 1, []byte("q"))
 		if err != nil {
@@ -242,6 +273,10 @@ func TestGatewayRetransmitsThroughLoss(t *testing.T) {
 		if string(resp) != "w1:q" {
 			t.Errorf("resp = %q", resp)
 		}
+	}
+	if cli.Retransmits() == 0 || gw.Retransmits() < 3 || worker.Duplicates() == 0 {
+		t.Errorf("client retransmits %d, gateway retransmits %d (want ≥ 3), worker replays %d: the schedule was not exercised",
+			cli.Retransmits(), gw.Retransmits(), worker.Duplicates())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -18,9 +19,11 @@ import (
 // payload. A non-nil error is conveyed to the caller with the error
 // flag set.
 //
-// The request's Payload may alias an internal packet buffer that is
-// recycled after the handler's response has been cached and sent;
-// handlers that retain the payload past their return must copy it.
+// The request's Payload may alias a pooled buffer — the packet buffer
+// of a single-fragment request, the message buffer a multi-fragment one
+// was reassembled into — that is recycled after the handler's response
+// has been cached and sent; handlers that retain the payload past their
+// return must copy it.
 type Handler func(req *Message) ([]byte, error)
 
 // Endpoint is a weakly-consistent RPC endpoint over a packet network
@@ -79,12 +82,15 @@ type shard struct {
 
 	// Duplicate-suppression cache: a fixed ring of response entries
 	// whose backing arrays are reused on eviction, indexed by a binary
-	// (peer, request ID) key. Bounded by construction — no FIFO slice
-	// to leak.
-	seen     map[dedupKey]int
-	ring     []seenEntry
-	ringHead int
-	ringLen  int
+	// (peer, request ID) key. Bounded by construction in entries (the
+	// ring) and in bytes (ringBytes, the arrays' total capacity, is
+	// held to seenBytesPerShard) — no FIFO slice to leak. The live
+	// entries are the ringLen slots before ringHead.
+	seen      map[dedupKey]int
+	ring      []seenEntry
+	ringHead  int
+	ringLen   int
+	ringBytes int
 
 	// inflight marks requests currently executing so duplicates that
 	// arrive before completion are dropped (the client retransmits if
@@ -128,15 +134,18 @@ type callResult struct {
 	isErr   bool
 }
 
-// execJob carries one reassembled request to the worker pool. buf, when
-// non-nil, is the pooled read buffer the message payload aliases; the
-// worker recycles it after the response is cached and sent.
+// execJob carries one reassembled request to the worker pool. The
+// message payload aliases a pooled buffer — buf, the read buffer of a
+// single-fragment request, or msgBuf, the reassembler's message buffer
+// of a multi-fragment one (nil past wholeMsgLimit) — which the worker
+// recycles after the response is cached and sent.
 type execJob struct {
-	msg   Message
-	from  net.Addr
-	key   dedupKey
-	shard *shard
-	buf   *[]byte
+	msg    Message
+	from   net.Addr
+	key    dedupKey
+	shard  *shard
+	buf    *[]byte
+	msgBuf *[]byte
 }
 
 // pktBufSize fits the largest datagram a read can return.
@@ -232,8 +241,20 @@ var (
 	ErrAborted = errors.New("transport: call aborted (destination evicted)")
 )
 
-// seenCap bounds the duplicate-suppression cache across all shards.
-const seenCap = 4096
+// seenCap bounds the duplicate-suppression cache across all shards in
+// entries, seenBytesPerShard each shard's share of it in bytes: with
+// responses of up to 4 KiB every entry stays live, past that the oldest
+// give way (16 KiB responses keep 64 per shard).
+const (
+	seenCap           = 4096
+	seenBytesPerShard = 1 << 20
+)
+
+// maxPartialsPerShard bounds the messages one shard holds mid-
+// reassembly. Abandoned ones (the sender gave up, the caller timed out)
+// are only ever pushed out by newer ones, so this is also how many a
+// shard retains at rest.
+const maxPartialsPerShard = 64
 
 // NewEndpoint wraps a packet connection. handler may be nil for a
 // client-only endpoint. The endpoint owns the connection and closes it
@@ -257,6 +278,7 @@ func NewEndpoint(conn net.PacketConn, handler Handler, opts ...EndpointOption) *
 		sh := &e.shards[i]
 		sh.pending = make(map[uint64]*pendingCall)
 		sh.reasm = NewReassembler()
+		sh.reasm.MaxPending = maxPartialsPerShard
 		if handler != nil {
 			sh.seen = make(map[dedupKey]int)
 			sh.ring = make([]seenEntry, seenCap/numShards)
@@ -315,6 +337,20 @@ func (e *Endpoint) Duplicates() uint64 { return e.duplicates.Load() }
 // Drops returns the number of requests shed because the worker pool's
 // queue was full (the client retransmits under at-least-once delivery).
 func (e *Endpoint) Drops() uint64 { return e.drops.Load() }
+
+// Evictions returns the number of partially received messages pushed
+// out by newer ones (maxPartialsPerShard); a sender that is still there
+// retransmits.
+func (e *Endpoint) Evictions() uint64 {
+	var n uint64
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.mu.Lock()
+		n += sh.reasm.Evictions()
+		sh.mu.Unlock()
+	}
+	return n
+}
 
 // SetRetransmitHook installs a callback invoked on every request
 // retransmission. Set before issuing calls.
@@ -484,6 +520,25 @@ func (e *Endpoint) runCall(ctx context.Context, to net.Addr, pc *pendingCall, h 
 	return nil, fmt.Errorf("%w: request %d", ErrTimeout, id)
 }
 
+// peerName formats the sender of each packet a reader goroutine sees,
+// remembering the last one: the fragments of a bulk message arrive in a
+// run from one peer, and formatting a *net.UDPAddr allocates.
+type peerName struct {
+	addr netip.AddrPort
+	name string
+}
+
+func (p *peerName) of(from net.Addr) string {
+	ua, ok := from.(*net.UDPAddr)
+	if !ok {
+		return from.String() // MemAddr: the string itself
+	}
+	if addr := ua.AddrPort(); addr != p.addr || p.name == "" {
+		p.addr, p.name = addr, ua.String()
+	}
+	return p.name
+}
+
 // readLoop drains the socket. Several run concurrently; each owns a
 // pooled read buffer that is handed off to the worker pool when a
 // single-fragment request's payload aliases it.
@@ -491,6 +546,7 @@ func (e *Endpoint) readLoop() {
 	defer e.wg.Done()
 	pb := getBuf()
 	defer func() { putBuf(pb) }()
+	var peer peerName
 	for {
 		n, from, err := e.conn.ReadFrom(*pb)
 		if err != nil {
@@ -506,82 +562,79 @@ func (e *Endpoint) readLoop() {
 			}
 			continue
 		}
-		if e.handlePacket((*pb)[:n], from, pb) {
+		if e.handlePacket((*pb)[:n], from, peer.of(from), pb) {
 			pb = getBuf()
 		}
 	}
 }
 
-// handlePacket processes one wire packet. It reports whether ownership
-// of the read buffer pb was transferred (to the worker pool).
-func (e *Endpoint) handlePacket(pkt []byte, from net.Addr, pb *[]byte) bool {
+// handlePacket processes one wire packet from the peer at from, whose
+// formatted address is src. It reports whether ownership of the read
+// buffer pb was transferred (to the worker pool).
+func (e *Endpoint) handlePacket(pkt []byte, from net.Addr, src string, pb *[]byte) bool {
 	h, payload, err := matchlambda.DecodeWireHeader(pkt)
 	if err != nil {
 		return false
 	}
 	if h.IsResponse() {
-		e.handleResponse(h, payload, from)
+		e.handleResponse(h, payload, src)
 		return false
 	}
 	if e.handler == nil {
 		return false
 	}
-	return e.handleRequest(h, payload, from, pb)
+	return e.handleRequest(h, payload, from, src, pb)
 }
 
 // handleResponse completes the pending call the response answers. The
-// payload is copied before delivery (it escapes to the caller); the
-// send happens under the shard lock so it can never land on a recycled
-// call.
-func (e *Endpoint) handleResponse(h matchlambda.WireHeader, payload []byte, from net.Addr) {
+// payload escapes to the caller, so it is a fresh copy (one fragment) or
+// the reassembler's unpooled message buffer (several); the send happens
+// under the shard lock so it can never land on a recycled call. A
+// response nobody is waiting for — the caller timed out, or was already
+// answered — is dropped before it can start a partial message.
+func (e *Endpoint) handleResponse(h matchlambda.WireHeader, payload []byte, src string) {
 	sh := e.shardByID(h.RequestID)
 	sh.mu.Lock()
-	if h.Total > 1 {
-		msg, err := sh.reasm.addDecoded(h, payload, from.String())
-		if err != nil || msg == nil {
-			sh.mu.Unlock()
-			return
-		}
-		h = msg.Header
-		payload = msg.Payload // owned by the reassembler's copy
-		if pc, ok := sh.pending[h.RequestID]; ok {
-			select {
-			case pc.ch <- callResult{payload: payload, isErr: h.IsError()}:
-			default: // response already delivered (retransmit race)
-			}
-		}
-		sh.mu.Unlock()
+	defer sh.mu.Unlock()
+	pc, ok := sh.pending[h.RequestID]
+	if !ok || len(pc.ch) > 0 {
 		return
 	}
-	if pc, ok := sh.pending[h.RequestID]; ok {
-		out := make([]byte, len(payload))
-		copy(out, payload)
-		select {
-		case pc.ch <- callResult{payload: out, isErr: h.IsError()}:
-		default:
+	var out []byte
+	if h.Total > 1 {
+		msg, _, done, _ := sh.reasm.addFragment(h, payload, src, false)
+		if !done {
+			return
 		}
+		h, out = msg.Header, msg.Payload
+	} else {
+		out = make([]byte, len(payload))
+		copy(out, payload)
 	}
-	sh.mu.Unlock()
+	select {
+	case pc.ch <- callResult{payload: out, isErr: h.IsError()}:
+	default:
+	}
 }
 
 // handleRequest runs duplicate suppression and dispatches the request
 // to the worker pool. It reports whether the read buffer was handed
 // off.
-func (e *Endpoint) handleRequest(h matchlambda.WireHeader, payload []byte, from net.Addr, pb *[]byte) bool {
-	src := from.String()
+func (e *Endpoint) handleRequest(h matchlambda.WireHeader, payload []byte, from net.Addr, src string, pb *[]byte) bool {
 	key := dedupKey{src: src, id: h.RequestID}
 	sh := e.shardByKey(src, h.RequestID)
 
 	var msg Message
+	var msgBuf *[]byte
 	handoff := false
 	sh.mu.Lock()
 	if h.Total > 1 {
-		m, err := sh.reasm.addDecoded(h, payload, src)
-		if err != nil || m == nil {
+		var done bool
+		msg, msgBuf, done, _ = sh.reasm.addFragment(h, payload, src, true)
+		if !done {
 			sh.mu.Unlock()
 			return false
 		}
-		msg = *m
 	} else {
 		msg = Message{Header: h, Payload: payload}
 		handoff = true
@@ -598,11 +651,13 @@ func (e *Endpoint) handleRequest(h matchlambda.WireHeader, payload []byte, from 
 		e.duplicates.Add(1)
 		e.sendResponse(msg.Header, resp, isErr, from)
 		putBuf(rb)
+		putMsgBuf(msgBuf)
 		return false
 	}
 	if _, busy := sh.inflight[key]; busy {
 		sh.mu.Unlock()
 		e.duplicates.Add(1)
+		putMsgBuf(msgBuf)
 		return false
 	}
 	sh.inflight[key] = struct{}{}
@@ -613,6 +668,7 @@ func (e *Endpoint) handleRequest(h matchlambda.WireHeader, payload []byte, from 
 	job.from = from
 	job.key = key
 	job.shard = sh
+	job.msgBuf = msgBuf
 	if handoff {
 		job.buf = pb
 	} else {
@@ -628,8 +684,11 @@ func (e *Endpoint) handleRequest(h matchlambda.WireHeader, payload []byte, from 
 		sh.mu.Lock()
 		delete(sh.inflight, key)
 		sh.mu.Unlock()
+		putMsgBuf(msgBuf)
 		job.buf = nil
+		job.msgBuf = nil
 		job.from = nil
+		job.msg = Message{}
 		jobPool.Put(job)
 		e.drops.Add(1)
 		return false
@@ -666,7 +725,9 @@ func (e *Endpoint) execute(job *execJob) {
 	if job.buf != nil {
 		putBuf(job.buf)
 	}
+	putMsgBuf(job.msgBuf)
 	job.buf = nil
+	job.msgBuf = nil
 	job.from = nil
 	job.msg = Message{}
 	jobPool.Put(job)
@@ -676,22 +737,40 @@ func (e *Endpoint) execute(job *execJob) {
 // suppression; sh.mu must be held. When the ring is full the oldest
 // entry is evicted and its backing array reused, so the cache is
 // bounded by construction and a warm steady state allocates nothing.
+// When storing the response would take the ring's arrays past
+// seenBytesPerShard, the oldest entries are evicted and give up their
+// arrays until it fits (the largest goes to the new entry, so equal-
+// sized bulk responses also settle at zero allocation); the ring then
+// holds at most the budget plus the one response just stored.
 func (sh *shard) remember(key dedupKey, resp []byte, isErr bool) {
-	if len(sh.ring) == 0 {
+	n := len(sh.ring)
+	if n == 0 {
 		return
 	}
 	slot := sh.ringHead
 	entry := &sh.ring[slot]
-	if sh.ringLen == len(sh.ring) {
+	if sh.ringLen == n {
 		delete(sh.seen, entry.key)
-	} else {
-		sh.ringLen++
+		sh.ringLen--
 	}
+	for sh.ringLen > 0 && sh.ringBytes+max(0, len(resp)-cap(entry.resp)) > seenBytesPerShard {
+		oldest := &sh.ring[(slot-sh.ringLen+n)%n]
+		delete(sh.seen, oldest.key)
+		sh.ringLen--
+		if cap(oldest.resp) > cap(entry.resp) {
+			oldest.resp, entry.resp = entry.resp, oldest.resp
+		}
+		sh.ringBytes -= cap(oldest.resp)
+		*oldest = seenEntry{}
+	}
+	sh.ringBytes -= cap(entry.resp)
 	entry.key = key
 	entry.resp = append(entry.resp[:0], resp...)
 	entry.isErr = isErr
+	sh.ringBytes += cap(entry.resp)
 	sh.seen[key] = slot
-	sh.ringHead = (sh.ringHead + 1) % len(sh.ring)
+	sh.ringLen++
+	sh.ringHead = (sh.ringHead + 1) % n
 }
 
 // seenLen reports the shard's cached-response count; test hook.

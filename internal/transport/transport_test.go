@@ -111,23 +111,48 @@ func TestReassembleOutOfOrderAndDuplicates(t *testing.T) {
 }
 
 func TestReassemblerPendingLimit(t *testing.T) {
+	// One policy at the limit: starting one more partial message evicts
+	// the oldest, it does not refuse the newest.
 	r := NewReassembler()
 	r.MaxPending = 2
+	payload := bytes.Repeat([]byte("pending!"), 40) // 320 bytes, 3 fragments
+	pkts := make(map[uint64][][]byte)
 	for id := uint64(1); id <= 3; id++ {
-		pkts, err := Fragment(reqHeader(id, 1), make([]byte, 300), 128)
+		var err error
+		if pkts[id], err = Fragment(reqHeader(id, 1), payload, 128); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Add(pkts[id][0]); err != nil {
+			t.Fatalf("id %d: %v", id, err)
+		}
+	}
+	if r.Pending() != 2 || r.Evictions() != 1 {
+		t.Fatalf("Pending = %d, Evictions = %d after 3 first fragments, want 2 and 1", r.Pending(), r.Evictions())
+	}
+	// Message 1 was the oldest: its first fragment is gone, so the rest
+	// of it starts over (pushing out 2) and stays incomplete.
+	for _, pkt := range pkts[1][1:] {
+		if m, err := r.Add(pkt); err != nil || m != nil {
+			t.Fatalf("evicted message 1: msg %v, err %v", m, err)
+		}
+	}
+	// Message 3 was never evicted and completes.
+	var got *Message
+	for _, pkt := range pkts[3][1:] {
+		m, err := r.Add(pkt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = r.Add(pkts[0])
-		if id <= 2 && err != nil {
-			t.Fatalf("id %d: %v", id, err)
-		}
-		if id == 3 && !errors.Is(err, ErrPendingLimit) {
-			t.Fatalf("id 3 err = %v, want ErrPendingLimit", err)
-		}
+		got = m
+	}
+	if got == nil || !bytes.Equal(got.Payload, payload) {
+		t.Fatal("message 3 did not survive the evictions around it")
+	}
+	if r.Pending() != 1 || r.Evictions() != 2 {
+		t.Errorf("Pending = %d, Evictions = %d, want 1 and 2", r.Pending(), r.Evictions())
 	}
 	r.Drop(1)
-	if r.Pending() != 1 {
+	if r.Pending() != 0 {
 		t.Errorf("Pending = %d after Drop", r.Pending())
 	}
 }

@@ -297,3 +297,64 @@ func TestColdStartRunsRuntimeInit(t *testing.T) {
 			cold.Stats.Instructions, warm.Stats.Instructions)
 	}
 }
+
+// TestHandlersDoNotRetainPayload holds every native handler and Bypass
+// to transport.Handler's contract: the request payload aliases a pooled
+// buffer that is recycled once the response is sent, so neither the
+// response nor anything the lambda keeps may point into it. Two
+// instances of each workload get the same requests; one has every
+// payload overwritten as soon as its call returns, and must go on
+// answering exactly like the one left alone.
+func TestHandlersDoNotRetainPayload(t *testing.T) {
+	n := transport.NewMemNetwork(1)
+	kvDeps := func(name string) *Deps {
+		sc, err := n.Listen(name + ":memcached")
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, table := kvstore.NewStore(), kvstore.NewTable(kvstore.DefaultSlots)
+		store.SetMirror(table)
+		srv := kvstore.NewServer(store, sc)
+		t.Cleanup(func() { srv.Close() })
+		cc, err := n.Listen(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cc.Close() })
+		return &Deps{KV: kvstore.NewClient(cc, sc.LocalAddr()), KVTable: table}
+	}
+	serve := func(w *Workload, payload []byte, deps *Deps) []byte {
+		if w.Bypass != nil {
+			if resp, ok := w.Bypass(payload, deps); ok {
+				return resp
+			}
+		}
+		resp, err := w.Handle(payload, deps)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		return resp
+	}
+	sets := [2][]*Workload{}
+	for i := range sets {
+		// SET before GET: they share a store, so the GETs read (on the
+		// bypass, from the table mirror) what the SETs wrote.
+		sets[i] = []*Workload{WebServer(), KVSetClient(), KVGetClient(), ImageTransformer(32, 32),
+			BatchSweeper(), KVStoreLambda()}
+	}
+	poisonedDeps, cleanDeps := kvDeps("poisoned"), kvDeps("clean")
+	for wi, w := range sets[0] {
+		control := sets[1][wi]
+		for i := 0; i < 8; i++ {
+			payload := w.MakeRequest(i)
+			want := serve(control, control.MakeRequest(i), cleanDeps)
+			got := serve(w, payload, poisonedDeps)
+			for j := range payload {
+				payload[j] = 0xDB
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s request %d: response changed when its payload was recycled (or a kept payload was)", w.Name, i)
+			}
+		}
+	}
+}

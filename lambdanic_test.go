@@ -1,8 +1,11 @@
 package lambdanic
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -294,4 +297,63 @@ func TestDeploymentSurvivesWorkerCrash(t *testing.T) {
 			t.Errorf("request %d corrupt: %q", i, resp)
 		}
 	}
+}
+
+// TestBulkPayloadOwnership drives concurrent multi-fragment requests
+// client → gateway → worker → client. On each hop the request lives in
+// one pooled message buffer that the gateway forwards out of and the
+// lambda runs on, and that is recycled — and, under -race, overwritten
+// with 0xDB — once the hop's response is cached and sent. Every caller
+// sends its own image and checks every reply byte, so a buffer recycled
+// while a forward or a lambda still read it, or handed to two messages
+// at once, shows up as a wrong pixel.
+func TestBulkPayloadOwnership(t *testing.T) {
+	d, err := NewDeployment(DeploymentConfig{Workers: 2, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := d.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	const side = 96 // 36 872 B request = 27 fragments, 9 216 B reply = 7
+	img := ImageTransformer(side, side)
+	if err := d.Deploy(img); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	const callers, calls = 8, 40
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			req := make([]byte, 8+4*side*side)
+			binary.BigEndian.PutUint32(req[0:4], side)
+			binary.BigEndian.PutUint32(req[4:8], side)
+			want := make([]byte, side*side)
+			for i := 0; i < calls; i++ {
+				px := req[8:]
+				for j := range px {
+					px[j] = byte(j*(c+3) + i*7 + j>>9)
+				}
+				for j := range want {
+					want[j] = byte((77*uint32(px[4*j]) + 150*uint32(px[4*j+1]) + 29*uint32(px[4*j+2])) >> 8)
+				}
+				resp, err := d.Invoke(ctx, img.ID, req)
+				if err != nil {
+					t.Errorf("caller %d call %d: %v", c, i, err)
+					return
+				}
+				if !bytes.Equal(resp, want) {
+					t.Errorf("caller %d call %d: reply differs from the grayscale of the image sent", c, i)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }
