@@ -104,6 +104,10 @@ func (w *Worker) EnableMetrics(reg *monitor.Registry) error {
 		"requests shed by the transport worker pool", nil, w.ep.Drops); err != nil {
 		return err
 	}
+	if err := reg.CounterFunc("lnic_worker_reassembly_evictions_total",
+		"partially received messages pushed out by newer ones", nil, w.ep.Evictions); err != nil {
+		return err
+	}
 	// Warm-state counters: WARM% in fleet views is hits/lookups over a
 	// scrape window. Tracking is on by default at DefaultWarmFlows; use
 	// SetWarmFlows to resize or disable.

@@ -207,6 +207,8 @@ func TestWorkerWarmTracking(t *testing.T) {
 	for _, want := range []string{
 		"lnic_worker_warm_lookups_total 4",
 		"lnic_worker_warm_hits_total 2", // alice's 2nd and 3rd; both firsts miss
+		"lnic_worker_pool_drops_total 0",
+		"lnic_worker_reassembly_evictions_total 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("registry missing %q:\n%s", want, out)

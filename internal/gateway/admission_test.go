@@ -104,6 +104,9 @@ func TestAdmissionMetricsAndRemoval(t *testing.T) {
 	if !strings.Contains(page, "lnic_gateway_pool_drops_total 0") {
 		t.Errorf("pool drops counter missing:\n%s", page)
 	}
+	if !strings.Contains(page, "lnic_gateway_reassembly_evictions_total 0") {
+		t.Errorf("reassembly evictions counter missing:\n%s", page)
+	}
 	// Removing admission re-opens the floodgates.
 	if err := gw.EnableAdmission(nil, nil); err != nil {
 		t.Fatal(err)

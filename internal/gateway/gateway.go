@@ -105,7 +105,8 @@ type instruments struct {
 // Option configures a Gateway.
 type Option func(*Gateway)
 
-// WithUpstreamTimeout bounds each proxied call.
+// WithUpstreamTimeout bounds each proxied call: all of its attempts at
+// one worker together, after which the request fails over.
 func WithUpstreamTimeout(d time.Duration) Option {
 	return func(g *Gateway) { g.timeout = d }
 }
@@ -329,6 +330,10 @@ func (g *Gateway) EnableMetrics(reg *monitor.Registry) error {
 		"requests shed by the gateway worker pool", nil, g.ep.Drops); err != nil {
 		return err
 	}
+	if err := reg.CounterFunc("lnic_gateway_reassembly_evictions_total",
+		"partially received messages pushed out by newer ones", nil, g.ep.Evictions); err != nil {
+		return err
+	}
 	if err := reg.GaugeFunc("lnic_gateway_live_workers",
 		"distinct worker addresses across all routes", nil,
 		func() float64 { return float64(g.LiveWorkers()) }); err != nil {
@@ -440,12 +445,12 @@ func (g *Gateway) handle(req *transport.Message) ([]byte, error) {
 		}
 		worker := wr.workers[wi]
 		load := g.inflightFor(worker.String())
-		ctx, cancel := context.WithTimeout(context.Background(), g.timeout)
 		start := time.Now()
 		load.Add(1)
-		resp, err := g.ep.CallTraced(ctx, worker, req.Header.WorkloadID, req.Payload, tr)
+		// The upstream deadline rides the call's own retransmit timer;
+		// running it out is an ErrTimeout like running out of retries.
+		resp, err := g.ep.CallWithin(context.Background(), worker, req.Header.WorkloadID, req.Payload, g.timeout, tr)
 		load.Add(-1)
-		cancel()
 		if ins != nil && ins.latency != nil {
 			ins.latency.ObserveDuration(time.Since(start))
 		}
@@ -460,7 +465,7 @@ func (g *Gateway) handle(req *transport.Message) ([]byte, error) {
 		if ins != nil && ins.errors != nil {
 			ins.errors.Inc()
 		}
-		if errors.Is(err, transport.ErrTimeout) || errors.Is(err, context.DeadlineExceeded) {
+		if errors.Is(err, transport.ErrTimeout) {
 			g.timeouts.Add(1)
 			if ins != nil && ins.timeouts != nil {
 				ins.timeouts.Inc()
@@ -470,8 +475,7 @@ func (g *Gateway) handle(req *transport.Message) ([]byte, error) {
 		// Unreachability (timeout after retransmits) and eviction drains
 		// (AbortTo) trigger failover; an application error from a live
 		// worker is deterministic and is returned as-is.
-		if !errors.Is(err, transport.ErrTimeout) && !errors.Is(err, context.DeadlineExceeded) &&
-			!errors.Is(err, transport.ErrAborted) {
+		if !errors.Is(err, transport.ErrTimeout) && !errors.Is(err, transport.ErrAborted) {
 			tr.Finish(tr.Now(), lastErr)
 			return nil, lastErr
 		}

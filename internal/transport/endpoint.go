@@ -52,8 +52,17 @@ type Endpoint struct {
 	jobs    chan *execJob
 
 	nextID atomic.Uint64
-	wg     sync.WaitGroup
-	closed chan struct{}
+
+	// Shutdown. Nothing on the request path waits on an endpoint-wide
+	// channel: Close sets closing, then hands ErrClosed to every pending
+	// call through the call's own result channel; a call that registers
+	// later sees the flag. readerWG and workerWG order the teardown (the
+	// readers are the only senders on jobs).
+	closing   atomic.Bool
+	closeOnce sync.Once
+	closeErr  error
+	readerWG  sync.WaitGroup
+	workerWG  sync.WaitGroup
 
 	// onRetransmit, when set, observes every retransmission (the
 	// gateway's monitoring hook; transport stays metrics-agnostic).
@@ -115,23 +124,35 @@ type seenEntry struct {
 	isErr bool
 }
 
-// pendingCall tracks one in-flight RPC: its result channel, its
-// destination (so AbortTo can drain calls to an evicted worker), and an
-// abort signal. Non-aborted calls are pooled; all channel operations
-// happen under the owning shard's lock so a recycled call can never
-// receive a stale send.
+// pendingCall tracks one in-flight RPC: its result channel (capacity
+// one) and its destination (so AbortTo can drain calls to an evicted
+// worker). The channel is the only thing besides its own timer that the
+// caller waits on: a response, ErrAborted and ErrClosed all arrive there,
+// and the first one wins. Calls are pooled; every send happens under the
+// owning shard's lock so a recycled call can never receive a stale one.
 type pendingCall struct {
-	ch      chan callResult
-	abort   chan struct{}
-	aborted bool
-	to      string
+	ch chan callResult
+	to string
 }
 
-// callResult is a delivered response: the payload (owned by the
-// receiver) and whether the remote flagged an error.
+// callResult ends a call: a delivered response — the payload (owned by
+// the receiver) and whether the remote flagged an error — or, with err
+// set, the local reason it was given up (ErrAborted, ErrClosed).
 type callResult struct {
 	payload []byte
 	isErr   bool
+	err     error
+}
+
+// deliver hands res to the call unless a result is already waiting; the
+// owning shard's lock must be held.
+func (pc *pendingCall) deliver(res callResult) bool {
+	select {
+	case pc.ch <- res:
+		return true
+	default:
+		return false
+	}
 }
 
 // execJob carries one reassembled request to the worker pool. The
@@ -178,10 +199,7 @@ func releaseTimer(t *time.Timer) {
 }
 
 var callPool = sync.Pool{New: func() any {
-	return &pendingCall{
-		ch:    make(chan callResult, 1),
-		abort: make(chan struct{}),
-	}
+	return &pendingCall{ch: make(chan callResult, 1)}
 }}
 
 var jobPool = sync.Pool{New: func() any { return new(execJob) }}
@@ -269,7 +287,6 @@ func NewEndpoint(conn net.PacketConn, handler Handler, opts ...EndpointOption) *
 		workers:    64,
 		sendWindow: defaultSendWindow,
 		handler:    handler,
-		closed:     make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(e)
@@ -287,13 +304,13 @@ func NewEndpoint(conn net.PacketConn, handler Handler, opts ...EndpointOption) *
 	}
 	if handler != nil {
 		e.jobs = make(chan *execJob, 4*e.workers)
+		e.workerWG.Add(e.workers)
 		for i := 0; i < e.workers; i++ {
-			e.wg.Add(1)
 			go e.workLoop()
 		}
 	}
+	e.readerWG.Add(e.readers)
 	for i := 0; i < e.readers; i++ {
-		e.wg.Add(1)
 		go e.readLoop()
 	}
 	return e
@@ -365,38 +382,47 @@ func (e *Endpoint) SetRetransmitHook(fn func()) {
 // AbortTo cancels every in-flight call addressed to the given
 // destination, failing each with ErrAborted — the gateway's drain path
 // when a worker is evicted, so callers fail over immediately instead of
-// waiting out the retransmit schedule. Returns the number of calls
-// aborted.
+// waiting out the retransmit schedule. A call whose response has already
+// arrived keeps it. Returns the number of calls aborted.
 func (e *Endpoint) AbortTo(to net.Addr) int {
-	key := to.String()
-	aborted := 0
+	return e.endCalls(ErrAborted, to.String())
+}
+
+// endCalls delivers err as the result of every pending call addressed
+// to the given destination ("" for all of them) and returns how many
+// took it.
+func (e *Endpoint) endCalls(err error, to string) int {
+	ended := 0
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
 		for _, pc := range sh.pending {
-			if pc.to != key || pc.aborted {
-				continue
+			if (to == "" || pc.to == to) && pc.deliver(callResult{err: err}) {
+				ended++
 			}
-			pc.aborted = true
-			close(pc.abort)
-			aborted++
 		}
 		sh.mu.Unlock()
 	}
-	return aborted
+	return ended
 }
 
-// Close shuts the endpoint down and waits for its goroutines.
+// Close shuts the endpoint down and waits for its goroutines: pending
+// calls fail with ErrClosed, then the socket closes, which ends the
+// readers; only once they — the senders on jobs — are gone is jobs
+// closed, and the workers finish what was queued and exit. Concurrent
+// and repeated calls wait for the one shutdown and return its error.
 func (e *Endpoint) Close() error {
-	select {
-	case <-e.closed:
-		return nil
-	default:
-	}
-	close(e.closed)
-	err := e.conn.Close()
-	e.wg.Wait()
-	return err
+	e.closeOnce.Do(func() {
+		e.closing.Store(true)
+		e.endCalls(ErrClosed, "")
+		e.closeErr = e.conn.Close()
+		e.readerWG.Wait()
+		if e.jobs != nil {
+			close(e.jobs)
+		}
+		e.workerWG.Wait()
+	})
+	return e.closeErr
 }
 
 // Call performs one RPC: it stamps a fresh request ID, fragments the
@@ -411,6 +437,21 @@ func (e *Endpoint) Call(ctx context.Context, to net.Addr, workloadID uint32, pay
 // transport span in tr, so timeout-driven tail latency is visible in
 // the exported trace. A nil tr is the untraced fast path.
 func (e *Endpoint) CallTraced(ctx context.Context, to net.Addr, workloadID uint32, payload []byte, tr *obs.Req) ([]byte, error) {
+	return e.call(ctx, to, workloadID, payload, 0, tr)
+}
+
+// CallWithin is CallTraced with a bound on the whole call: the waits of
+// all attempts together add up to at most budget, the last one cut
+// short to fit, and running out fails the call with ErrTimeout like
+// running out of retries. The bound rides the call's own retransmit
+// timer — no context, no second timer.
+func (e *Endpoint) CallWithin(ctx context.Context, to net.Addr, workloadID uint32, payload []byte, budget time.Duration, tr *obs.Req) ([]byte, error) {
+	return e.call(ctx, to, workloadID, payload, budget, tr)
+}
+
+// call registers one RPC, runs it, and recycles its record. A budget of
+// zero means no bound beyond the retry schedule.
+func (e *Endpoint) call(ctx context.Context, to net.Addr, workloadID uint32, payload []byte, budget time.Duration, tr *obs.Req) ([]byte, error) {
 	id := e.nextID.Add(1)
 	h := matchlambda.WireHeader{
 		Version:    matchlambda.Version1,
@@ -436,28 +477,31 @@ func (e *Endpoint) CallTraced(ctx context.Context, to net.Addr, workloadID uint3
 	pc := callPool.Get().(*pendingCall)
 	pc.to = to.String()
 	sh := e.shardByID(id)
+	// Close sets closing before it sweeps the pending tables, so a call
+	// is either in its shard's table when the sweep takes the shard's
+	// lock or sees the flag here.
 	sh.mu.Lock()
 	sh.pending[id] = pc
 	sh.mu.Unlock()
 
-	payloadOut, err := e.runCall(ctx, to, pc, h, payload, pkt, tr)
+	var payloadOut []byte
+	err := ErrClosed
+	if !e.closing.Load() {
+		payloadOut, err = e.runCall(ctx, to, pc, h, payload, pkt, budget, tr)
+	}
 
 	// Tear down under the shard lock: once the entry is deleted and the
 	// result channel drained, no sender can reach pc, so pooling it is
-	// safe. Aborted calls are dropped (their abort channel is closed
-	// for good).
+	// safe.
 	sh.mu.Lock()
 	delete(sh.pending, id)
 	select {
 	case <-pc.ch:
 	default:
 	}
-	aborted := pc.aborted
 	sh.mu.Unlock()
-	if !aborted {
-		pc.to = ""
-		callPool.Put(pc)
-	}
+	pc.to = ""
+	callPool.Put(pc)
 	if pb != nil {
 		putBuf(pb)
 	}
@@ -466,9 +510,14 @@ func (e *Endpoint) CallTraced(ctx context.Context, to net.Addr, workloadID uint3
 
 // runCall drives the attempt/retransmit loop for one pending call. A
 // non-nil pkt is the pre-encoded single-fragment request; otherwise
-// each attempt streams the payload as windowed fragments.
-func (e *Endpoint) runCall(ctx context.Context, to net.Addr, pc *pendingCall, h matchlambda.WireHeader, payload, pkt []byte, tr *obs.Req) ([]byte, error) {
+// each attempt streams the payload as windowed fragments. Each attempt
+// waits on the call's own channel and its own timer, and on the context
+// when it can be cancelled at all (a nil Done channel never joins the
+// select): never on anything the endpoint's other goroutines share.
+func (e *Endpoint) runCall(ctx context.Context, to net.Addr, pc *pendingCall, h matchlambda.WireHeader, payload, pkt []byte, budget time.Duration, tr *obs.Req) ([]byte, error) {
 	id := h.RequestID
+	done := ctx.Done()
+	left := budget // what CallWithin's bound still allows; unused when budget is 0
 	var tm *time.Timer
 	defer func() {
 		if tm != nil {
@@ -485,20 +534,36 @@ func (e *Endpoint) runCall(ctx context.Context, to net.Addr, pc *pendingCall, h 
 			detail = "retransmit"
 		}
 		attemptStart := tr.Now()
+		var err error
 		if pkt != nil {
-			if _, err := e.conn.WriteTo(pkt, to); err != nil {
-				return nil, fmt.Errorf("transport: send: %w", err)
+			if _, err = e.conn.WriteTo(pkt, to); err != nil {
+				err = fmt.Errorf("transport: send: %w", err)
 			}
-		} else if err := e.streamFragments(h, payload, to); err != nil {
+		} else {
+			err = e.streamFragments(h, payload, to)
+		}
+		if err != nil {
+			if e.closing.Load() {
+				err = ErrClosed // the socket went away under a call racing Close
+			}
 			return nil, err
 		}
+		wait := e.timeout
+		if budget > 0 {
+			wait = min(wait, left)
+			left -= wait
+		}
 		if tm == nil {
-			tm = acquireTimer(e.timeout)
+			tm = acquireTimer(wait)
 		} else {
-			tm.Reset(e.timeout)
+			tm.Reset(wait)
 		}
 		select {
 		case res := <-pc.ch:
+			if res.err != nil { // ended here, by AbortTo or Close
+				tr.AddSpan(obs.StageTransport, "rpc", detail+"-aborted", attemptStart, tr.Now())
+				return nil, fmt.Errorf("%w: request %d", res.err, id)
+			}
 			tr.AddSpan(obs.StageTransport, "rpc", detail, attemptStart, tr.Now())
 			if res.isErr {
 				return nil, fmt.Errorf("transport: remote error: %s", res.payload)
@@ -506,15 +571,13 @@ func (e *Endpoint) runCall(ctx context.Context, to net.Addr, pc *pendingCall, h 
 			return res.payload, nil
 		case <-tm.C:
 			tr.AddSpan(obs.StageTransport, "rpc", detail+"-timeout", attemptStart, tr.Now())
+			if budget > 0 && left == 0 {
+				return nil, fmt.Errorf("%w: request %d: %v budget spent", ErrTimeout, id, budget)
+			}
 			// fall through to retransmit
-		case <-pc.abort:
-			tr.AddSpan(obs.StageTransport, "rpc", detail+"-aborted", attemptStart, tr.Now())
-			return nil, fmt.Errorf("%w: request %d", ErrAborted, id)
-		case <-ctx.Done():
+		case <-done:
 			tr.AddSpan(obs.StageTransport, "rpc", detail+"-cancelled", attemptStart, tr.Now())
 			return nil, ctx.Err()
-		case <-e.closed:
-			return nil, ErrClosed
 		}
 	}
 	return nil, fmt.Errorf("%w: request %d", ErrTimeout, id)
@@ -543,21 +606,16 @@ func (p *peerName) of(from net.Addr) string {
 // pooled read buffer that is handed off to the worker pool when a
 // single-fragment request's payload aliases it.
 func (e *Endpoint) readLoop() {
-	defer e.wg.Done()
+	defer e.readerWG.Done()
 	pb := getBuf()
 	defer func() { putBuf(pb) }()
 	var peer peerName
 	for {
 		n, from, err := e.conn.ReadFrom(*pb)
 		if err != nil {
-			select {
-			case <-e.closed:
-				return
-			default:
-			}
 			// Transient decode/socket errors on a datagram socket are
 			// survivable; a closed socket is not.
-			if errors.Is(err, net.ErrClosed) {
+			if errors.Is(err, net.ErrClosed) || e.closing.Load() {
 				return
 			}
 			continue
@@ -611,10 +669,7 @@ func (e *Endpoint) handleResponse(h matchlambda.WireHeader, payload []byte, src 
 		out = make([]byte, len(payload))
 		copy(out, payload)
 	}
-	select {
-	case pc.ch <- callResult{payload: out, isErr: h.IsError()}:
-	default:
-	}
+	pc.deliver(callResult{payload: out, isErr: h.IsError()})
 }
 
 // handleRequest runs duplicate suppression and dispatches the request
@@ -695,16 +750,12 @@ func (e *Endpoint) handleRequest(h matchlambda.WireHeader, payload []byte, from 
 	}
 }
 
-// workLoop executes requests from the bounded pool.
+// workLoop executes requests from the bounded pool until Close, once
+// the readers are gone, closes jobs.
 func (e *Endpoint) workLoop() {
-	defer e.wg.Done()
-	for {
-		select {
-		case job := <-e.jobs:
-			e.execute(job)
-		case <-e.closed:
-			return
-		}
+	defer e.workerWG.Done()
+	for job := range e.jobs {
+		e.execute(job)
 	}
 }
 

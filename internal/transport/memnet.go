@@ -2,9 +2,11 @@ package transport
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -16,9 +18,15 @@ import (
 
 // MemNetwork is a hub connecting named in-memory packet endpoints.
 type MemNetwork struct {
+	// nodes is the routing table, copy-on-write: deliver reads it with
+	// one atomic load, so packets of a fault-free network share no lock;
+	// mu serializes the writers (Listen, Close) and guards rng.
+	nodes atomic.Pointer[map[string]*MemConn]
 	mu    sync.Mutex
-	nodes map[string]*MemConn
 	rng   *rand.Rand
+
+	// The fault rates are set before traffic starts. While all three
+	// are zero the hub draws no random numbers.
 
 	// LossRate is the probability a packet is dropped in transit.
 	LossRate float64
@@ -31,10 +39,21 @@ type MemNetwork struct {
 
 // NewMemNetwork returns a hub with deterministic fault injection.
 func NewMemNetwork(seed int64) *MemNetwork {
-	return &MemNetwork{
-		nodes: make(map[string]*MemConn),
-		rng:   rand.New(rand.NewSource(seed)),
+	n := &MemNetwork{rng: rand.New(rand.NewSource(seed))}
+	n.nodes.Store(&map[string]*MemConn{})
+	return n
+}
+
+// setNode installs (c non-nil) or removes name in a fresh copy of the
+// routing table; n.mu must be held.
+func (n *MemNetwork) setNode(name string, c *MemConn) {
+	next := maps.Clone(*n.nodes.Load())
+	if c != nil {
+		next[name] = c
+	} else {
+		delete(next, name)
 	}
+	n.nodes.Store(&next)
 }
 
 // MemAddr is a node name on a MemNetwork.
@@ -80,16 +99,19 @@ var memBufPool = sync.Pool{New: func() any {
 // MemConn is one endpoint on a MemNetwork. It implements
 // net.PacketConn.
 type MemConn struct {
-	net    *MemNetwork
-	addr   MemAddr
-	boxed  net.Addr // addr pre-boxed as an interface (see memPacket.from)
-	inbox  chan memPacket
-	closed chan struct{}
-	once   sync.Once
+	net   *MemNetwork
+	addr  MemAddr
+	boxed net.Addr // addr pre-boxed as an interface (see memPacket.from)
+	// inbox is the receive queue, deep enough to hold a burst of bulk
+	// messages (a real NIC's RX ring); a full inbox drops.
+	inbox chan memPacket
 
-	// delayed holds one packet being reordered behind the next.
+	// mu guards the reorder slot and every send on inbox, so that Close
+	// can set closed and close inbox with no sender in flight. closed is
+	// atomic only for WriteTo, which reads it without the lock.
 	mu         sync.Mutex
-	delayed    memPacket
+	closed     atomic.Bool
+	delayed    memPacket // one packet being reordered behind the next
 	hasDelayed bool
 }
 
@@ -99,30 +121,34 @@ var _ net.PacketConn = (*MemConn)(nil)
 func (n *MemNetwork) Listen(name string) (*MemConn, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, ok := n.nodes[name]; ok {
+	if _, ok := (*n.nodes.Load())[name]; ok {
 		return nil, errors.New("transport: memnet address in use: " + name)
 	}
 	c := &MemConn{
-		net:    n,
-		addr:   MemAddr(name),
-		boxed:  MemAddr(name),
-		inbox:  make(chan memPacket, 1024),
-		closed: make(chan struct{}),
+		net:   n,
+		addr:  MemAddr(name),
+		boxed: MemAddr(name),
+		inbox: make(chan memPacket, 1024),
 	}
-	n.nodes[name] = c
+	n.setNode(name, c)
 	return c, nil
 }
 
 // deliver routes a packet to its destination applying fault injection.
 // It takes ownership of pkt's pooled buffer.
 func (n *MemNetwork) deliver(to string, pkt memPacket) {
-	n.mu.Lock()
-	dst, ok := n.nodes[to]
+	dst, ok := (*n.nodes.Load())[to]
 	if !ok {
-		n.mu.Unlock()
 		pkt.recycle()
 		return
 	}
+	if n.LossRate == 0 && n.DupRate == 0 && n.ReorderRate == 0 {
+		dst.receive(pkt, false)
+		return
+	}
+	// Three draws per routed packet, in this order, whatever the rates:
+	// the sequence a seed produces is part of the tests' contract.
+	n.mu.Lock()
 	drop := n.rng.Float64() < n.LossRate
 	dup := n.rng.Float64() < n.DupRate
 	reorder := n.rng.Float64() < n.ReorderRate
@@ -141,54 +167,46 @@ func (n *MemNetwork) deliver(to string, pkt memPacket) {
 
 func (c *MemConn) receive(pkt memPacket, delay bool) {
 	c.mu.Lock()
-	if delay && !c.hasDelayed {
-		c.delayed = pkt
-		c.hasDelayed = true
-		c.mu.Unlock()
-		return
-	}
-	var flush memPacket
-	flushing := c.hasDelayed
-	if flushing {
-		flush = c.delayed
-		c.delayed = memPacket{}
-		c.hasDelayed = false
-	}
-	c.mu.Unlock()
-	c.push(pkt)
-	if flushing {
-		c.push(flush)
+	defer c.mu.Unlock()
+	switch {
+	case c.closed.Load():
+		pkt.recycle()
+	case delay && !c.hasDelayed:
+		c.delayed, c.hasDelayed = pkt, true
+	default:
+		c.push(pkt)
+		if c.hasDelayed {
+			c.push(c.delayed)
+			c.delayed, c.hasDelayed = memPacket{}, false
+		}
 	}
 }
 
+// push queues a packet for ReadFrom; c.mu must be held.
 func (c *MemConn) push(pkt memPacket) {
 	select {
 	case c.inbox <- pkt:
-	case <-c.closed:
-		pkt.recycle()
 	default: // inbox full: drop, like a real NIC queue
 		pkt.recycle()
 	}
 }
 
-// ReadFrom blocks until a packet arrives or the connection closes.
+// ReadFrom blocks until a packet arrives. After Close it returns what
+// was already queued, then net.ErrClosed.
 func (c *MemConn) ReadFrom(p []byte) (int, net.Addr, error) {
-	select {
-	case pkt := <-c.inbox:
-		n := copy(p, pkt.data)
-		pkt.recycle()
-		return n, pkt.from, nil
-	case <-c.closed:
+	pkt, ok := <-c.inbox
+	if !ok {
 		return 0, nil, net.ErrClosed
 	}
+	n := copy(p, pkt.data)
+	pkt.recycle()
+	return n, pkt.from, nil
 }
 
 // WriteTo sends a packet to the named endpoint.
 func (c *MemConn) WriteTo(p []byte, addr net.Addr) (int, error) {
-	select {
-	case <-c.closed:
+	if c.closed.Load() {
 		return 0, net.ErrClosed
-	default:
 	}
 	pb := memBufPool.Get().(*[]byte)
 	*pb = append((*pb)[:0], p...)
@@ -196,14 +214,21 @@ func (c *MemConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	return len(p), nil
 }
 
-// Close detaches the endpoint.
+// Close detaches the endpoint. Readers blocked in ReadFrom wake with
+// net.ErrClosed once the inbox is drained.
 func (c *MemConn) Close() error {
-	c.once.Do(func() {
-		close(c.closed)
-		c.net.mu.Lock()
-		delete(c.net.nodes, string(c.addr))
-		c.net.mu.Unlock()
-	})
+	c.mu.Lock()
+	if c.closed.Swap(true) {
+		c.mu.Unlock()
+		return nil
+	}
+	close(c.inbox)
+	c.delayed.recycle()
+	c.delayed, c.hasDelayed = memPacket{}, false
+	c.mu.Unlock()
+	c.net.mu.Lock()
+	c.net.setNode(string(c.addr), nil)
+	c.net.mu.Unlock()
 	return nil
 }
 
