@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,45 +31,88 @@ type Worker struct {
 	ep   *transport.Endpoint
 	deps *workloads.Deps
 
-	// inflight counts requests currently executing — the load snapshot
+	// lambdas is the match table, a copy-on-write snapshot the request
+	// path reads with one atomic load; mu serializes its writers
+	// (Install, Remove) and guards registry.
+	lambdas atomic.Pointer[map[uint32]*lambda]
+	mu      sync.Mutex
+	// registry is where Install exposes a new lambda's instruments; nil
+	// until EnableMetrics.
+	registry *monitor.Registry
+
+	// The worker's instruments exist from construction and are counted
+	// once per event; EnableMetrics only registers views over them.
+	// inflight — requests currently executing — is the load snapshot
 	// carried in healthd heartbeats.
-	inflight atomic.Int64
+	inflight    atomic.Int64
+	errors      atomic.Uint64
+	warmHits    atomic.Uint64
+	warmLookups atomic.Uint64
+	latency     *telemetry.Histogram
 
-	mu       sync.RWMutex
-	handlers map[uint32]func(payload []byte, deps *workloads.Deps) ([]byte, error)
-	bypasses map[uint32]func(payload []byte, deps *workloads.Deps) ([]byte, bool)
-	names    map[uint32]string
+	// warm and tracer are the two optional stages of the request path,
+	// each one atomic load when off. warm exists once EnableMetrics has
+	// run: the registry is the only reader of its hit rate, and a worker
+	// nobody scrapes takes no lock per request.
+	warm   atomic.Pointer[warmFlows]
+	tracer atomic.Pointer[obs.Tracer]
+}
 
-	// Optional monitoring-engine instrumentation (§6.1.1).
-	registry   *monitor.Registry
-	mRequests  map[uint32]*monitor.Counter
-	mBypass    map[uint32]*monitor.Counter
-	mWlLatency map[uint32]*telemetry.Histogram
-	mErrors    *monitor.Counter
-	mLatency   *telemetry.Histogram
+// lambda is one match-table entry: what to run for a workload ID and
+// the instruments that count it. span is the exec span's track, built
+// once here because the request path passes it to the tracer whether or
+// not one is attached.
+type lambda struct {
+	name, tenant, span string
+	handle             func(payload []byte, deps *workloads.Deps) ([]byte, error)
+	bypass             func(payload []byte, deps *workloads.Deps) ([]byte, bool)
 
-	// Warm-state tracking: an LRU of recently-seen flow keys guarded by
-	// its own mutex (dispatch.LRU is not concurrency-safe, and the
-	// request path is concurrent). Counters are atomic and incremented
-	// outside the lock.
-	warmMu       sync.Mutex
-	warm         *dispatch.LRU
-	mWarmHits    *monitor.Counter
-	mWarmLookups *monitor.Counter
+	requests, bypassed atomic.Uint64
+	latency            *telemetry.Histogram
+}
 
-	// Optional request-lifecycle tracing.
-	tracer obs.Tracer
+// expose registers views over the lambda's instruments.
+func (l *lambda) expose(reg *monitor.Registry) error {
+	labels := map[string]string{"workload": l.name}
+	if l.tenant != "" {
+		// The owning tenant rides along as a label so fleet views
+		// (lnicctl top/slo -tenant) can scope rows per tenant.
+		labels["tenant"] = l.tenant
+	}
+	if err := reg.CounterFunc("lnic_worker_requests_total",
+		"requests served per lambda", labels, l.requests.Load); err != nil {
+		return err
+	}
+	if l.bypass != nil {
+		if err := reg.CounterFunc("lnic_worker_bypass_total",
+			"requests served by the one-sided fast path, no lambda invoked", labels, l.bypassed.Load); err != nil {
+			return err
+		}
+	}
+	return l.latency.Expose(reg, "lnic_worker_workload_latency_seconds",
+		"lambda service latency per workload", labels)
+}
+
+// warmFlows is the warm-state tracker: an LRU of recently-seen flow keys
+// behind its own mutex (dispatch.LRU is not concurrency-safe, and the
+// request path is concurrent).
+type warmFlows struct {
+	mu  sync.Mutex
+	lru *dispatch.LRU
+}
+
+// touch records one lookup and reports whether the flow was still warm.
+func (f *warmFlows) touch(flow uint64) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.lru.Touch(flow)
 }
 
 // NewWorker starts a worker on conn with the given external-service
 // dependencies. The worker owns the connection.
 func NewWorker(conn net.PacketConn, deps *workloads.Deps) *Worker {
-	w := &Worker{
-		deps:     deps,
-		handlers: make(map[uint32]func([]byte, *workloads.Deps) ([]byte, error)),
-		bypasses: make(map[uint32]func([]byte, *workloads.Deps) ([]byte, bool)),
-		names:    make(map[uint32]string),
-	}
+	w := &Worker{deps: deps, latency: telemetry.NewHistogram()}
+	w.lambdas.Store(&map[uint32]*lambda{})
 	w.ep = transport.NewEndpoint(conn, w.handle)
 	return w
 }
@@ -81,25 +126,21 @@ func (w *Worker) Close() error { return w.ep.Close() }
 // Inflight returns the number of requests currently executing.
 func (w *Worker) Inflight() int { return int(w.inflight.Load()) }
 
-// EnableMetrics registers the worker's per-lambda request counters and
-// service-latency histogram in the monitoring engine's registry.
-// Enable before Install so every lambda gets a counter.
+// EnableMetrics registers views over the worker's instruments — error
+// and warm-state counters, service latency, and each lambda's request
+// counters and latency, for lambdas installed before or after the call —
+// in the monitoring engine's registry, and turns warm-state tracking on.
 func (w *Worker) EnableMetrics(reg *monitor.Registry) error {
-	errs, err := reg.Counter("lnic_worker_errors_total", "lambda execution failures", nil)
-	if err != nil {
+	if err := reg.CounterFunc("lnic_worker_errors_total",
+		"lambda execution failures", nil, w.errors.Load); err != nil {
 		return err
 	}
-	// Service latency goes through the telemetry plane's lock-free
-	// histogram: the serve path records with one atomic add rather than
-	// serializing every request on a registry mutex.
-	latency := telemetry.NewHistogram()
-	if err := latency.Expose(reg, "lnic_worker_latency_seconds",
+	if err := w.latency.Expose(reg, "lnic_worker_latency_seconds",
 		"lambda service latency", nil); err != nil {
 		return err
 	}
-	// The transport worker pool sheds requests under overload (PR 3);
-	// surface that counter so `lnicctl top` can tell shedding from
-	// silence. Read at scrape time — the pool owns the count.
+	// The transport worker pool sheds requests under overload; surface
+	// that counter so `lnicctl top` can tell shedding from silence.
 	if err := reg.CounterFunc("lnic_worker_pool_drops_total",
 		"requests shed by the transport worker pool", nil, w.ep.Drops); err != nil {
 		return err
@@ -109,112 +150,67 @@ func (w *Worker) EnableMetrics(reg *monitor.Registry) error {
 		return err
 	}
 	// Warm-state counters: WARM% in fleet views is hits/lookups over a
-	// scrape window. Tracking is on by default at DefaultWarmFlows; use
-	// SetWarmFlows to resize or disable.
-	warmHits, err := reg.Counter("lnic_worker_warm_hits_total",
-		"requests whose flow key was still warm (recently seen)", nil)
-	if err != nil {
+	// scrape window, over the DefaultWarmFlows most recent flows.
+	if err := reg.CounterFunc("lnic_worker_warm_hits_total",
+		"requests whose flow key was still warm (recently seen)", nil, w.warmHits.Load); err != nil {
 		return err
 	}
-	warmLookups, err := reg.Counter("lnic_worker_warm_lookups_total",
-		"warm-state lookups (requests with a known source)", nil)
-	if err != nil {
+	if err := reg.CounterFunc("lnic_worker_warm_lookups_total",
+		"warm-state lookups (requests with a known source)", nil, w.warmLookups.Load); err != nil {
 		return err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.registry = reg
-	w.mRequests = make(map[uint32]*monitor.Counter)
-	w.mBypass = make(map[uint32]*monitor.Counter)
-	w.mWlLatency = make(map[uint32]*telemetry.Histogram)
-	w.mErrors = errs
-	w.mLatency = latency
-	w.mWarmHits = warmHits
-	w.mWarmLookups = warmLookups
-	w.warmMu.Lock()
-	if w.warm == nil {
-		w.warm = dispatch.NewLRU(DefaultWarmFlows)
+	table := *w.lambdas.Load()
+	for _, id := range slices.Sorted(maps.Keys(table)) {
+		if err := table[id].expose(reg); err != nil {
+			return err
+		}
 	}
-	w.warmMu.Unlock()
+	w.registry = reg
+	w.warm.CompareAndSwap(nil, &warmFlows{lru: dispatch.NewLRU(DefaultWarmFlows)})
 	return nil
 }
 
-// SetWarmFlows resizes the warm-flow tracking window (capacity ≤ 0
-// disables tracking). Resizing resets the tracked set.
-func (w *Worker) SetWarmFlows(capacity int) {
-	w.warmMu.Lock()
-	defer w.warmMu.Unlock()
-	if capacity <= 0 {
-		w.warm = nil
+// EnableTracing records each served request's lifecycle (lambda
+// execution span per request) in the tracer; nil turns it off.
+func (w *Worker) EnableTracing(t obs.Tracer) {
+	if t == nil {
+		w.tracer.Store(nil)
 		return
 	}
-	w.warm = dispatch.NewLRU(capacity)
+	w.tracer.Store(&t)
 }
 
-// observeFlow records one warm-state lookup and reports whether the
-// flow was already warm.
-func (w *Worker) observeFlow(flow uint64) (hit, tracked bool) {
-	w.warmMu.Lock()
-	if w.warm == nil {
-		w.warmMu.Unlock()
-		return false, false
-	}
-	hit = w.warm.Touch(flow)
-	w.warmMu.Unlock()
-	return hit, true
-}
-
-// EnableTracing records each served request's lifecycle (lambda
-// execution span per request) in the tracer. Enable before serving.
-func (w *Worker) EnableTracing(t obs.Tracer) {
-	w.mu.Lock()
-	w.tracer = t
-	w.mu.Unlock()
-}
-
-// Install deploys a workload's native handler.
+// Install deploys a workload's native handler. On a worker with metrics
+// enabled the lambda's series are registered first, so a name whose
+// series already exist — a lambda removed earlier — is refused whole.
 func (w *Worker) Install(wl *workloads.Workload) error {
 	if wl.Handle == nil {
 		return fmt.Errorf("core: workload %s has no native handler", wl.Name)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, ok := w.handlers[wl.ID]; ok {
+	table := *w.lambdas.Load()
+	if _, ok := table[wl.ID]; ok {
 		return fmt.Errorf("%w: id %d", ErrDuplicateWorkload, wl.ID)
 	}
-	w.handlers[wl.ID] = wl.Handle
-	if wl.Bypass != nil {
-		w.bypasses[wl.ID] = wl.Bypass
+	l := &lambda{
+		name:    wl.Name,
+		tenant:  wl.Tenant,
+		span:    "worker/" + wl.Name,
+		handle:  wl.Handle,
+		bypass:  wl.Bypass,
+		latency: telemetry.NewHistogram(),
 	}
-	w.names[wl.ID] = wl.Name
 	if w.registry != nil {
-		labels := map[string]string{"workload": wl.Name}
-		if wl.Tenant != "" {
-			// The owning tenant rides along as a label so fleet views
-			// (lnicctl top/slo -tenant) can scope rows per tenant.
-			labels["tenant"] = wl.Tenant
-		}
-		c, err := w.registry.Counter("lnic_worker_requests_total",
-			"requests served per lambda", labels)
-		if err != nil {
+		if err := l.expose(w.registry); err != nil {
 			return err
 		}
-		w.mRequests[wl.ID] = c
-		if wl.Bypass != nil {
-			b, err := w.registry.Counter("lnic_worker_bypass_total",
-				"requests served by the one-sided fast path, no lambda invoked", labels)
-			if err != nil {
-				return err
-			}
-			w.mBypass[wl.ID] = b
-		}
-		h := telemetry.NewHistogram()
-		if err := h.Expose(w.registry, "lnic_worker_workload_latency_seconds",
-			"lambda service latency per workload", labels); err != nil {
-			return err
-		}
-		w.mWlLatency[wl.ID] = h
 	}
+	next := maps.Clone(table)
+	next[wl.ID] = l
+	w.lambdas.Store(&next)
 	return nil
 }
 
@@ -222,20 +218,14 @@ func (w *Worker) Install(wl *workloads.Workload) error {
 func (w *Worker) Remove(id uint32) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	delete(w.handlers, id)
-	delete(w.bypasses, id)
-	delete(w.names, id)
+	next := maps.Clone(*w.lambdas.Load())
+	delete(next, id)
+	w.lambdas.Store(&next)
 }
 
 // Installed lists deployed workload IDs.
 func (w *Worker) Installed() []uint32 {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	out := make([]uint32, 0, len(w.handlers))
-	for id := range w.handlers {
-		out = append(out, id)
-	}
-	return out
+	return slices.Collect(maps.Keys(*w.lambdas.Load()))
 }
 
 // handle serves one request: the one-sided bypass if the workload has
@@ -247,28 +237,21 @@ func (w *Worker) Installed() []uint32 {
 func (w *Worker) handle(req *transport.Message) ([]byte, error) {
 	w.inflight.Add(1)
 	defer w.inflight.Add(-1)
-	w.mu.RLock()
-	h, ok := w.handlers[req.Header.WorkloadID]
-	bypass := w.bypasses[req.Header.WorkloadID]
-	name := w.names[req.Header.WorkloadID]
-	counter := w.mRequests[req.Header.WorkloadID]
-	bypassCounter := w.mBypass[req.Header.WorkloadID]
-	wlLatency := w.mWlLatency[req.Header.WorkloadID]
-	errs, latency := w.mErrors, w.mLatency
-	warmHits, warmLookups := w.mWarmHits, w.mWarmLookups
-	tracer := w.tracer
-	w.mu.RUnlock()
+	id := req.Header.WorkloadID
+	l := (*w.lambdas.Load())[id]
 	var tr *obs.Req
-	if tracer != nil {
-		tr = tracer.Begin(req.Header.WorkloadID, name)
+	if t := w.tracer.Load(); t != nil {
+		label := ""
+		if l != nil {
+			label = l.name
+		}
+		tr = (*t).Begin(id, label)
 	}
-	if !ok {
+	if l == nil {
 		// The match stage's fall-through: unmatched IDs go to the host
 		// OS path (§4.1); here that surfaces as an error response.
-		if errs != nil {
-			errs.Inc()
-		}
-		err := fmt.Errorf("%w: id %d", ErrUnknownWorkload, req.Header.WorkloadID)
+		w.errors.Add(1)
+		err := fmt.Errorf("%w: id %d", ErrUnknownWorkload, id)
 		tr.Mark(obs.StageHost, "worker", "unmatched", tr.Now())
 		tr.Finish(tr.Now(), err)
 		return nil, err
@@ -276,14 +259,10 @@ func (w *Worker) handle(req *transport.Message) ([]byte, error) {
 	// Warm-state lookup: the request's flow key is its client source ×
 	// workload — the same key the gateway pins on — so the WARM% column
 	// directly measures what flow affinity preserves.
-	if req.Source != nil {
-		if hit, tracked := w.observeFlow(dispatch.FlowKey(req.Source.String(), req.Header.WorkloadID)); tracked {
-			if warmLookups != nil {
-				warmLookups.Inc()
-			}
-			if hit && warmHits != nil {
-				warmHits.Inc()
-			}
+	if warm := w.warm.Load(); warm != nil && req.Source != nil {
+		w.warmLookups.Add(1)
+		if warm.touch(dispatch.FlowKey(req.Source.String(), id)) {
+			w.warmHits.Add(1)
 		}
 	}
 	start := time.Now()
@@ -292,41 +271,25 @@ func (w *Worker) handle(req *transport.Message) ([]byte, error) {
 	// without invoking the lambda, and is recorded in the same latency
 	// histograms (a served request is a served request) plus its own
 	// counter so fleet views can tell the paths apart.
-	if bypass != nil {
-		if resp, served := bypass(req.Payload, w.deps); served {
-			elapsed := time.Since(start)
-			tr.AddSpan(obs.StageExec, "worker/"+name, "bypass", execStart, tr.Now())
-			tr.Finish(tr.Now(), nil)
-			if latency != nil {
-				latency.ObserveDuration(elapsed)
-			}
-			if wlLatency != nil {
-				wlLatency.ObserveDuration(elapsed)
-			}
-			if counter != nil {
-				counter.Inc()
-			}
-			if bypassCounter != nil {
-				bypassCounter.Inc()
-			}
-			return resp, nil
+	var resp []byte
+	var err error
+	detail, served := "", false
+	if l.bypass != nil {
+		if resp, served = l.bypass(req.Payload, w.deps); served {
+			detail = "bypass"
+			l.bypassed.Add(1)
 		}
 	}
-	resp, err := h(req.Payload, w.deps)
+	if !served {
+		if resp, err = l.handle(req.Payload, w.deps); err != nil {
+			w.errors.Add(1)
+		}
+	}
 	elapsed := time.Since(start)
-	tr.AddSpan(obs.StageExec, "worker/"+name, "", execStart, tr.Now())
+	tr.AddSpan(obs.StageExec, l.span, detail, execStart, tr.Now())
 	tr.Finish(tr.Now(), err)
-	if latency != nil {
-		latency.ObserveDuration(elapsed)
-	}
-	if wlLatency != nil {
-		wlLatency.ObserveDuration(elapsed)
-	}
-	if counter != nil {
-		counter.Inc()
-	}
-	if err != nil && errs != nil {
-		errs.Inc()
-	}
+	w.latency.ObserveDuration(elapsed)
+	l.latency.ObserveDuration(elapsed)
+	l.requests.Add(1)
 	return resp, err
 }

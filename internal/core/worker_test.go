@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"lambdanic/internal/kvstore"
+	"lambdanic/internal/matchlambda"
 	"lambdanic/internal/monitor"
 	"lambdanic/internal/transport"
 	"lambdanic/internal/workloads"
@@ -216,22 +219,13 @@ func TestWorkerWarmTracking(t *testing.T) {
 	}
 }
 
-// TestWorkerWarmTrackingDisabled: SetWarmFlows(0) turns lookups off.
+// TestWorkerWarmTrackingDisabled: the registry is the only reader of
+// the warm hit rate, so a worker without EnableMetrics tracks no flows
+// and counts no lookups — its request path takes no lock.
 func TestWorkerWarmTrackingDisabled(t *testing.T) {
 	n := transport.NewMemNetwork(5)
 	w := newTestWorker(t, n, "w1")
-	reg := monitor.NewRegistry()
-	if err := w.EnableMetrics(reg); err != nil {
-		t.Fatal(err)
-	}
-	w.SetWarmFlows(0)
-	wl := &workloads.Workload{
-		Name: "echo",
-		ID:   5,
-		Handle: func(payload []byte, deps *workloads.Deps) ([]byte, error) {
-			return payload, nil
-		},
-	}
+	wl := echoLambda("echo", 5)
 	if err := w.Install(wl); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +239,152 @@ func TestWorkerWarmTrackingDisabled(t *testing.T) {
 	if _, err := cli.Call(context.Background(), transport.MemAddr("w1"), wl.ID, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if out := reg.Render(); !strings.Contains(out, "lnic_worker_warm_lookups_total 0") {
-		t.Errorf("lookups counted with tracking disabled:\n%s", out)
+	if w.warm.Load() != nil || w.warmLookups.Load() != 0 {
+		t.Errorf("warm tracking without EnableMetrics: %d lookups", w.warmLookups.Load())
+	}
+	// The served request was counted all the same: the instruments do
+	// not wait for a registry.
+	if got := (*w.lambdas.Load())[wl.ID].requests.Load(); got != 1 {
+		t.Errorf("requests counted before EnableMetrics = %d, want 1", got)
+	}
+}
+
+// TestWorkerMetricsOrderIndependent: Install then EnableMetrics and
+// EnableMetrics then Install expose the same families with the same
+// label sets and count the same traffic.
+func TestWorkerMetricsOrderIndependent(t *testing.T) {
+	render := func(metricsFirst bool) string {
+		n := transport.NewMemNetwork(7)
+		w := newTestWorker(t, n, "w1")
+		reg := monitor.NewRegistry()
+		probe := echoLambda("kv_probe", 77)
+		probe.Tenant = "acme"
+		probe.Bypass = func([]byte, *workloads.Deps) ([]byte, bool) { return nil, false }
+		steps := []func() error{
+			func() error { return w.EnableMetrics(reg) },
+			func() error { return errors.Join(w.Install(workloads.WebServer()), w.Install(probe)) },
+		}
+		if !metricsFirst {
+			steps[0], steps[1] = steps[1], steps[0]
+		}
+		for _, step := range steps {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		req := &transport.Message{
+			Header:  matchlambda.WireHeader{Version: matchlambda.Version1, WorkloadID: probe.ID, RequestID: 1, Total: 1},
+			Payload: []byte("x"),
+			Source:  transport.MemAddr("client"),
+		}
+		if _, err := w.handle(req); err != nil {
+			t.Fatal(err)
+		}
+		return normalizeExposition(reg.Render())
+	}
+	metricsFirst, installFirst := render(true), render(false)
+	if metricsFirst != installFirst {
+		t.Errorf("registration order changed the exposition:\n%s", lineDiff(metricsFirst, installFirst))
+	}
+	for _, want := range []string{
+		`lnic_worker_bypass_total{tenant="acme",workload="kv_probe"} 0`,
+		`lnic_worker_requests_total{tenant="acme",workload="kv_probe"} 1`,
+		`lnic_worker_requests_total{workload="web_server"} 0`,
+	} {
+		if !strings.Contains(installFirst, want) {
+			t.Errorf("exposition missing %q:\n%s", want, installFirst)
+		}
+	}
+}
+
+// TestWorkerHandleAllocs: a served web request through handle, metrics
+// on and tracing off, allocates nothing beyond the handler's reply — no
+// span name, no label, no instrument lookup.
+func TestWorkerHandleAllocs(t *testing.T) {
+	n := transport.NewMemNetwork(9)
+	w := newTestWorker(t, n, "w1")
+	if err := w.EnableMetrics(monitor.NewRegistry()); err != nil {
+		t.Fatal(err)
+	}
+	web := workloads.WebServer()
+	if err := w.Install(web); err != nil {
+		t.Fatal(err)
+	}
+	payload := web.MakeRequest(1)
+	reply := testing.AllocsPerRun(200, func() {
+		if _, err := web.Handle(payload, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	req := &transport.Message{
+		Header:  matchlambda.WireHeader{Version: matchlambda.Version1, WorkloadID: web.ID, RequestID: 1, Total: 1},
+		Payload: payload,
+		Source:  transport.MemAddr("client"),
+	}
+	served := testing.AllocsPerRun(200, func() {
+		if _, err := w.handle(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if served > reply {
+		t.Errorf("handle allocates %.1f per request, the handler alone %.1f", served, reply)
+	}
+}
+
+// TestWorkerInstallRemoveUnderLoad: the copy-on-write match table is
+// swapped while 8 goroutines dispatch through it. A lambda that stays
+// installed is never missed; one being churned is either served or
+// unmatched, nothing else. Run with -race.
+func TestWorkerInstallRemoveUnderLoad(t *testing.T) {
+	n := transport.NewMemNetwork(11)
+	w := newTestWorker(t, n, "w1")
+	if err := w.EnableMetrics(monitor.NewRegistry()); err != nil {
+		t.Fatal(err)
+	}
+	const stableID, churnID = 1, 2
+	if err := w.Install(echoLambda("stable", stableID)); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := func(id uint32) *transport.Message {
+				return &transport.Message{
+					Header:  matchlambda.WireHeader{Version: matchlambda.Version1, WorkloadID: id, RequestID: 1, Total: 1},
+					Payload: []byte("x"),
+					Source:  transport.MemAddr("client"),
+				}
+			}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := w.handle(req(stableID)); err != nil {
+					t.Errorf("stable lambda: %v", err)
+					return
+				}
+				if _, err := w.handle(req(churnID)); err != nil && !errors.Is(err, ErrUnknownWorkload) {
+					t.Errorf("churned lambda: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for round := 0; round < 200; round++ {
+		// A fresh name each round: a removed lambda's series stay registered.
+		if err := w.Install(echoLambda(fmt.Sprintf("churn_%d", round), churnID)); err != nil {
+			t.Fatal(err)
+		}
+		w.Remove(churnID)
+	}
+	close(stop)
+	wg.Wait()
+	if got := w.Installed(); len(got) != 1 || got[0] != stableID {
+		t.Errorf("Installed = %v, want [%d]", got, stableID)
 	}
 }

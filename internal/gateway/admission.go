@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"lambdanic/internal/tenant"
@@ -74,14 +73,7 @@ func (g *Gateway) admit(workloadID uint32) error {
 	}
 	if err := a.adm.Admit(a.tenantOf(workloadID), a.now()); err != nil {
 		g.throttled.Add(1)
-		if ins := g.instr.Load(); ins != nil && ins.throttled != nil {
-			ins.throttled.Inc()
-		}
 		return err
 	}
 	return nil
 }
-
-// atomicAdmission is atomic.Pointer[admission] named for the struct
-// field; kept as its own type so the zero Gateway stays valid.
-type atomicAdmission = atomic.Pointer[admission]

@@ -107,7 +107,7 @@ func TestGatewayCloseFailsProxiedCalls(t *testing.T) {
 			errs <- err
 		}()
 	}
-	for deadline := time.Now().Add(5 * time.Second); gw.inflightFor("silent").Load() < int64(cap(errs)); {
+	for deadline := time.Now().Add(5 * time.Second); gw.routes.Load().inflight["silent"].Load() < int64(cap(errs)); {
 		if time.Now().After(deadline) {
 			t.Fatal("requests never reached the upstream wait")
 		}

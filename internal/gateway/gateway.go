@@ -26,7 +26,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,64 +44,32 @@ import (
 type Gateway struct {
 	ep      *transport.Endpoint
 	timeout time.Duration
-	workers int
-
-	// ringSeed seeds every workload's consistent-hash ring; gateways
-	// sharing a seed compute identical flow placements.
-	ringSeed uint64
 
 	// routes is the copy-on-write routing snapshot; mu serializes
-	// writers only (SetRoute, EvictWorker, rebalancer pin installs,
-	// instrument installs).
+	// writers only (SetRoute, EvictWorker, rebalancer pin installs).
 	routes atomic.Pointer[routeTable]
 	mu     sync.Mutex
 
-	forwarded atomic.Uint64
-	unrouted  atomic.Uint64
+	// The gateway's instruments exist from construction and are counted
+	// once per event; EnableMetrics only registers views over them.
+	// Per-workload failovers and per-worker in-flight counts live in the
+	// route snapshot (routing.go).
+	forwarded    atomic.Uint64
+	unrouted     atomic.Uint64
+	upstreamErrs atomic.Uint64
+	failovers    atomic.Uint64
+	timeouts     atomic.Uint64
+	throttled    atomic.Uint64
+	migrations   atomic.Uint64
+	latency      *telemetry.Histogram // every upstream attempt
 
-	failovers atomic.Uint64
-	timeouts  atomic.Uint64
-	throttled atomic.Uint64
-
-	// failoversBy counts failovers per workload ID
-	// (map[uint32]*atomic.Uint64).
-	failoversBy sync.Map
-	// inflight tracks per-worker in-flight upstream calls
-	// (map[string]*atomic.Int64) — the rebalancer's default load signal.
-	inflight sync.Map
-	// migrations counts applied elephant-flow migrations.
-	migrations atomic.Uint64
 	// reb is the running rebalancer, if any (guarded by mu).
 	reb *rebalancer
 
-	// admission is the optional tenant admission snapshot
-	// (admission.go), copy-on-write like routes.
-	admission atomicAdmission
-
-	// instr is the monitoring/tracing snapshot, also copy-on-write so
-	// the forward path reads it with one atomic load.
-	instr atomic.Pointer[instruments]
-}
-
-// routeTable is one immutable routing snapshot. Entries are shared
-// across snapshots: a SetRoute for workload A reuses workload B's
-// entry, so B's ring, pins, and flow-rate window survive unrelated
-// updates. workloadRoute itself lives in routing.go.
-type routeTable struct {
-	m map[uint32]*workloadRoute
-}
-
-// instruments is the optional monitoring-engine (§6.1.1) and tracing
-// hook-up, snapshotted as one unit.
-type instruments struct {
-	forwarded *monitor.Counter
-	unrouted  *monitor.Counter
-	errors    *monitor.Counter
-	failovers *monitor.Counter
-	timeouts  *monitor.Counter
-	throttled *monitor.Counter
-	latency   *telemetry.Histogram
-	tracer    obs.Tracer
+	// admission and tracer are the two optional stages of the forward
+	// path, each one atomic load when off.
+	admission atomic.Pointer[admission]
+	tracer    atomic.Pointer[obs.Tracer]
 }
 
 // Option configures a Gateway.
@@ -111,45 +81,30 @@ func WithUpstreamTimeout(d time.Duration) Option {
 	return func(g *Gateway) { g.timeout = d }
 }
 
-// WithWorkers bounds the gateway's request-execution pool. Each proxied
-// request occupies a worker for its upstream round trip, so this is the
-// gateway's concurrency limit.
-func WithWorkers(n int) Option {
-	return func(g *Gateway) {
-		if n > 0 {
-			g.workers = n
-		}
-	}
-}
-
-// WithRingSeed sets the consistent-hash ring seed. Gateways fronting
-// the same fleet must share a seed to agree on flow placement.
-func WithRingSeed(seed uint64) Option {
-	return func(g *Gateway) { g.ringSeed = seed }
-}
-
 // ErrNoRoute is returned for workload IDs with no registered workers.
 var ErrNoRoute = errors.New("gateway: no route for workload")
 
-// DefaultRingSeed is the consistent-hash ring seed when WithRingSeed is
-// not given — an arbitrary fixed value so independent gateways agree by
-// default.
+// DefaultRingSeed seeds every workload's consistent-hash ring — an
+// arbitrary fixed value, so independent gateways fronting the same fleet
+// agree on flow placement.
 const DefaultRingSeed = 0x1a4bda9c0ffee
+
+// poolDepth is the gateway's request-execution pool, its concurrency
+// limit: a proxied request blocks a pool worker for a full upstream
+// round trip, so the gateway runs a deeper pool than a compute endpoint.
+const poolDepth = 256
 
 // New starts a gateway on conn. The gateway owns the connection.
 func New(conn net.PacketConn, opts ...Option) *Gateway {
 	g := &Gateway{
-		timeout:  2 * time.Second,
-		workers:  256,
-		ringSeed: DefaultRingSeed,
+		timeout: 2 * time.Second,
+		latency: telemetry.NewHistogram(),
 	}
-	g.routes.Store(&routeTable{m: map[uint32]*workloadRoute{}})
+	g.routes.Store(newRouteTable(map[uint32]*workloadRoute{}))
 	for _, o := range opts {
 		o(g)
 	}
-	// Proxied requests block a pool worker for a full upstream round
-	// trip, so the gateway runs a deeper pool than a compute endpoint.
-	g.ep = transport.NewEndpoint(conn, g.handle, transport.WithWorkers(g.workers))
+	g.ep = transport.NewEndpoint(conn, g.handle, transport.WithWorkers(poolDepth))
 	return g
 }
 
@@ -178,16 +133,7 @@ func (g *Gateway) Retransmits() uint64 { return g.ep.Retransmits() }
 
 // LiveWorkers counts the distinct worker addresses across all routes —
 // the fleet the gateway can currently reach.
-func (g *Gateway) LiveWorkers() int {
-	rt := g.routes.Load()
-	seen := make(map[string]bool)
-	for _, wr := range rt.m {
-		for _, w := range wr.workers {
-			seen[w.String()] = true
-		}
-	}
-	return len(seen)
-}
+func (g *Gateway) LiveWorkers() int { return len(g.routes.Load().inflight) }
 
 // EvictWorker removes a worker from every route and aborts the in-flight
 // calls addressed to it — the drain step of healthd's eviction: pending
@@ -201,43 +147,36 @@ func (g *Gateway) EvictWorker(addr net.Addr) int {
 	next := make(map[uint32]*workloadRoute, len(old.m))
 	removed := 0
 	for id, wr := range old.m {
-		kept := make([]net.Addr, 0, len(wr.workers))
-		for _, w := range wr.workers {
-			if w.String() != key {
-				kept = append(kept, w)
-			}
-		}
-		switch {
-		case len(kept) == len(wr.workers):
+		if !slices.Contains(wr.names, key) {
 			next[id] = wr // untouched entry: ring, pins, and window survive
-		case len(kept) == 0:
-			removed++
-		default:
-			removed++
-			// Rebuild the ring over the survivors. Pins to surviving
-			// workers are remapped by address (stable); pins to the
-			// evicted worker are dropped, so those flows revert to their
-			// ring owner deterministically.
-			var pins map[uint64]int
-			if len(wr.pins) > 0 {
-				index := make(map[string]int, len(kept))
-				for i, w := range kept {
-					index[w.String()] = i
-				}
-				pins = make(map[uint64]int, len(wr.pins))
-				for f, wi := range wr.pins {
-					if wi < 0 || wi >= len(wr.workers) {
-						continue
-					}
-					if ni, ok := index[wr.workers[wi].String()]; ok {
-						pins[f] = ni
-					}
-				}
-			}
-			next[id] = newWorkloadRoute(kept, g.ringSeed, pins, wr.stats)
+			continue
 		}
+		removed++
+		// remap[i] is worker i's index among the survivors, -1 if evicted.
+		remap := make([]int, len(wr.workers))
+		kept := make([]net.Addr, 0, len(wr.workers))
+		for i, name := range wr.names {
+			remap[i] = -1
+			if name != key {
+				remap[i] = len(kept)
+				kept = append(kept, wr.workers[i])
+			}
+		}
+		if len(kept) == 0 {
+			continue
+		}
+		// Rebuild the ring over the survivors. Pins to surviving workers
+		// keep their worker; pins to the evicted worker are dropped, so
+		// those flows revert to their ring owner deterministically.
+		pins := make(map[uint64]int, len(wr.pins))
+		for f, wi := range wr.pins {
+			if wi >= 0 && wi < len(remap) && remap[wi] >= 0 {
+				pins[f] = remap[wi]
+			}
+		}
+		next[id] = old.newRoute(kept, pins, wr)
 	}
-	g.routes.Store(&routeTable{m: next})
+	g.routes.Store(newRouteTable(next))
 	g.mu.Unlock()
 	g.ep.AbortTo(addr)
 	return removed
@@ -253,19 +192,12 @@ func (g *Gateway) SetRoute(id uint32, workers []net.Addr) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	old := g.routes.Load()
-	next := make(map[uint32]*workloadRoute, len(old.m)+1)
-	var stats *flowStats
-	for wid, wr := range old.m {
-		if wid != id {
-			next[wid] = wr
-		} else {
-			stats = wr.stats
-		}
-	}
+	next := maps.Clone(old.m)
+	delete(next, id)
 	if len(workers) > 0 {
-		next[id] = newWorkloadRoute(append([]net.Addr(nil), workers...), g.ringSeed, nil, stats)
+		next[id] = old.newRoute(slices.Clone(workers), nil, old.m[id])
 	}
-	g.routes.Store(&routeTable{m: next})
+	g.routes.Store(newRouteTable(next))
 }
 
 // Routes returns a snapshot of the routing table.
@@ -273,48 +205,43 @@ func (g *Gateway) Routes() map[uint32][]net.Addr {
 	rt := g.routes.Load()
 	out := make(map[uint32][]net.Addr, len(rt.m))
 	for id, wr := range rt.m {
-		out[id] = append([]net.Addr(nil), wr.workers...)
+		out[id] = slices.Clone(wr.workers)
 	}
 	return out
 }
 
-// EnableMetrics registers the gateway's counters and upstream latency
-// histogram in the monitoring engine's registry.
+// EnableMetrics registers views over the gateway's counters and its
+// upstream latency histogram in the monitoring engine's registry. The
+// instruments count from construction whether or not anything reads
+// them; this only makes them visible.
 func (g *Gateway) EnableMetrics(reg *monitor.Registry) error {
-	forwarded, err := reg.Counter("lnic_gateway_forwarded_total", "requests proxied to workers", nil)
-	if err != nil {
-		return err
-	}
-	unrouted, err := reg.Counter("lnic_gateway_unrouted_total", "requests with no registered route", nil)
-	if err != nil {
-		return err
-	}
-	upErr, err := reg.Counter("lnic_gateway_upstream_errors_total", "upstream call failures", nil)
-	if err != nil {
-		return err
-	}
-	failovers, err := reg.Counter("lnic_gateway_failovers_total", "requests failed over to another worker", nil)
-	if err != nil {
-		return err
-	}
-	timeouts, err := reg.Counter("lnic_gateway_upstream_timeouts_total", "upstream calls that timed out after retransmits", nil)
-	if err != nil {
-		return err
-	}
-	retransmits, err := reg.Counter("lnic_gateway_retransmits_total", "upstream request retransmissions", nil)
-	if err != nil {
-		return err
-	}
-	throttled, err := reg.Counter("lnic_gateway_tenant_throttled_total", "requests shed by tenant admission control", nil)
-	if err != nil {
-		return err
+	for _, c := range []struct {
+		name, help string
+		read       func() uint64
+	}{
+		{"lnic_gateway_forwarded_total", "requests proxied to workers", g.Forwarded},
+		{"lnic_gateway_unrouted_total", "requests with no registered route", g.Unrouted},
+		{"lnic_gateway_upstream_errors_total", "upstream call failures", g.upstreamErrs.Load},
+		{"lnic_gateway_failovers_total", "requests failed over to another worker", g.Failovers},
+		{"lnic_gateway_upstream_timeouts_total", "upstream calls that timed out after retransmits", g.UpstreamTimeouts},
+		{"lnic_gateway_retransmits_total", "upstream request retransmissions", g.Retransmits},
+		{"lnic_gateway_tenant_throttled_total", "requests shed by tenant admission control", g.Throttled},
+		// The gateway's own pool sheds under overload exactly like a
+		// worker's; exposing it separates "gateway saturated" from
+		// "tenant over quota".
+		{"lnic_gateway_pool_drops_total", "requests shed by the gateway worker pool", g.ep.Drops},
+		{"lnic_gateway_reassembly_evictions_total", "partially received messages pushed out by newer ones", g.ep.Evictions},
+		{"lnic_gateway_migrations_total", "elephant-flow migrations applied by the rebalancer", g.Migrations},
+	} {
+		if err := reg.CounterFunc(c.name, c.help, nil, c.read); err != nil {
+			return err
+		}
 	}
 	// Per-tenant shed series, read straight from the admission
 	// controller at scrape time. Call EnableAdmission before
 	// EnableMetrics so the tenant set is known here.
 	if a := g.admission.Load(); a != nil {
 		for id, name := range a.adm.Quotas() {
-			id := id
 			if err := reg.CounterFunc("lnic_gateway_tenant_shed_total",
 				"requests shed by tenant admission control, per tenant",
 				map[string]string{"tenant": name},
@@ -322,17 +249,6 @@ func (g *Gateway) EnableMetrics(reg *monitor.Registry) error {
 				return err
 			}
 		}
-	}
-	// The gateway's own pool sheds under overload exactly like a
-	// worker's; exposing it separates "gateway saturated" from
-	// "tenant over quota".
-	if err := reg.CounterFunc("lnic_gateway_pool_drops_total",
-		"requests shed by the gateway worker pool", nil, g.ep.Drops); err != nil {
-		return err
-	}
-	if err := reg.CounterFunc("lnic_gateway_reassembly_evictions_total",
-		"partially received messages pushed out by newer ones", nil, g.ep.Evictions); err != nil {
-		return err
 	}
 	if err := reg.GaugeFunc("lnic_gateway_live_workers",
 		"distinct worker addresses across all routes", nil,
@@ -344,58 +260,31 @@ func (g *Gateway) EnableMetrics(reg *monitor.Registry) error {
 		func() float64 { return float64(g.PinnedFlows()) }); err != nil {
 		return err
 	}
-	if err := reg.CounterFunc("lnic_gateway_migrations_total",
-		"elephant-flow migrations applied by the rebalancer", nil,
-		g.Migrations); err != nil {
-		return err
-	}
-	// The latency histogram is the telemetry plane's lock-free sharded
-	// implementation: the request hot path records with a single atomic
-	// add instead of convoying on the registry histogram's mutex.
-	latency := telemetry.NewHistogram()
-	if err := latency.Expose(reg, "lnic_gateway_upstream_latency_seconds",
-		"upstream call latency", nil); err != nil {
-		return err
-	}
-	g.ep.SetRetransmitHook(retransmits.Inc)
-	g.mu.Lock()
-	ins := g.instrumentsCopy()
-	ins.forwarded, ins.unrouted, ins.errors, ins.latency = forwarded, unrouted, upErr, latency
-	ins.failovers, ins.timeouts, ins.throttled = failovers, timeouts, throttled
-	g.instr.Store(ins)
-	g.mu.Unlock()
-	return nil
+	return g.latency.Expose(reg, "lnic_gateway_upstream_latency_seconds",
+		"upstream call latency", nil)
 }
 
 // EnableTracing records each proxied request's lifecycle — upstream
-// RPC attempts, retransmits, and failovers — in the tracer. Enable
-// before serving traffic.
+// RPC attempts, retransmits, and failovers — in the tracer; nil turns
+// it off.
 func (g *Gateway) EnableTracing(t obs.Tracer) {
-	g.mu.Lock()
-	ins := g.instrumentsCopy()
-	ins.tracer = t
-	g.instr.Store(ins)
-	g.mu.Unlock()
-}
-
-// instrumentsCopy returns a mutable copy of the current instrument
-// snapshot; g.mu must be held.
-func (g *Gateway) instrumentsCopy() *instruments {
-	if cur := g.instr.Load(); cur != nil {
-		cp := *cur
-		return &cp
+	if t == nil {
+		g.tracer.Store(nil)
+		return
 	}
-	return &instruments{}
+	g.tracer.Store(&t)
 }
 
 // handle proxies one client request to a worker and relays the
-// response. It reads exactly one route snapshot, so the worker set it
-// iterates cannot change mid-request. The first attempt goes to the
-// flow's pinned owner (standing migration if one exists, ring owner
-// otherwise); when an upstream call fails (a crashed or unreachable
-// worker), the gateway fails over along the flow's ring successors —
-// the same deterministic order on every gateway — before giving up,
-// keeping a lambda available while any replica lives.
+// response. It reads exactly one route snapshot — workers, their names,
+// in-flight counters and the workload's failover counter all come from
+// it — so the worker set it iterates cannot change mid-request. The
+// first attempt goes to the flow's pinned owner (standing migration if
+// one exists, ring owner otherwise); when an upstream call fails (a
+// crashed or unreachable worker), the gateway fails over along the
+// flow's ring successors — the same deterministic order on every
+// gateway — before giving up, keeping a lambda available while any
+// replica lives.
 //
 // req.Payload is the transport's pooled buffer for the request (for a
 // multi-fragment request, the one buffer it was reassembled into) and
@@ -403,23 +292,20 @@ func (g *Gateway) instrumentsCopy() *instruments {
 // when handle has returned and the reply is sent, so nothing here may
 // keep it.
 func (g *Gateway) handle(req *transport.Message) ([]byte, error) {
+	id := req.Header.WorkloadID
 	// Tenant admission runs before any routing work: an over-quota
 	// request costs the gateway one bucket probe, nothing upstream.
-	if err := g.admit(req.Header.WorkloadID); err != nil {
+	if err := g.admit(id); err != nil {
 		return nil, err
 	}
-	ins := g.instr.Load()
 	var tr *obs.Req
-	if ins != nil && ins.tracer != nil {
-		tr = ins.tracer.Begin(req.Header.WorkloadID, "")
+	if t := g.tracer.Load(); t != nil {
+		tr = (*t).Begin(id, "")
 	}
-	wr := g.routes.Load().m[req.Header.WorkloadID]
+	wr := g.routes.Load().m[id]
 	if wr == nil || len(wr.workers) == 0 {
 		g.unrouted.Add(1)
-		if ins != nil && ins.unrouted != nil {
-			ins.unrouted.Inc()
-		}
-		err := fmt.Errorf("%w: %d", ErrNoRoute, req.Header.WorkloadID)
+		err := fmt.Errorf("%w: %d", ErrNoRoute, id)
 		tr.Finish(tr.Now(), err)
 		return nil, err
 	}
@@ -427,65 +313,44 @@ func (g *Gateway) handle(req *transport.Message) ([]byte, error) {
 	if req.Source != nil {
 		src = req.Source.String()
 	}
-	flow := dispatch.FlowKey(src, req.Header.WorkloadID)
+	flow := dispatch.FlowKey(src, id)
 	wr.stats.observe(flow)
-	owner := wr.ownerIndex(flow)
-	attempts := len(wr.workers)
+	wi := wr.ownerIndex(flow)
 	// The successor order is only materialized on the first failover —
 	// the happy path costs one ring lookup and no allocation.
 	var order []int
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		wi := owner
-		if attempt > 0 {
-			if order == nil {
-				order = wr.failoverOrder(flow, owner)
-			}
-			wi = order[attempt-1]
-		}
-		worker := wr.workers[wi]
-		load := g.inflightFor(worker.String())
+	for attempt := 0; ; attempt++ {
 		start := time.Now()
-		load.Add(1)
+		wr.inflight[wi].Add(1)
 		// The upstream deadline rides the call's own retransmit timer;
 		// running it out is an ErrTimeout like running out of retries.
-		resp, err := g.ep.CallWithin(context.Background(), worker, req.Header.WorkloadID, req.Payload, g.timeout, tr)
-		load.Add(-1)
-		if ins != nil && ins.latency != nil {
-			ins.latency.ObserveDuration(time.Since(start))
-		}
+		resp, err := g.ep.CallWithin(context.Background(), wr.workers[wi], id, req.Payload, g.timeout, tr)
+		wr.inflight[wi].Add(-1)
+		g.latency.ObserveDuration(time.Since(start))
 		if err == nil {
 			g.forwarded.Add(1)
-			if ins != nil && ins.forwarded != nil {
-				ins.forwarded.Inc()
-			}
 			tr.Finish(tr.Now(), nil)
 			return resp, nil
 		}
-		if ins != nil && ins.errors != nil {
-			ins.errors.Inc()
-		}
-		if errors.Is(err, transport.ErrTimeout) {
+		g.upstreamErrs.Add(1)
+		timedOut := errors.Is(err, transport.ErrTimeout)
+		if timedOut {
 			g.timeouts.Add(1)
-			if ins != nil && ins.timeouts != nil {
-				ins.timeouts.Inc()
-			}
 		}
-		lastErr = fmt.Errorf("gateway: upstream %v: %w", worker, err)
 		// Unreachability (timeout after retransmits) and eviction drains
-		// (AbortTo) trigger failover; an application error from a live
-		// worker is deterministic and is returned as-is.
-		if !errors.Is(err, transport.ErrTimeout) && !errors.Is(err, transport.ErrAborted) {
-			tr.Finish(tr.Now(), lastErr)
-			return nil, lastErr
+		// (AbortTo) trigger failover while a successor is left; an
+		// application error from a live worker is deterministic and is
+		// returned as-is.
+		if !timedOut && !errors.Is(err, transport.ErrAborted) || attempt+1 == len(wr.workers) {
+			err = fmt.Errorf("gateway: upstream %s: %w", wr.names[wi], err)
+			tr.Finish(tr.Now(), err)
+			return nil, err
 		}
-		if attempt+1 < attempts {
-			g.countFailover(req.Header.WorkloadID)
-			if ins != nil && ins.failovers != nil {
-				ins.failovers.Inc()
-			}
+		g.failovers.Add(1)
+		wr.failovers.Add(1)
+		if order == nil {
+			order = wr.failoverOrder(flow, wi)
 		}
+		wi = order[attempt]
 	}
-	tr.Finish(tr.Now(), lastErr)
-	return nil, lastErr
 }

@@ -43,8 +43,10 @@ func TestEnableMetricsPartialCollision(t *testing.T) {
 	n := transport.NewMemNetwork(2)
 	gw := newGateway(t, n)
 	reg := monitor.NewRegistry()
-	reg.MustHistogram("lnic_gateway_upstream_latency_seconds", "squatter", nil,
-		monitor.DefaultLatencyBuckets)
+	squatter := func() monitor.HistogramSnapshot { return monitor.HistogramSnapshot{Cumulative: []uint64{0}} }
+	if err := reg.HistogramFunc("lnic_gateway_upstream_latency_seconds", "squatter", nil, squatter); err != nil {
+		t.Fatal(err)
+	}
 	if err := gw.EnableMetrics(reg); err == nil {
 		t.Fatal("EnableMetrics succeeded with a colliding histogram name")
 	} else if !strings.Contains(err.Error(), "lnic_gateway_upstream_latency_seconds") {
@@ -59,7 +61,7 @@ func TestEnableMetricsPartialCollision(t *testing.T) {
 }
 
 func TestMetricsRenderAfterTraffic(t *testing.T) {
-	// The lock-free histogram's bridge must render the standard
+	// The gateway's histogram view must render the standard
 	// _bucket/_sum/_count families after real proxied traffic.
 	n := transport.NewMemNetwork(3)
 	echoWorker(t, n, "w1")

@@ -1,7 +1,9 @@
 package gateway
 
 import (
+	"maps"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,35 +12,71 @@ import (
 	"lambdanic/internal/dispatch"
 )
 
-// workloadRoute is the immutable routing state for one workload: the
-// worker set, the seeded consistent-hash ring pinning flows to workers,
-// and the standing elephant migrations (flow -> worker index) layered
-// on top of the ring. stats is the only mutable field — a lock-free
-// lossy flow-rate table shared across snapshots so observation survives
-// route updates.
-type workloadRoute struct {
-	workers []net.Addr
-	ring    *dispatch.Ring
-	pins    map[uint64]int
-	stats   *flowStats
+// routeTable is one immutable routing snapshot. Entries are shared
+// across snapshots: a SetRoute for workload A reuses workload B's
+// entry, so B's ring, pins, and flow-rate window survive unrelated
+// updates.
+type routeTable struct {
+	m map[uint32]*workloadRoute
+	// inflight holds one in-flight upstream-call counter per worker
+	// address that any route names — the rebalancer's default load
+	// signal. A worker's counter is shared by every route it serves and
+	// is gone with the last of them.
+	inflight map[string]*atomic.Int64
 }
 
-// newWorkloadRoute builds a route entry, constructing the ring over the
-// workers' addresses. pins and stats may be nil (fresh entry).
-func newWorkloadRoute(workers []net.Addr, seed uint64, pins map[uint64]int, stats *flowStats) *workloadRoute {
-	names := make([]string, len(workers))
+// newRouteTable indexes the in-flight counters of the given routes.
+func newRouteTable(m map[uint32]*workloadRoute) *routeTable {
+	rt := &routeTable{m: m, inflight: make(map[string]*atomic.Int64)}
+	for _, wr := range m {
+		for i, name := range wr.names {
+			rt.inflight[name] = wr.inflight[i]
+		}
+	}
+	return rt
+}
+
+// workloadRoute is the immutable routing state for one workload: the
+// worker set (addresses, their names, their in-flight counters — three
+// parallel slices), the seeded consistent-hash ring pinning flows to
+// workers, and the standing elephant migrations (flow -> worker index)
+// layered on top of the ring. What the entries point at is mutable and
+// outlives the snapshot: the in-flight counters, the workload's
+// failover counter, and stats, a lock-free lossy flow-rate table.
+type workloadRoute struct {
+	workers   []net.Addr
+	names     []string
+	inflight  []*atomic.Int64
+	ring      *dispatch.Ring
+	pins      map[uint64]int
+	stats     *flowStats
+	failovers *atomic.Uint64
+}
+
+// newRoute builds a workload's next route entry over workers. prev is
+// the workload's entry in rt, if it has one: its flow-rate window and
+// failover counter carry over. A worker some route in rt already names
+// keeps its in-flight counter.
+func (rt *routeTable) newRoute(workers []net.Addr, pins map[uint64]int, prev *workloadRoute) *workloadRoute {
+	wr := &workloadRoute{
+		workers:  workers,
+		names:    make([]string, len(workers)),
+		inflight: make([]*atomic.Int64, len(workers)),
+		pins:     pins,
+	}
 	for i, w := range workers {
-		names[i] = w.String()
+		wr.names[i] = w.String()
+		if wr.inflight[i] = rt.inflight[wr.names[i]]; wr.inflight[i] == nil {
+			wr.inflight[i] = new(atomic.Int64)
+		}
 	}
-	if stats == nil {
-		stats = newFlowStats()
+	wr.ring = dispatch.NewRing(wr.names, DefaultRingSeed, 0)
+	if prev != nil {
+		wr.stats, wr.failovers = prev.stats, prev.failovers
+	} else {
+		wr.stats, wr.failovers = newFlowStats(), new(atomic.Uint64)
 	}
-	return &workloadRoute{
-		workers: workers,
-		ring:    dispatch.NewRing(names, seed, 0),
-		pins:    pins,
-		stats:   stats,
-	}
+	return wr
 }
 
 // ownerIndex is the worker index a flow is pinned to: a standing
@@ -254,8 +292,8 @@ func (g *Gateway) RebalanceOnce(cfg RebalanceConfig) int {
 		}
 		elephants := wr.stats.topK(cfg.TopK)
 		if len(elephants) > 0 {
-			loads := g.loadsFor(wr, report)
-			owner := func(f uint64) string { return wr.workers[wr.ownerIndex(f)].String() }
+			loads := wr.loads(report)
+			owner := func(f uint64) string { return wr.names[wr.ownerIndex(f)] }
 			plan := dispatch.Plan(loads, elephants, owner, cfg.ImbalanceRatio)
 			applied += g.applyMigrations(id, plan)
 		}
@@ -264,20 +302,19 @@ func (g *Gateway) RebalanceOnce(cfg RebalanceConfig) int {
 	return applied
 }
 
-// loadsFor assembles the load vector for one workload's workers: the
+// loads assembles the load vector for the workload's workers: the
 // external report where present, the gateway's own in-flight count
 // otherwise.
-func (g *Gateway) loadsFor(wr *workloadRoute, report []dispatch.Load) []dispatch.Load {
+func (wr *workloadRoute) loads(report []dispatch.Load) []dispatch.Load {
 	byName := make(map[string]float64, len(report))
 	for _, l := range report {
 		byName[l.Worker] = l.Load
 	}
 	out := make([]dispatch.Load, len(wr.workers))
-	for i, w := range wr.workers {
-		name := w.String()
+	for i, name := range wr.names {
 		load, ok := byName[name]
 		if !ok {
-			load = float64(g.inflightOf(name))
+			load = float64(wr.inflight[i].Load())
 		}
 		out[i] = dispatch.Load{Worker: name, Load: load}
 	}
@@ -299,18 +336,12 @@ func (g *Gateway) applyMigrations(id uint32, plan []dispatch.Migration) int {
 	if wr == nil {
 		return 0
 	}
-	index := make(map[string]int, len(wr.workers))
-	for i, w := range wr.workers {
-		index[w.String()] = i
-	}
 	pins := make(map[uint64]int, len(wr.pins)+len(plan))
-	for f, i := range wr.pins {
-		pins[f] = i
-	}
+	maps.Copy(pins, wr.pins)
 	applied := 0
 	for _, mig := range plan {
-		to, ok := index[mig.To]
-		if !ok {
+		to := slices.Index(wr.names, mig.To)
+		if to < 0 {
 			continue
 		}
 		// A migration landing the flow back on its ring owner is just an
@@ -331,12 +362,11 @@ func (g *Gateway) applyMigrations(id uint32, plan []dispatch.Migration) int {
 	if applied == 0 {
 		return 0
 	}
-	next := make(map[uint32]*workloadRoute, len(old.m))
-	for wid, entry := range old.m {
-		next[wid] = entry
-	}
-	next[id] = &workloadRoute{workers: wr.workers, ring: wr.ring, pins: pins, stats: wr.stats}
-	g.routes.Store(&routeTable{m: next})
+	repinned := *wr
+	repinned.pins = pins
+	next := maps.Clone(old.m)
+	next[id] = &repinned
+	g.routes.Store(newRouteTable(next))
 	g.migrations.Add(uint64(applied))
 	return applied
 }
@@ -355,10 +385,11 @@ func (g *Gateway) PinnedFlows() int {
 	return n
 }
 
-// FailoversFor returns the failovers counted for one workload.
+// FailoversFor returns the failovers counted for one workload since its
+// route was installed; the count lives and dies with the route.
 func (g *Gateway) FailoversFor(id uint32) uint64 {
-	if c, ok := g.failoversBy.Load(id); ok {
-		return c.(*atomic.Uint64).Load()
+	if wr := g.routes.Load().m[id]; wr != nil {
+		return wr.failovers.Load()
 	}
 	return 0
 }
@@ -366,37 +397,8 @@ func (g *Gateway) FailoversFor(id uint32) uint64 {
 // FailoversByWorkload snapshots the per-workload failover counters.
 func (g *Gateway) FailoversByWorkload() map[uint32]uint64 {
 	out := make(map[uint32]uint64)
-	g.failoversBy.Range(func(k, v any) bool {
-		out[k.(uint32)] = v.(*atomic.Uint64).Load()
-		return true
-	})
+	for id, wr := range g.routes.Load().m {
+		out[id] = wr.failovers.Load()
+	}
 	return out
-}
-
-// countFailover bumps the node-wide and per-workload failover counters.
-func (g *Gateway) countFailover(id uint32) {
-	g.failovers.Add(1)
-	c, ok := g.failoversBy.Load(id)
-	if !ok {
-		c, _ = g.failoversBy.LoadOrStore(id, &atomic.Uint64{})
-	}
-	c.(*atomic.Uint64).Add(1)
-}
-
-// inflightFor returns the in-flight counter for a worker address,
-// creating it on first use.
-func (g *Gateway) inflightFor(name string) *atomic.Int64 {
-	if c, ok := g.inflight.Load(name); ok {
-		return c.(*atomic.Int64)
-	}
-	c, _ := g.inflight.LoadOrStore(name, &atomic.Int64{})
-	return c.(*atomic.Int64)
-}
-
-// inflightOf reads a worker's current in-flight count.
-func (g *Gateway) inflightOf(name string) int64 {
-	if c, ok := g.inflight.Load(name); ok {
-		return c.(*atomic.Int64).Load()
-	}
-	return 0
 }

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -227,20 +228,65 @@ func TestStartRebalancerLifecycle(t *testing.T) {
 }
 
 // TestLoadsForFallsBackToInflight: workers missing from the load report
-// use the gateway's own in-flight counts.
+// use the gateway's own in-flight counts, which are per worker, not per
+// route: a call in flight on one workload's route shows in the load of
+// every workload that worker serves, across route updates.
 func TestLoadsForFallsBackToInflight(t *testing.T) {
 	n := transport.NewMemNetwork(61)
 	gw := newGateway(t, n)
 	addrs := []net.Addr{transport.MemAddr("a"), transport.MemAddr("b")}
 	gw.SetRoute(1, addrs)
-	gw.inflightFor("a").Add(3)
+	gw.SetRoute(2, addrs[:1])
+	gw.routes.Load().m[2].inflight[0].Add(3) // three calls in flight to "a" for workload 2
+	gw.SetRoute(1, []net.Addr{addrs[1], addrs[0]})
 	wr := gw.routes.Load().m[1]
-	loads := gw.loadsFor(wr, []dispatch.Load{{Worker: "b", Load: 9}})
 	byName := map[string]float64{}
-	for _, l := range loads {
+	for _, l := range wr.loads([]dispatch.Load{{Worker: "b", Load: 9}}) {
 		byName[l.Worker] = l.Load
 	}
 	if byName["a"] != 3 || byName["b"] != 9 {
 		t.Fatalf("loads = %v, want a:3 (inflight fallback), b:9 (report)", byName)
+	}
+}
+
+// TestRouteChurnKeepsLiveWorkersOnly: per-worker state is owned by the
+// route snapshot, so it goes when the last route naming the worker goes.
+// 1 000 rounds of routing fresh addresses and then dropping them — by
+// eviction, by replacing the route, by removing it — leave counters for
+// the one worker still routed, and that worker kept the same counter
+// throughout.
+func TestRouteChurnKeepsLiveWorkersOnly(t *testing.T) {
+	n := transport.NewMemNetwork(67)
+	gw := newGateway(t, n)
+	live := transport.MemAddr("live")
+	gw.SetRoute(1, []net.Addr{live})
+	counter := gw.routes.Load().inflight["live"]
+	for round := 0; round < 1000; round++ {
+		fresh := transport.MemAddr(fmt.Sprintf("w%d", round))
+		gw.SetRoute(2, []net.Addr{live, fresh})
+		gw.SetRoute(3, []net.Addr{fresh})
+		if got := gw.LiveWorkers(); got != 2 {
+			t.Fatalf("round %d: LiveWorkers = %d, want 2", round, got)
+		}
+		if round%2 == 0 {
+			if removed := gw.EvictWorker(fresh); removed != 2 {
+				t.Fatalf("round %d: evicted from %d routes, want 2", round, removed)
+			}
+		} else {
+			gw.SetRoute(2, []net.Addr{live})
+			gw.SetRoute(3, nil)
+		}
+	}
+	rt := gw.routes.Load()
+	if len(rt.inflight) != 1 || rt.inflight["live"] != counter {
+		t.Errorf("after churn the table holds %d worker counters, want only the live worker's original", len(rt.inflight))
+	}
+	for id, wr := range rt.m {
+		if len(wr.inflight) != 1 || wr.inflight[0] != counter {
+			t.Errorf("route %d does not share the live worker's counter", id)
+		}
+	}
+	if got := gw.LiveWorkers(); got != 1 {
+		t.Errorf("LiveWorkers = %d, want 1", got)
 	}
 }

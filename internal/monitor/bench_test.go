@@ -11,22 +11,18 @@ func BenchmarkCounterInc(b *testing.B) {
 	})
 }
 
-func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewHistogram(DefaultLatencyBuckets)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i%1000) / 1e6)
-	}
-}
-
 func BenchmarkRender(b *testing.B) {
 	r := NewRegistry()
 	for i := 0; i < 10; i++ {
 		r.MustCounter("c", "", map[string]string{"i": string(rune('a' + i))}).Add(uint64(i))
 	}
-	h := r.MustHistogram("lat", "", nil, DefaultLatencyBuckets)
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i) / 1e4)
+	samples := make([]float64, 100)
+	for i := range samples {
+		samples[i] = float64(i) / 1e4
+	}
+	snap := snapshotOf(FineLatencyBuckets, samples...)
+	if err := r.HistogramFunc("lat", "", nil, func() HistogramSnapshot { return snap }); err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

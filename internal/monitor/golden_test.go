@@ -13,8 +13,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // goldenRegistry builds a registry exercising every corner of the text
 // exposition format: registration-order rendering, sorted label keys,
 // label-value escaping (backslash, quote, newline), HELP escaping, the
-// histogram +Inf bucket and le-label merging, and the HistogramFunc
-// bridge used by externally-owned histograms.
+// histogram +Inf bucket and le-label merging through HistogramFunc,
+// with and without other labels.
 func goldenRegistry() *Registry {
 	r := NewRegistry()
 	r.MustCounter("lnic_requests_total", "requests served", map[string]string{
@@ -29,10 +29,11 @@ func goldenRegistry() *Registry {
 		func() float64 { return 3 }); err != nil {
 		panic(err)
 	}
-	h := r.MustHistogram("lnic_latency_seconds", "request latency",
-		map[string]string{"workload": "web_server"}, []float64{0.001, 0.01, 0.1})
-	for _, v := range []float64{0.0004, 0.004, 0.004, 0.04, 4} {
-		h.Observe(v)
+	if err := r.HistogramFunc("lnic_latency_seconds", "request latency",
+		map[string]string{"workload": "web_server"}, func() HistogramSnapshot {
+			return snapshotOf([]float64{0.001, 0.01, 0.1}, 0.0004, 0.004, 0.004, 0.04, 4)
+		}); err != nil {
+		panic(err)
 	}
 	if err := r.HistogramFunc("lnic_remote_latency_seconds", "scraped histogram",
 		map[string]string{"nic": "m3"}, func() HistogramSnapshot {

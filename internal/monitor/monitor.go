@@ -1,8 +1,10 @@
 // Package monitor is a small Prometheus-style metrics engine, standing
 // in for the "Prometheus-based monitoring engine to analyze system
 // state" in the paper's baseline framework (§6.1.1). It provides
-// counters, gauges, and histograms registered in a Registry, rendered
-// in the Prometheus text exposition format, and servable over HTTP.
+// counters and gauges, and scrape-time views (CounterFunc, GaugeFunc,
+// HistogramFunc) over values their owners keep, registered in a
+// Registry, rendered in the Prometheus text exposition format, and
+// servable over HTTP.
 package monitor
 
 import (
@@ -14,7 +16,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing metric.
@@ -53,20 +54,6 @@ func (g *Gauge) Add(delta float64) {
 // Value reads the gauge.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram accumulates observations into cumulative buckets.
-type Histogram struct {
-	mu      sync.Mutex
-	bounds  []float64 // upper bounds, ascending
-	counts  []uint64  // per-bucket (non-cumulative) counts
-	sum     float64
-	samples uint64
-}
-
-// DefaultLatencyBuckets spans 1µs..10s in decades (seconds).
-var DefaultLatencyBuckets = []float64{
-	1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10,
-}
-
 // FineLatencyBuckets spans 1µs..10s in a 1-2-5 series (seconds) — fine
 // enough that tail quantiles interpolated from a scrape are meaningful.
 // The telemetry plane's histograms expose through these bounds.
@@ -75,47 +62,12 @@ var FineLatencyBuckets = []float64{
 	1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1, 2e-1, 5e-1, 1, 2, 5, 10,
 }
 
-// NewHistogram builds a histogram with the given ascending upper
-// bounds; a +Inf bucket is implicit.
-func NewHistogram(bounds []float64) *Histogram {
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
-}
-
-// ObserveDuration records a latency sample in seconds — the common
-// case for the request-path histograms.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	idx := sort.SearchFloat64s(h.bounds, v)
-	h.counts[idx]++
-	h.sum += v
-	h.samples++
-}
-
-// Snapshot returns cumulative bucket counts, total sum, and count.
-func (h *Histogram) Snapshot() (bounds []float64, cumulative []uint64, sum float64, count uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	bounds = append([]float64(nil), h.bounds...)
-	cumulative = make([]uint64, len(h.counts))
-	running := uint64(0)
-	for i, c := range h.counts {
-		running += c
-		cumulative[i] = running
-	}
-	return bounds, cumulative, h.sum, h.samples
-}
-
 // HistogramSnapshot is a point-in-time cumulative view of a histogram,
-// produced by external histogram implementations registered through
+// produced at scrape time by the histogram's owner through
 // HistogramFunc (the telemetry plane's lock-free histograms expose
-// themselves this way). Cumulative has len(Bounds)+1 entries; the last
-// is the +Inf bucket and equals Count.
+// themselves this way; the registry holds no histogram of its own).
+// Cumulative has len(Bounds)+1 entries; the last is the +Inf bucket and
+// equals Count.
 type HistogramSnapshot struct {
 	Bounds     []float64
 	Cumulative []uint64
@@ -133,7 +85,6 @@ type metric struct {
 	cf     func() uint64
 	g      *Gauge
 	gf     func() float64
-	h      *Histogram
 	hf     func() HistogramSnapshot
 }
 
@@ -238,25 +189,15 @@ func (r *Registry) GaugeFunc(name, help string, labels map[string]string, fn fun
 }
 
 // HistogramFunc registers a histogram whose cumulative snapshot is
-// computed by fn at scrape time — the bridge for externally-owned
-// histogram implementations (the telemetry plane's lock-free sharded
-// histograms). fn is called from the scrape goroutine and must be safe
-// for concurrent use.
+// computed by fn at scrape time — how every histogram reaches the
+// registry (the telemetry plane's lock-free sharded histograms, owned by
+// the node that records into them). fn is called from the scrape
+// goroutine and must be safe for concurrent use.
 func (r *Registry) HistogramFunc(name, help string, labels map[string]string, fn func() HistogramSnapshot) error {
 	if fn == nil {
 		return fmt.Errorf("monitor: HistogramFunc %s: nil function", name)
 	}
 	return r.register(&metric{name: name, help: help, labels: renderLabels(labels), kind: "histogram", hf: fn})
-}
-
-// Histogram registers and returns a histogram.
-func (r *Registry) Histogram(name, help string, labels map[string]string, bounds []float64) (*Histogram, error) {
-	h := NewHistogram(bounds)
-	err := r.register(&metric{name: name, help: help, labels: renderLabels(labels), kind: "histogram", h: h})
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
 }
 
 // MustCounter is Counter for static registrations.
@@ -275,15 +216,6 @@ func (r *Registry) MustGauge(name, help string, labels map[string]string) *Gauge
 		panic(err)
 	}
 	return g
-}
-
-// MustHistogram is Histogram for static registrations.
-func (r *Registry) MustHistogram(name, help string, labels map[string]string, bounds []float64) *Histogram {
-	h, err := r.Histogram(name, help, labels, bounds)
-	if err != nil {
-		panic(err)
-	}
-	return h
 }
 
 // Render produces the Prometheus text exposition format.
@@ -320,23 +252,14 @@ func (r *Registry) Render() string {
 			}
 			fmt.Fprintf(&b, "%s%s %g\n", m.name, m.labels, v)
 		case "histogram":
-			var bounds []float64
-			var cum []uint64
-			var sum float64
-			var count uint64
-			if m.hf != nil {
-				snap := m.hf()
-				bounds, cum, sum, count = snap.Bounds, snap.Cumulative, snap.Sum, snap.Count
-			} else {
-				bounds, cum, sum, count = m.h.Snapshot()
-			}
+			snap := m.hf()
 			base := strings.TrimSuffix(m.labels, "}")
-			for i, ub := range bounds {
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", m.name, bucketLabels(base, m.labels, fmt.Sprintf("%g", ub)), cum[i])
+			for i, ub := range snap.Bounds {
+				fmt.Fprintf(&b, "%s_bucket%s %d\n", m.name, bucketLabels(base, m.labels, fmt.Sprintf("%g", ub)), snap.Cumulative[i])
 			}
-			fmt.Fprintf(&b, "%s_bucket%s %d\n", m.name, bucketLabels(base, m.labels, "+Inf"), cum[len(cum)-1])
-			fmt.Fprintf(&b, "%s_sum%s %g\n", m.name, m.labels, sum)
-			fmt.Fprintf(&b, "%s_count%s %d\n", m.name, m.labels, count)
+			fmt.Fprintf(&b, "%s_bucket%s %d\n", m.name, bucketLabels(base, m.labels, "+Inf"), snap.Cumulative[len(snap.Cumulative)-1])
+			fmt.Fprintf(&b, "%s_sum%s %g\n", m.name, m.labels, snap.Sum)
+			fmt.Fprintf(&b, "%s_count%s %d\n", m.name, m.labels, snap.Count)
 		}
 	}
 	return b.String()

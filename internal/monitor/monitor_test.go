@@ -2,11 +2,12 @@ package monitor
 
 import (
 	"net/http/httptest"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -57,33 +58,58 @@ func TestGaugeConcurrentAdd(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0.001, 0.01, 0.1})
-	for _, v := range []float64{0.0005, 0.005, 0.005, 0.05, 5} {
-		h.Observe(v)
-	}
-	bounds, cum, sum, count := h.Snapshot()
-	if len(bounds) != 3 || count != 5 {
-		t.Fatalf("bounds=%v count=%d", bounds, count)
-	}
-	// cumulative: <=0.001: 1; <=0.01: 3; <=0.1: 4; +Inf: 5
-	want := []uint64{1, 3, 4, 5}
-	for i, w := range want {
-		if cum[i] != w {
-			t.Errorf("cum[%d] = %d, want %d", i, cum[i], w)
+// snapshotOf builds the cumulative snapshot an owner would hand to
+// HistogramFunc for the given samples.
+func snapshotOf(bounds []float64, samples ...float64) HistogramSnapshot {
+	snap := HistogramSnapshot{Bounds: bounds, Cumulative: make([]uint64, len(bounds)+1)}
+	for _, v := range samples {
+		for i := sort.SearchFloat64s(bounds, v); i < len(snap.Cumulative); i++ {
+			snap.Cumulative[i]++
 		}
+		snap.Sum += v
+		snap.Count++
 	}
-	if sum < 5.06 || sum > 5.07 {
-		t.Errorf("sum = %v", sum)
+	return snap
+}
+
+func TestHistogram(t *testing.T) {
+	// The registry reads the owner's histogram at scrape time, not at
+	// registration: samples recorded between two renders show up.
+	r := NewRegistry()
+	samples := []float64{0.0005, 0.005, 0.005}
+	if err := r.HistogramFunc("h_seconds", "latency", nil, func() HistogramSnapshot {
+		return snapshotOf([]float64{0.001, 0.01, 0.1}, samples...)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if out := r.Render(); !strings.Contains(out, "h_seconds_count 3") || !strings.Contains(out, "# TYPE h_seconds histogram") {
+		t.Errorf("first render:\n%s", out)
+	}
+	samples = append(samples, 0.05, 5)
+	out := r.Render()
+	// cumulative: <=0.001: 1; <=0.01: 3; <=0.1: 4; +Inf: 5
+	for _, want := range []string{
+		`h_seconds_bucket{le="0.001"} 1`,
+		`h_seconds_bucket{le="0.01"} 3`,
+		`h_seconds_bucket{le="0.1"} 4`,
+		`h_seconds_bucket{le="+Inf"} 5`,
+		"h_seconds_sum 5.0605",
+		"h_seconds_count 5",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render missing %q:\n%s", want, out)
+		}
 	}
 }
 
 func TestHistogramRender(t *testing.T) {
 	r := NewRegistry()
-	h := r.MustHistogram("latency_seconds", "request latency",
-		map[string]string{"workload": "web"}, []float64{0.001, 0.1})
-	h.Observe(0.0004)
-	h.Observe(0.05)
+	if err := r.HistogramFunc("latency_seconds", "request latency",
+		map[string]string{"workload": "web"}, func() HistogramSnapshot {
+			return snapshotOf([]float64{0.001, 0.1}, 0.0004, 0.05)
+		}); err != nil {
+		t.Fatal(err)
+	}
 	out := r.Render()
 	for _, want := range []string{
 		`latency_seconds_bucket{workload="web",le="0.001"} 1`,
@@ -98,22 +124,34 @@ func TestHistogramRender(t *testing.T) {
 }
 
 func TestHistogramCumulativeProperty(t *testing.T) {
-	// Property: cumulative counts are nondecreasing and the +Inf bucket
-	// equals the sample count.
+	// Property: whatever the owner's samples, the rendered buckets are
+	// nondecreasing in le order and the +Inf bucket equals _count.
 	f := func(raw []uint16) bool {
-		h := NewHistogram(DefaultLatencyBuckets)
-		for _, v := range raw {
-			h.Observe(float64(v) / 1000)
+		r := NewRegistry()
+		samples := make([]float64, len(raw))
+		for i, v := range raw {
+			samples[i] = float64(v) / 1000
 		}
-		_, cum, _, count := h.Snapshot()
-		prev := uint64(0)
-		for _, c := range cum {
-			if c < prev {
-				return false
+		if err := r.HistogramFunc("h", "", nil, func() HistogramSnapshot {
+			return snapshotOf(FineLatencyBuckets, samples...)
+		}); err != nil {
+			return false
+		}
+		var prev, last, count uint64
+		for _, line := range strings.Split(strings.TrimSpace(r.Render()), "\n") {
+			series, value, _ := strings.Cut(line, " ")
+			n, err := strconv.ParseUint(value, 10, 64)
+			switch {
+			case strings.HasPrefix(series, "h_bucket"):
+				if err != nil || n < prev {
+					return false
+				}
+				prev, last = n, n
+			case series == "h_count":
+				count = n
 			}
-			prev = c
 		}
-		return cum[len(cum)-1] == count && count == uint64(len(raw))
+		return last == count && count == uint64(len(raw))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -134,31 +172,16 @@ func TestDuplicateRegistrationRejected(t *testing.T) {
 	}
 }
 
-func TestObserveDuration(t *testing.T) {
-	h := NewHistogram(DefaultLatencyBuckets)
-	h.ObserveDuration(1500 * time.Microsecond)
-	h.ObserveDuration(250 * time.Millisecond)
-	_, cum, sum, count := h.Snapshot()
-	if count != 2 {
-		t.Fatalf("count = %d", count)
-	}
-	if sum < 0.2514 || sum > 0.2516 {
-		t.Errorf("sum = %v, want ~0.2515 seconds", sum)
-	}
-	// 1.5ms lands in the <=1e-2 bucket (index 4), 250ms in <=1 (index 6).
-	if cum[3] != 0 || cum[4] != 1 || cum[6] != 2 {
-		t.Errorf("cumulative = %v", cum)
-	}
-}
-
 func TestRenderDeterministic(t *testing.T) {
 	// The exposition must be byte-identical across calls: metrics render
 	// in registration order and label keys are sorted.
 	r := NewRegistry()
 	r.MustCounter("b_total", "second", map[string]string{"z": "9", "a": "1"}).Inc()
 	r.MustCounter("a_total", "first", nil).Add(2)
-	r.MustHistogram("h_seconds", "", map[string]string{"workload": "web"},
-		[]float64{0.01}).Observe(0.001)
+	if err := r.HistogramFunc("h_seconds", "", map[string]string{"workload": "web"},
+		func() HistogramSnapshot { return snapshotOf([]float64{0.01}, 0.001) }); err != nil {
+		t.Fatal(err)
+	}
 	first := r.Render()
 	for i := 0; i < 10; i++ {
 		if got := r.Render(); got != first {

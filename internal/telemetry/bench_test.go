@@ -3,13 +3,10 @@ package telemetry
 import (
 	"runtime"
 	"testing"
-
-	"lambdanic/internal/monitor"
 )
 
-// The contended benchmarks force 8-way parallelism regardless of the
-// host's core count so the mutex histogram's convoy shows even on
-// small CI runners: RunParallel spawns GOMAXPROCS goroutines, so we
+// The contended benchmark forces 8-way parallelism regardless of the
+// host's core count: RunParallel spawns GOMAXPROCS goroutines, so we
 // pin GOMAXPROCS to 8 for the duration of the benchmark.
 func with8Procs(b *testing.B, fn func(b *testing.B)) {
 	prev := runtime.GOMAXPROCS(8)
@@ -17,9 +14,9 @@ func with8Procs(b *testing.B, fn func(b *testing.B)) {
 	fn(b)
 }
 
-// BenchmarkHistogramObserveParallel is the acceptance bench: the
-// lock-free sharded histogram under 8-goroutine contention. Compare
-// against BenchmarkMutexHistogramObserveParallel.
+// BenchmarkHistogramObserveParallel prices the lock-free sharded
+// histogram under 8-goroutine contention — the always-on cost of a
+// latency sample on the gateway and worker request paths.
 func BenchmarkHistogramObserveParallel(b *testing.B) {
 	with8Procs(b, func(b *testing.B) {
 		h := NewHistogram()
@@ -34,37 +31,12 @@ func BenchmarkHistogramObserveParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkMutexHistogramObserveParallel is the baseline: the
-// monitoring engine's mutex histogram under the same contention.
-func BenchmarkMutexHistogramObserveParallel(b *testing.B) {
-	with8Procs(b, func(b *testing.B) {
-		h := monitor.NewHistogram(monitor.FineLatencyBuckets)
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			v := int64(1)
-			for pb.Next() {
-				h.Observe(float64(v) * 1e-9)
-				v = (v*2862933555777941757 + 3037000493) & maxValue
-			}
-		})
-	})
-}
-
 // BenchmarkHistogramObserve is the uncontended single-goroutine cost.
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := NewHistogram()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i))
-	}
-}
-
-// BenchmarkMutexHistogramObserve is the uncontended baseline.
-func BenchmarkMutexHistogramObserve(b *testing.B) {
-	h := monitor.NewHistogram(monitor.FineLatencyBuckets)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i) * 1e-9)
 	}
 }
 

@@ -4,8 +4,9 @@
 //
 //   - Histogram: a lock-free sharded HDR-style latency histogram
 //     (log-linear buckets, striped atomics, zero allocations per
-//     Observe) replacing the monitoring engine's mutex histogram on the
-//     request hot path;
+//     Observe) — the one histogram on the request hot path, owned by
+//     the node that records into it and viewed by the monitoring
+//     engine at scrape time;
 //   - Windowed: sliding-window aggregation over a histogram plus an
 //     error counter, yielding rolling quantiles, rates, and
 //     availability;

@@ -43,7 +43,6 @@ type Endpoint struct {
 	mtu        int
 	timeout    time.Duration
 	retries    int
-	readers    int
 	workers    int
 	sendWindow int
 
@@ -63,10 +62,6 @@ type Endpoint struct {
 	closeErr  error
 	readerWG  sync.WaitGroup
 	workerWG  sync.WaitGroup
-
-	// onRetransmit, when set, observes every retransmission (the
-	// gateway's monitoring hook; transport stays metrics-agnostic).
-	onRetransmit atomic.Pointer[func()]
 
 	// Stats.
 	retransmits atomic.Uint64
@@ -217,15 +212,6 @@ func WithTimeout(d time.Duration) EndpointOption { return func(e *Endpoint) { e.
 // call fails.
 func WithRetries(n int) EndpointOption { return func(e *Endpoint) { e.retries = n } }
 
-// WithReaders sets how many goroutines drain the socket concurrently.
-func WithReaders(n int) EndpointOption {
-	return func(e *Endpoint) {
-		if n > 0 {
-			e.readers = n
-		}
-	}
-}
-
 // WithWorkers bounds the request-execution pool. Raise it for handlers
 // that block (the gateway's proxied upstream calls); the default suits
 // compute-bound lambdas.
@@ -283,7 +269,6 @@ func NewEndpoint(conn net.PacketConn, handler Handler, opts ...EndpointOption) *
 		mtu:        DefaultMTU,
 		timeout:    200 * time.Millisecond,
 		retries:    4,
-		readers:    defaultReaders(),
 		workers:    64,
 		sendWindow: defaultSendWindow,
 		handler:    handler,
@@ -309,22 +294,13 @@ func NewEndpoint(conn net.PacketConn, handler Handler, opts ...EndpointOption) *
 			go e.workLoop()
 		}
 	}
-	e.readerWG.Add(e.readers)
-	for i := 0; i < e.readers; i++ {
+	// One socket reader per processor, up to four.
+	readers := min(runtime.GOMAXPROCS(0), 4)
+	e.readerWG.Add(readers)
+	for i := 0; i < readers; i++ {
 		go e.readLoop()
 	}
 	return e
-}
-
-func defaultReaders() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 4 {
-		n = 4
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // shardByID picks the stripe for a response by its request ID.
@@ -367,16 +343,6 @@ func (e *Endpoint) Evictions() uint64 {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// SetRetransmitHook installs a callback invoked on every request
-// retransmission. Set before issuing calls.
-func (e *Endpoint) SetRetransmitHook(fn func()) {
-	if fn == nil {
-		e.onRetransmit.Store(nil)
-		return
-	}
-	e.onRetransmit.Store(&fn)
 }
 
 // AbortTo cancels every in-flight call addressed to the given
@@ -528,9 +494,6 @@ func (e *Endpoint) runCall(ctx context.Context, to net.Addr, pc *pendingCall, h 
 		detail := "attempt"
 		if attempt > 0 {
 			e.retransmits.Add(1)
-			if hook := e.onRetransmit.Load(); hook != nil {
-				(*hook)()
-			}
 			detail = "retransmit"
 		}
 		attemptStart := tr.Now()

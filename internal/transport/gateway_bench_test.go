@@ -88,10 +88,13 @@ func BenchmarkGatewayRoundTripParallel(b *testing.B) {
 }
 
 // TestGatewayRoundTripAllocs gates the steady-state allocation budget
-// of a whole proxied request (the bench's runtime.allocs_per_req): the
-// two response copies handed to callers plus the client's and the
-// gateway's share of the run-time's bookkeeping. A context or a second
-// timer per upstream attempt would take it past the bound.
+// of a whole proxied request (the bench's runtime.allocs_per_req). It
+// measures exactly 5: the two response copies handed to callers, one
+// dedup-cache entry each on the gateway and the worker (their rings are
+// still filling this early), and this harness's own gw.Addr(). Routing,
+// counting and dispatch in gateway.handle and core.Worker.handle
+// contribute none; a context, a second timer, or a string built per
+// request would take it past the bound.
 func TestGatewayRoundTripAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs steady-state warmup")
@@ -110,7 +113,7 @@ func TestGatewayRoundTripAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if avg > 8 {
-		t.Errorf("client → gateway → worker round trip allocates %.1f allocs/op, want ≤ 8", avg)
+	if avg > 5 {
+		t.Errorf("client → gateway → worker round trip allocates %.1f allocs/op, want ≤ 5", avg)
 	}
 }
