@@ -162,10 +162,40 @@ func (b *LambdaNIC) SetLinkOptions(opts mcc.LinkOptions) { b.linkOpts = opts }
 // for dispatch introspection in tests and reports.
 func (b *LambdaNIC) Executable() *mcc.Executable { return b.exe }
 
+// stagingRegionBytes is the registered size of each NIC's RPC staging
+// region: the bound multi-packet payloads are checked against. The
+// region is backed on first touch (rdma.Region), so the host pays for
+// the largest payload a NIC has seen, not for this.
+const stagingRegionBytes = 64 << 20
+
+// Firmware runs the compiler front end over the workloads — compose the
+// naive Match+Lambda program, then every optimizer pass (§4.1, §5) —
+// and returns the optimized program. It is read-only from here on: any
+// number of NICs may Load the same one.
+func Firmware(ws []*workloads.Workload) (*mcc.Program, error) {
+	prog, _, err := workloads.OptimizedProgram(ws, workloads.NaiveProgramTarget)
+	if err != nil {
+		return nil, fmt.Errorf("lambda-nic firmware: %w", err)
+	}
+	return prog, nil
+}
+
 // Deploy compiles the workloads into optimized Match+Lambda firmware
 // and loads it (§4.1, §5).
 func (b *LambdaNIC) Deploy(ws []*workloads.Workload) error {
-	exe, _, err := workloads.CompileOptimizedWith(ws, workloads.NaiveProgramTarget, b.linkOpts)
+	prog, err := Firmware(ws)
+	if err != nil {
+		return err
+	}
+	return b.Load(prog)
+}
+
+// Load links the optimized program for this NIC and loads the image —
+// the control plane compiling once and installing on every NIC. Linking
+// is per NIC because the image owns its object memory and the compiled
+// code points into it; the program itself is shared and not modified.
+func (b *LambdaNIC) Load(prog *mcc.Program) error {
+	exe, err := mcc.Link(prog, b.linkOpts)
 	if err != nil {
 		return fmt.Errorf("lambda-nic deploy: %w", err)
 	}
@@ -173,7 +203,7 @@ func (b *LambdaNIC) Deploy(ws []*workloads.Workload) error {
 		return fmt.Errorf("lambda-nic deploy: %w", err)
 	}
 	b.exe = exe
-	region, err := b.rdma.Register("rpc-staging", 64*1024*1024)
+	region, err := b.rdma.Register("rpc-staging", stagingRegionBytes)
 	if err != nil {
 		return fmt.Errorf("lambda-nic deploy: %w", err)
 	}
@@ -302,51 +332,73 @@ func (b *LambdaNIC) invokeLambda(id uint32, payload []byte, flow uint64, tr *obs
 	if len(payload) > b.maxPayload {
 		b.maxPayload = len(payload)
 	}
-	finish := func(r Result) {
-		b.inflight--
-		done(r)
+	c := &lambdaCall{
+		b:    b,
+		req:  nicsim.Request{LambdaID: id, Payload: payload, Packets: workloads.Packets(len(payload)), FlowKey: flow, Trace: tr},
+		sent: b.sim.Now(),
+		done: done,
 	}
-	packets := workloads.Packets(len(payload))
-	sent := b.sim.Now()
-	inject := func() {
-		req := &nicsim.Request{LambdaID: id, Payload: payload, Packets: packets, FlowKey: flow, Trace: tr}
-		b.nic.Inject(req, func(resp nicsim.Response, err error) {
-			if err != nil {
-				finish(Result{Err: err})
-				return
-			}
-			// Response wire trip back to the caller.
-			back := b.testbed.Link.OneWay(len(resp.Payload))
-			if tr != nil {
-				now := b.sim.Now()
-				tr.AddSpan(obs.StageTransport, "net", "response-wire", now, now+back)
-			}
-			b.sim.Schedule(back, func() {
-				finish(Result{Payload: resp.Payload})
-			})
-		})
-	}
-	if packets > 1 {
+	if c.req.Packets > 1 {
 		// Multi-packet RPC: commit the payload into NIC memory over
 		// RDMA; the completion event triggers the lambda (D3).
-		b.rdma.Write(b.region.Key(), 0, payload, func(err error) {
-			if err != nil {
-				finish(Result{Err: err})
-				return
-			}
-			if tr != nil {
-				tr.AddSpan(obs.StageTransport, "net", "rdma-commit", sent, b.sim.Now())
-			}
-			inject()
-		})
+		b.rdma.Write(b.region.Key(), 0, payload, c.committed)
 		return
 	}
 	// Single-packet RPC: one wire hop into the parse+match pipeline.
 	wire := b.testbed.Link.OneWay(len(payload))
 	if tr != nil {
-		tr.AddSpan(obs.StageTransport, "net", "request-wire", sent, sent+wire)
+		tr.AddSpan(obs.StageTransport, "net", "request-wire", c.sent, c.sent+wire)
 	}
-	b.sim.Schedule(wire, inject)
+	b.sim.AfterArg(wire, injectCall, c)
+}
+
+// lambdaCall is one request on the lambda path. Its hops — wire or RDMA
+// commit in, NIC, wire out — are methods on one allocation rather than
+// a closure each; the two timed hops ride AfterArg.
+type lambdaCall struct {
+	b    *LambdaNIC
+	req  nicsim.Request
+	sent sim.Time
+	done func(Result)
+	resp []byte
+}
+
+func injectCall(c any)  { c.(*lambdaCall).inject() }
+func respondCall(c any) { c.(*lambdaCall).respond() }
+
+func (c *lambdaCall) respond() { c.finish(Result{Payload: c.resp}) }
+
+func (c *lambdaCall) finish(r Result) {
+	c.b.inflight--
+	c.done(r)
+}
+
+func (c *lambdaCall) committed(err error) {
+	if err != nil {
+		c.finish(Result{Err: err})
+		return
+	}
+	if tr := c.req.Trace; tr != nil {
+		tr.AddSpan(obs.StageTransport, "net", "rdma-commit", c.sent, c.b.sim.Now())
+	}
+	c.inject()
+}
+
+func (c *lambdaCall) inject() { c.b.nic.Inject(&c.req, c.injected) }
+
+func (c *lambdaCall) injected(resp nicsim.Response, err error) {
+	if err != nil {
+		c.finish(Result{Err: err})
+		return
+	}
+	// Response wire trip back to the caller.
+	back := c.b.testbed.Link.OneWay(len(resp.Payload))
+	if tr := c.req.Trace; tr != nil {
+		now := c.b.sim.Now()
+		tr.AddSpan(obs.StageTransport, "net", "response-wire", now, now+back)
+	}
+	c.resp = resp.Payload
+	c.b.sim.AfterArg(back, respondCall, c)
 }
 
 // Usage implements Backend: λ-NIC consumes NIC memory (firmware plus
@@ -461,7 +513,7 @@ func (h *Host) InvokeTraced(id uint32, payload []byte, tr *obs.Req, done func(Re
 	if tr != nil {
 		tr.AddSpan(obs.StageTransport, "net", "request-wire", sent, sent+wire)
 	}
-	h.sim.Schedule(wire, func() {
+	h.sim.After(wire, func() {
 		submitted := h.sim.Now()
 		h.host.Submit(id, len(payload), packets, func(err error) {
 			now := h.sim.Now()
@@ -470,7 +522,7 @@ func (h *Host) InvokeTraced(id uint32, payload []byte, tr *obs.Req, done func(Re
 				tr.AddSpan(obs.StageHost, "host/"+h.name, "service", submitted, now)
 				tr.AddSpan(obs.StageTransport, "net", "response-wire", now, now+back)
 			}
-			h.sim.Schedule(back, func() {
+			h.sim.After(back, func() {
 				h.inflight--
 				done(Result{Err: err})
 			})

@@ -168,14 +168,13 @@ type LatencySeries struct {
 func Figure6(cfg Config) ([]LatencySeries, error) {
 	type wl struct {
 		name string
-		id   uint32
-		gen  func(i int) []byte
+		gen  trace.Generator
 	}
 	img := workloads.ImageTransformer(cfg.ImageWidth, cfg.ImageHeight)
 	wls := []wl{
-		{"web-server", workloads.WebServerID, workloads.WebServer().MakeRequest},
-		{"key-value-client", workloads.KVGetClientID, workloads.KVGetClient().MakeRequest},
-		{"image-transformer", workloads.ImageTransformerID, img.MakeRequest},
+		{"web-server", trace.Fixed(workloads.WebServerID, workloads.WebServer().MakeRequest)},
+		{"key-value-client", trace.Fixed(workloads.KVGetClientID, workloads.KVGetClient().MakeRequest)},
+		{"image-transformer", trace.Refilled(workloads.ImageTransformerID, img.FillRequest)},
 	}
 	backends := []BackendID{BackendLambdaNIC, BackendBareMetal, BackendContainer}
 	var out []LatencySeries
@@ -193,7 +192,7 @@ func Figure6(cfg Config) ([]LatencySeries, error) {
 				Concurrency: 1,
 				Requests:    samples,
 				Warmup:      cfg.Warmup,
-				Gen:         trace.Fixed(w.id, w.gen),
+				Gen:         w.gen,
 			}.Run(s, b)
 			if err != nil {
 				return nil, fmt.Errorf("figure6 %s/%s: %w", w.name, bid, err)
@@ -225,15 +224,14 @@ type ThroughputPoint struct {
 func Figure7(cfg Config) ([]ThroughputPoint, error) {
 	type wl struct {
 		name     string
-		id       uint32
-		gen      func(i int) []byte
+		gen      trace.Generator
 		requests int
 	}
 	img := workloads.ImageTransformer(cfg.ImageWidth, cfg.ImageHeight)
 	wls := []wl{
-		{"web-server", workloads.WebServerID, workloads.WebServer().MakeRequest, cfg.Fig7Requests},
-		{"key-value-client", workloads.KVGetClientID, workloads.KVGetClient().MakeRequest, cfg.Fig7Requests},
-		{"image-transformer", workloads.ImageTransformerID, img.MakeRequest, cfg.Fig7ImageRequests},
+		{"web-server", trace.Fixed(workloads.WebServerID, workloads.WebServer().MakeRequest), cfg.Fig7Requests},
+		{"key-value-client", trace.Fixed(workloads.KVGetClientID, workloads.KVGetClient().MakeRequest), cfg.Fig7Requests},
+		{"image-transformer", trace.Refilled(workloads.ImageTransformerID, img.FillRequest), cfg.Fig7ImageRequests},
 	}
 	backends := []BackendID{BackendLambdaNIC, BackendBareMetal, BackendContainer}
 	var out []ThroughputPoint
@@ -249,7 +247,7 @@ func Figure7(cfg Config) ([]ThroughputPoint, error) {
 					Concurrency: threads,
 					Requests:    w.requests,
 					Warmup:      cfg.Warmup,
-					Gen:         trace.Fixed(w.id, w.gen),
+					Gen:         w.gen,
 				}.Run(s, gw)
 				if err != nil {
 					return nil, fmt.Errorf("figure7 %s/%s/%d: %w", w.name, bid, threads, err)
@@ -336,6 +334,7 @@ type Table3Row struct {
 func Table3(cfg Config) ([]Table3Row, error) {
 	backends := []BackendID{BackendLambdaNIC, BackendBareMetal, BackendContainer}
 	img := workloads.ImageTransformer(cfg.ImageWidth, cfg.ImageHeight)
+	gen := trace.Refilled(workloads.ImageTransformerID, img.FillRequest)
 	var out []Table3Row
 	for _, bid := range backends {
 		s, b, err := cfg.newBackend(bid, cfg.set())
@@ -345,7 +344,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 		_, err = trace.ClosedLoop{
 			Concurrency: cfg.Concurrency,
 			Requests:    cfg.Table3Requests,
-			Gen:         trace.Fixed(workloads.ImageTransformerID, img.MakeRequest),
+			Gen:         gen,
 		}.Run(s, b)
 		if err != nil {
 			return nil, fmt.Errorf("table3 %s: %w", bid, err)

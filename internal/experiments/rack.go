@@ -29,10 +29,15 @@ type rack struct {
 
 // newRack builds a fresh simulation and workers NICs named m2, m3, … on
 // it, each configured by nicCfg over tb's hardware and loaded with wls.
-// It is the one place rack NICs are constructed and deployed. The order
-// of sim.New / NewLambdaNIC / Deploy calls is part of the experiments'
-// Executed@FinalClock fingerprints.
+// It is the one place rack NICs are constructed and deployed: the
+// firmware is compiled once and every NIC links the same program. The
+// order of sim.New / NewLambdaNIC / Load calls is part of the
+// experiments' Executed@FinalClock fingerprints.
 func newRack(cfg Config, tb cluster.Testbed, workers int, nicCfg nicsim.Config, wls []*workloads.Workload) (*rack, error) {
+	firmware, err := backend.Firmware(wls)
+	if err != nil {
+		return nil, err
+	}
 	r := &rack{
 		sim:   cfg.newSim(),
 		names: make([]string, workers),
@@ -44,7 +49,7 @@ func newRack(cfg Config, tb cluster.Testbed, workers int, nicCfg nicsim.Config, 
 		if err != nil {
 			return nil, err
 		}
-		if err := b.Deploy(wls); err != nil {
+		if err := b.Load(firmware); err != nil {
 			return nil, err
 		}
 		r.names[i], r.nics[name] = name, b

@@ -7,8 +7,8 @@ type workReq struct {
 	read    bool
 	key     RKey
 	offset  int
-	length  int     // read length
-	staging *[]byte // write payload, copied at post time
+	length  int    // read length
+	staging []byte // write payload, copied at post time
 	doneW   func(error)
 	doneR   func([]byte, error)
 }
@@ -56,8 +56,8 @@ func (q *QP) Outstanding() int { return q.outstanding }
 // the caller may reuse data immediately. Nothing is issued until
 // RingDoorbell.
 func (q *QP) PostWrite(key RKey, offset int, data []byte, done func(error)) {
-	staging := getStaging(len(data))
-	copy(*staging, data)
+	staging := q.e.getStaging(len(data))
+	copy(staging, data)
 	q.ring = append(q.ring, workReq{key: key, offset: offset, staging: staging, doneW: done})
 }
 
@@ -118,10 +118,10 @@ func (q *QP) issue(wr workReq, at sim.Time) {
 		})
 		return
 	}
-	region, ok := q.e.check(wr.key, wr.offset, len(*wr.staging))
+	region, ok := q.e.check(wr.key, wr.offset, len(wr.staging))
 	if !ok {
-		err := q.e.accessErr(wr.key, wr.offset, len(*wr.staging))
-		putStaging(wr.staging)
+		err := q.e.accessErr(wr.key, wr.offset, len(wr.staging))
+		q.e.putStaging(wr.staging)
 		if wr.doneW != nil {
 			wr.doneW(err)
 		}

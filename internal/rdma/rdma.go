@@ -28,7 +28,6 @@ package rdma
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"lambdanic/internal/cluster"
@@ -40,15 +39,56 @@ import (
 type RKey uint32
 
 // Region is a registered memory region (protection domain entry).
+// Accesses are checked against size, the registered length; buf backs
+// only the bytes something has touched — it grows to cover the highest
+// byte written, and the rest of the region reads as zeros — so a large
+// staging region costs the host what its traffic uses, not what it
+// reserves.
 type Region struct {
 	key  RKey
-	buf  []byte
+	size int
+	buf  []byte // len(buf) <= size
 	name string
 }
 
 // Bytes exposes the region's backing store to its owner (the lambda
-// reading RDMA-committed data).
-func (r *Region) Bytes() []byte { return r.buf }
+// reading RDMA-committed data), all size bytes of it: the owner may
+// write anywhere, so the whole region is backed from here on.
+func (r *Region) Bytes() []byte {
+	r.back(r.size)
+	return r.buf
+}
+
+// back makes the region's first n bytes real. Growth doubles, capped at
+// the registered size, so a region filled front to back is copied a
+// logarithmic number of times.
+func (r *Region) back(n int) {
+	if n <= len(r.buf) {
+		return
+	}
+	if n > cap(r.buf) {
+		grown := make([]byte, len(r.buf), max(n, min(2*cap(r.buf), r.size)))
+		copy(grown, r.buf)
+		r.buf = grown
+	}
+	// Capacity past len has never been written: it is still zero.
+	r.buf = r.buf[:n]
+}
+
+// write commits data at offset, backing the bytes it covers.
+func (r *Region) write(offset int, data []byte) {
+	r.back(offset + len(data))
+	copy(r.buf[offset:], data)
+}
+
+// read fills dst from the region at offset; bytes never backed are zero.
+func (r *Region) read(dst []byte, offset int) {
+	n := 0
+	if offset < len(r.buf) {
+		n = copy(dst, r.buf[offset:])
+	}
+	clear(dst[n:])
+}
 
 // Name returns the region's label.
 func (r *Region) Name() string { return r.name }
@@ -100,6 +140,11 @@ type Engine struct {
 	regions map[RKey]*Region
 	nextKey RKey
 
+	// staging holds the submit-time payload copies not in flight. The
+	// engine runs on the simulation goroutine, so the list needs no lock
+	// and, unlike a sync.Pool, keeps its buffers across collections.
+	staging [][]byte
+
 	// linkFreeAt serializes transfers on the shared 10 G link:
 	// concurrent operations queue behind each other's serialization
 	// time, so bulk-transfer throughput is bandwidth-bound.
@@ -125,13 +170,14 @@ func New(s *sim.Sim, cfg Config) *Engine {
 	return &Engine{sim: s, cfg: cfg, regions: make(map[RKey]*Region), nextKey: 1}
 }
 
-// Register allocates and registers a region of the given size,
-// returning it and its remote key.
+// Register registers a zero-filled region of the given size, returning
+// it and its remote key. Host memory is spent on first touch (see
+// Region), not here.
 func (e *Engine) Register(name string, size int) (*Region, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("rdma: invalid region size %d", size)
 	}
-	return e.RegisterBuffer(name, make([]byte, size))
+	return e.register(name, size, nil), nil
 }
 
 // RegisterBuffer registers caller-owned memory as a region without
@@ -142,10 +188,14 @@ func (e *Engine) RegisterBuffer(name string, buf []byte) (*Region, error) {
 	if len(buf) == 0 {
 		return nil, fmt.Errorf("rdma: invalid region size %d", len(buf))
 	}
-	r := &Region{key: e.nextKey, buf: buf, name: name}
+	return e.register(name, len(buf), buf), nil
+}
+
+func (e *Engine) register(name string, size int, buf []byte) *Region {
+	r := &Region{key: e.nextKey, size: size, buf: buf, name: name}
 	e.nextKey++
 	e.regions[r.key] = r
-	return r, nil
+	return r
 }
 
 // Deregister revokes a region's key.
@@ -153,23 +203,20 @@ func (e *Engine) Deregister(r *Region) {
 	delete(e.regions, r.key)
 }
 
-// stagingPool recycles submit-time payload copies so the hot path does
-// not allocate per operation.
-var stagingPool = sync.Pool{New: func() any { b := make([]byte, 0, 2048); return &b }}
-
-func getStaging(n int) *[]byte {
-	bp := stagingPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
+// getStaging returns an n-byte buffer for a submit-time payload copy,
+// reusing the most recently returned one when it is large enough.
+func (e *Engine) getStaging(n int) []byte {
+	if last := len(e.staging) - 1; last >= 0 {
+		b := e.staging[last]
+		e.staging = e.staging[:last]
+		if cap(b) >= n {
+			return b[:n]
+		}
 	}
-	*bp = (*bp)[:n]
-	return bp
+	return make([]byte, n)
 }
 
-func putStaging(bp *[]byte) {
-	*bp = (*bp)[:0]
-	stagingPool.Put(bp)
-}
+func (e *Engine) putStaging(b []byte) { e.staging = append(e.staging, b) }
 
 // Write performs an RDMA write of data into the region identified by
 // key at the given offset, invoking done (in virtual time) when the
@@ -191,14 +238,10 @@ func (e *Engine) Write(key RKey, offset int, data []byte, done func(error)) {
 	}
 	// Copy at submit time: the completion fires later in virtual time
 	// and the caller's buffer (often pooled) may be reused by then.
-	staging := getStaging(len(data))
-	copy(*staging, data)
+	staging := e.getStaging(len(data))
+	copy(staging, data)
 	e.doorbells.Add(1)
-	e.issueWrite(region, offset, staging, e.sim.Now()+e.cfg.DoorbellCost, func(error) {
-		if done != nil {
-			done(nil)
-		}
-	})
+	e.issueWrite(region, offset, staging, e.sim.Now()+e.cfg.DoorbellCost, done)
 }
 
 // Read performs a one-sided RDMA read of length bytes from the region
@@ -222,7 +265,7 @@ func (e *Engine) Read(key RKey, offset, length int, done func([]byte, error)) {
 // check validates an access, charging a violation on failure.
 func (e *Engine) check(key RKey, offset, length int) (*Region, bool) {
 	region, ok := e.regions[key]
-	if !ok || offset < 0 || offset+length > len(region.buf) {
+	if !ok || offset < 0 || offset+length > region.size {
 		e.violations.Add(1)
 		return nil, false
 	}
@@ -234,20 +277,20 @@ func (e *Engine) accessErr(key RKey, offset, length int) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrBadKey, key)
 	}
-	return fmt.Errorf("%w: [%d:%d) of %d", ErrAccessDenied, offset, offset+length, len(region.buf))
+	return fmt.Errorf("%w: [%d:%d) of %d", ErrAccessDenied, offset, offset+length, region.size)
 }
 
 // issueWrite puts a validated write on the link no earlier than `at`,
 // scheduling the commit + completion. staging is owned by the engine
 // and recycled after commit.
-func (e *Engine) issueWrite(region *Region, offset int, staging *[]byte, at sim.Time, done func(error)) sim.Time {
-	n := len(*staging)
+func (e *Engine) issueWrite(region *Region, offset int, staging []byte, at sim.Time, done func(error)) sim.Time {
+	n := len(staging)
 	doneAt := e.linkTime(n, at)
 	e.writes.Add(1)
 	e.bytesWritten.Add(uint64(n))
-	e.sim.ScheduleAt(doneAt, func() {
-		copy(region.buf[offset:], *staging)
-		putStaging(staging)
+	e.sim.At(doneAt, func() {
+		region.write(offset, staging)
+		e.putStaging(staging)
 		if done != nil {
 			done(nil)
 		}
@@ -263,14 +306,14 @@ func (e *Engine) issueRead(region *Region, offset, length int, at sim.Time, done
 	doneAt := e.linkTime(length, at) + e.cfg.Link.WireLatency + e.cfg.Link.SwitchLatency
 	e.reads.Add(1)
 	e.bytesRead.Add(uint64(length))
-	e.sim.ScheduleAt(doneAt, func() {
+	e.sim.At(doneAt, func() {
 		if done == nil {
 			return
 		}
-		staging := getStaging(length)
-		copy(*staging, region.buf[offset:offset+length])
-		done(*staging, nil)
-		putStaging(staging)
+		staging := e.getStaging(length)
+		region.read(staging, offset)
+		done(staging, nil)
+		e.putStaging(staging)
 	})
 	return doneAt
 }

@@ -3,6 +3,8 @@ package rdma
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -453,6 +455,149 @@ func TestDescribeExposesCounters(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)
+		}
+	}
+}
+
+// heapGrowth reports how many heap bytes fn leaves allocated.
+func heapGrowth(fn func()) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+func TestRegisterBacksOnFirstTouch(t *testing.T) {
+	const size = 64 << 20
+	s, e := testEngine(t)
+	var r *Region
+	if grew := heapGrowth(func() {
+		var err error
+		if r, err = e.Register("rpc-staging", size); err != nil {
+			t.Fatal(err)
+		}
+	}); grew >= 1<<20 {
+		t.Errorf("Register(64 MiB) grew the heap by %d bytes, want < 1 MiB", grew)
+	}
+
+	// The registered size, not the backing, bounds every access.
+	var gotErr error
+	e.Write(r.Key(), size-4, []byte("12345678"), func(err error) { gotErr = err })
+	if !errors.Is(gotErr, ErrAccessDenied) {
+		t.Errorf("write past the registered size: err = %v, want ErrAccessDenied", gotErr)
+	}
+	if want := fmt.Sprintf("rdma: access outside registered region: [%d:%d) of %d", size-4, size+4, size); gotErr == nil || gotErr.Error() != want {
+		t.Errorf("err = %q, want %q", gotErr, want)
+	}
+	if c := e.Counters(); c.Violations != 1 {
+		t.Errorf("violations = %d, want 1", c.Violations)
+	}
+
+	// A write far into the region lands, and backs no more than it must.
+	data := bytes.Repeat([]byte{0x5A}, 1000)
+	if grew := heapGrowth(func() {
+		e.Write(r.Key(), 1<<20, data, nil)
+		if err := s.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+	}); grew >= 2<<20 {
+		t.Errorf("a write ending at 1 MiB+1000 grew the heap by %d bytes, want < 2 MiB", grew)
+	}
+
+	// Reads see committed bytes, zeros before them, zeros in ranges never
+	// backed, and zeros where a range runs off the end of the backing.
+	read := func(offset, length int) []byte {
+		var got []byte
+		e.Read(r.Key(), offset, length, func(b []byte, err error) {
+			if err != nil {
+				t.Errorf("read [%d:%d): %v", offset, offset+length, err)
+			}
+			got = append([]byte{}, b...)
+		})
+		if err := s.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := read(1<<20, 1000); !bytes.Equal(got, data) {
+		t.Error("read of the written range returned other bytes")
+	}
+	zeros := make([]byte, 4096)
+	if got := read(4096, 4096); !bytes.Equal(got, zeros) {
+		t.Error("read below the written range is not zeros")
+	}
+	if got := read(32<<20, 4096); !bytes.Equal(got, zeros) {
+		t.Error("read of an untouched range is not zeros")
+	}
+	if got := read(1<<20+500, 1000); !bytes.Equal(got[:500], data[500:]) || !bytes.Equal(got[500:], zeros[:500]) {
+		t.Error("read across the end of the backing: want the written tail, then zeros")
+	}
+
+	// The owner's view is the whole region, and it is the region: what
+	// the owner stores, a remote read returns.
+	all := r.Bytes()
+	if len(all) != size {
+		t.Fatalf("len(Bytes()) = %d, want the registered %d", len(all), size)
+	}
+	if !bytes.Equal(all[1<<20:1<<20+1000], data) {
+		t.Error("Bytes() lost the committed write")
+	}
+	all[48<<20] = 0x42
+	if got := read(48<<20, 1); got[0] != 0x42 {
+		t.Errorf("read of an owner store = %#x, want 0x42", got[0])
+	}
+}
+
+func TestRegisterBufferIsTheCallersMemory(t *testing.T) {
+	s, e := testEngine(t)
+	buf := make([]byte, 256)
+	r, err := e.RegisterBuffer("kv-table", buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Write(r.Key(), 16, []byte("value"), nil)
+	if err := s.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if string(buf[16:21]) != "value" {
+		t.Error("write to a RegisterBuffer region did not land in the caller's buffer")
+	}
+	if all := r.Bytes(); len(all) != len(buf) || &all[0] != &buf[0] {
+		t.Error("Bytes() of a RegisterBuffer region is not the caller's buffer")
+	}
+	var gotErr error
+	e.Write(r.Key(), 250, []byte("0123456789"), func(err error) { gotErr = err })
+	if !errors.Is(gotErr, ErrAccessDenied) {
+		t.Errorf("write past the buffer: err = %v, want ErrAccessDenied", gotErr)
+	}
+}
+
+// TestWriteStagingSurvivesGC gates the submit-time copy: a warm 1 MiB
+// Write allocates its completion closure plus what the sim kernel does
+// to queue it, and a collection between writes does not cost it the
+// staging buffer (the sync.Pool this replaces was emptied by every GC).
+func TestWriteStagingSurvivesGC(t *testing.T) {
+	s, e := testEngine(t)
+	r, err := e.Register("rpc-staging", 64<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte{0xAB}, 1<<20)
+	done := func(error) {}
+	write := func() {
+		e.Write(r.Key(), 0, data, done)
+		if err := s.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write() // warm: backs the region, allocates the staging buffer
+	for round := 0; round < 3; round++ {
+		runtime.GC()
+		if avg := testing.AllocsPerRun(10, write); avg > 2 {
+			t.Errorf("after %d collections a warm 1 MiB Write allocates %.1f times per op, want <= 2", round+1, avg)
 		}
 	}
 }

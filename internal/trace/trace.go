@@ -72,13 +72,13 @@ func (g *Gateway) InvokeTraced(id uint32, payload []byte, tr *obs.Req, done func
 	if tr != nil {
 		tr.AddSpan(obs.StageGateway, "gateway", "ingress", now, enter)
 	}
-	g.sim.ScheduleAt(enter, func() {
+	g.sim.At(enter, func() {
 		invoke(g.inner, id, payload, tr, func(r backend.Result) {
 			if tr != nil {
 				back := g.sim.Now()
 				tr.AddSpan(obs.StageGateway, "gateway", "egress", back, back+sim.Time(g.latency)/2)
 			}
-			g.sim.Schedule(sim.Time(g.latency)/2, func() { done(r) })
+			g.sim.After(sim.Time(g.latency)/2, func() { done(r) })
 		})
 	})
 }
@@ -89,6 +89,20 @@ type Request struct {
 	Payload  []byte
 	// Label optionally names the workload in trace reports.
 	Label string
+	// Recycle, when non-nil, takes Payload back for the generator to
+	// build a later request in. The payload is the driver's again once
+	// the request's completion callback has run — rdma copies at submit,
+	// and nicsim and cpusim are done with it before they complete — so
+	// that is when ClosedLoop and OpenLoop call it.
+	Recycle func(payload []byte)
+}
+
+// release returns a finished request's payload to its generator.
+func (r Request) release() {
+	if r.Recycle != nil {
+		poison(r.Payload)
+		r.Recycle(r.Payload)
+	}
 }
 
 // Generator produces the i-th request of a run.
@@ -107,6 +121,23 @@ func RoundRobin(gens ...Generator) Generator {
 func Fixed(id uint32, makePayload func(i int) []byte) Generator {
 	return func(i int) Request {
 		return Request{Workload: id, Payload: makePayload(i)}
+	}
+}
+
+// Refilled is Fixed for payloads worth recycling: fill(i, buf) builds
+// the i-th payload in buf's backing array when it is large enough, and
+// buf is a finished request's payload (nil until one has finished). The
+// free list belongs to the returned generator, so drive one simulation
+// with it at a time.
+func Refilled(id uint32, fill func(i int, buf []byte) []byte) Generator {
+	var free [][]byte
+	recycle := func(p []byte) { free = append(free, p) }
+	return func(i int) Request {
+		var buf []byte
+		if last := len(free) - 1; last >= 0 {
+			buf, free = free[last], free[:last]
+		}
+		return Request{Workload: id, Payload: fill(i, buf), Recycle: recycle}
 	}
 }
 
@@ -170,13 +201,15 @@ func (o OpenLoop) Start(s *sim.Sim, target Invoker) (*Result, error) {
 	windowOpen := false
 	for i := 0; i < total; i++ {
 		i := i
-		req := o.Gen(i)
 		measured := i >= o.Warmup
-		s.ScheduleAt(at, func() {
+		s.At(at, func() {
 			if measured && !windowOpen {
 				windowOpen = true
 				res.Throughput.Start = s.Now()
 			}
+			// Generated at issue time, so payloads of requests that have
+			// finished by now can be reused.
+			req := o.Gen(i)
 			start := s.Now()
 			var tr *obs.Req
 			if o.Tracer != nil && measured {
@@ -184,6 +217,7 @@ func (o OpenLoop) Start(s *sim.Sim, target Invoker) (*Result, error) {
 			}
 			invoke(target, req.Workload, req.Payload, tr, func(r backend.Result) {
 				tr.Finish(s.Now(), r.Err)
+				req.release()
 				if !measured {
 					return
 				}
@@ -281,6 +315,7 @@ func (c ClosedLoop) Start(s *sim.Sim, target Invoker) (*Result, error) {
 				res.Throughput.Completed++
 				res.Throughput.End = s.Now()
 			}
+			req.release()
 			issue()
 		})
 	}

@@ -66,6 +66,9 @@ func ImageTransformer(width, height int) *Workload {
 		MakeRequest: func(i int) []byte {
 			return ImageRequest(width, height, byte(i))
 		},
+		FillRequest: func(i int, buf []byte) []byte {
+			return ImageRequestInto(buf, width, height, byte(i))
+		},
 		Handle: func(payload []byte, _ *Deps) ([]byte, error) {
 			return grayscaleNative(payload)
 		},
@@ -75,15 +78,33 @@ func ImageTransformer(width, height int) *Workload {
 // ImageRequest builds an imgreq payload: header plus a deterministic
 // RGBA gradient seeded by seed.
 func ImageRequest(width, height int, seed byte) []byte {
-	p := make([]byte, imgHeaderSize+width*height*4)
+	return ImageRequestInto(nil, width, height, seed)
+}
+
+// ImageRequestInto is ImageRequest built in buf's backing array when it
+// is large enough (a fresh one otherwise). Every byte of the result is
+// written, so buf may hold anything — a finished request's payload.
+func ImageRequestInto(buf []byte, width, height int, seed byte) []byte {
+	pixels := width * height
+	size := imgHeaderSize + pixels*4
+	if cap(buf) < size {
+		buf = make([]byte, size)
+	}
+	p := buf[:size]
 	binary.BigEndian.PutUint32(p[0:4], uint32(width))
 	binary.BigEndian.PutUint32(p[4:8], uint32(height))
+	// Pixel i is the bytes {i+seed, i>>8, i>>16, 0xFF}: one little-endian
+	// word, stored two pixels at a time.
+	pixel := func(i int) uint64 {
+		return 0xFF000000 | uint64(i)&0x00FFFF00 | uint64(byte(i)+seed)
+	}
 	px := p[imgHeaderSize:]
-	for i := 0; i < width*height; i++ {
-		px[i*4] = byte(i) + seed
-		px[i*4+1] = byte(i >> 8)
-		px[i*4+2] = byte(i >> 16)
-		px[i*4+3] = 0xFF
+	i := 0
+	for ; len(px) >= 8; i, px = i+2, px[8:] {
+		binary.LittleEndian.PutUint64(px, pixel(i)|pixel(i+1)<<32)
+	}
+	if len(px) > 0 {
+		binary.LittleEndian.PutUint32(px, uint32(pixel(i)))
 	}
 	return p
 }

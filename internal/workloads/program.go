@@ -138,11 +138,7 @@ func CompileOptimized(ws []*Workload, target int) (*mcc.Executable, []mcc.PassRe
 // stage the optimizer emits is what the compiled engine turns into its
 // WorkloadID jump table.
 func CompileOptimizedWith(ws []*Workload, target int, opts mcc.LinkOptions) (*mcc.Executable, []mcc.PassResult, error) {
-	naive, err := BuildNaiveProgram(ws, target)
-	if err != nil {
-		return nil, nil, err
-	}
-	opt, results, err := mcc.Optimize(naive, mcc.AllPasses())
+	opt, results, err := OptimizedProgram(ws, target)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -151,4 +147,15 @@ func CompileOptimizedWith(ws []*Workload, target int, opts mcc.LinkOptions) (*mc
 		return nil, nil, err
 	}
 	return exe, results, nil
+}
+
+// OptimizedProgram is the compiler front end alone: the naive program
+// run through all optimizer passes, not yet linked. mcc.Link does not
+// modify it, so one result can be linked once per NIC.
+func OptimizedProgram(ws []*Workload, target int) (*mcc.Program, []mcc.PassResult, error) {
+	naive, err := BuildNaiveProgram(ws, target)
+	if err != nil {
+		return nil, nil, err
+	}
+	return mcc.Optimize(naive, mcc.AllPasses())
 }

@@ -70,6 +70,11 @@ type Workload struct {
 	Profile cpusim.Profile
 	// MakeRequest builds the i-th request payload.
 	MakeRequest func(i int) []byte
+	// FillRequest, when non-nil, builds the same payload in buf's backing
+	// array when it is large enough, overwriting whatever buf held. Set
+	// by workloads whose payloads are worth recycling (the 1 MiB image
+	// request); load drivers pair it with trace.Refilled.
+	FillRequest func(i int, buf []byte) []byte
 	// Handle is the native Go implementation (functional layer).
 	Handle func(payload []byte, deps *Deps) ([]byte, error)
 	// Bypass, when non-nil, tries to serve a request on the one-sided
