@@ -6,7 +6,9 @@
 //	         invoke a deployed lambda through the gateway and print
 //	         latency statistics
 //	compile  compile the benchmark workload set and print the optimizer
-//	         trajectory (Figure 9)
+//	         trajectory (Figure 9), then, per lambda (plus the batch
+//	         sweeper), whether a compiled image replays its NIC cost
+//	         or executes it, and why
 //	artifacts
 //	         print the per-backend deployment artifact model (Table 4)
 //	disasm   compile the benchmark workload set and print the optimized
@@ -477,6 +479,14 @@ func compile() error {
 	fp := exe.Footprint()
 	fmt.Printf("linked image: %d instructions, %d bytes of NIC memory (%.0f%% in fast levels)\n",
 		fp.Instructions, fp.TotalMemoryBytes(), 100*fp.FastFraction())
+	fmt.Println("replay decisions (a warm request, each lambda linked alone):")
+	for _, w := range append(workloads.DefaultSet(), workloads.BatchSweeper()) {
+		verdict, err := workloads.ExplainReplay(w)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("  %-18s %s\n", w.Name, verdict)
+	}
 	return nil
 }
 

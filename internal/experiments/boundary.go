@@ -639,33 +639,30 @@ func boundaryRun(cfg Config, bc BoundaryConfig, sched []boundaryArrival, policy 
 	}
 
 	// Replay the shared schedule.
-	for _, a := range sched {
-		a := a
-		payload := wls[a.class].MakeRequest(a.idx)
-		s.ScheduleAt(a.at, func() {
-			arrivalsThisTick++
-			loc := classLoc[a.class]
-			if policy == BoundaryPolicyHost {
-				loc = placement.LocHost
-			} else if policy == BoundaryPolicyNIC {
-				loc = placement.LocNIC
+	s.AtEach(len(sched), func(i int) sim.Time { return sched[i].at }, func(i int) {
+		a := &sched[i]
+		arrivalsThisTick++
+		loc := classLoc[a.class]
+		if policy == BoundaryPolicyHost {
+			loc = placement.LocHost
+		} else if policy == BoundaryPolicyNIC {
+			loc = placement.LocNIC
+		}
+		dispatch(a.class, loc, wls[a.class].MakeRequest(a.idx), func(err error, rtt time.Duration) {
+			completions++
+			phaseReq[a.phase]++
+			if err != nil {
+				errs++
+				phaseErr[a.phase]++
+				return
 			}
-			dispatch(a.class, loc, payload, func(err error, rtt time.Duration) {
-				completions++
-				phaseReq[a.phase]++
-				if err != nil {
-					errs++
-					phaseErr[a.phase]++
-					return
-				}
-				overall.AddDuration(rtt)
-				phaseLat[a.phase].AddDuration(rtt)
-				if eng != nil {
-					eng.ObserveLatency(wls[a.class].Name, loc, rtt)
-				}
-			})
+			overall.AddDuration(rtt)
+			phaseLat[a.phase].AddDuration(rtt)
+			if eng != nil {
+				eng.ObserveLatency(wls[a.class].Name, loc, rtt)
+			}
 		})
-	}
+	})
 
 	executed, clock, err := r.run()
 	if err != nil {

@@ -435,26 +435,25 @@ func Chaos(cfg Config, ch ChaosConfig) (*ChaosReport, error) {
 	// drawn up front from the simulation's seeded source, so the
 	// schedule — and with it every verdict downstream — is a pure
 	// function of the seed.
-	var samples []chaosSample
 	rng := s.Rand()
-	at := sim.Time(0)
-	for i := 0; at < end; i++ {
-		payload := web.MakeRequest(i)
-		s.ScheduleAt(at, func() {
-			start := s.Now()
-			tr := collector.Begin(web.ID, web.Name)
-			router.invoke(web.ID, payload, tr, 0, func(res backend.Result) {
-				tr.Finish(s.Now(), res.Err)
-				sloMeter.Observe(s.Now()-start, res.Err != nil)
-				samples = append(samples, chaosSample{
-					start:   start,
-					latency: s.Now() - start,
-					failed:  res.Err != nil,
-				})
+	var arrivals []sim.Time
+	for at := sim.Time(0); at < end; at += sim.Time(rng.ExpFloat64() / ch.RatePerSec * float64(time.Second)) {
+		arrivals = append(arrivals, at)
+	}
+	samples := make([]chaosSample, 0, len(arrivals))
+	s.AtEach(len(arrivals), func(i int) sim.Time { return arrivals[i] }, func(i int) {
+		start := s.Now()
+		tr := collector.Begin(web.ID, web.Name)
+		router.invoke(web.ID, web.MakeRequest(i), tr, 0, func(res backend.Result) {
+			tr.Finish(s.Now(), res.Err)
+			sloMeter.Observe(s.Now()-start, res.Err != nil)
+			samples = append(samples, chaosSample{
+				start:   start,
+				latency: s.Now() - start,
+				failed:  res.Err != nil,
 			})
 		})
-		at += sim.Time(rng.ExpFloat64() / ch.RatePerSec * float64(time.Second))
-	}
+	})
 
 	rep.Executed, rep.FinalClock, err = r.run()
 	if err != nil {

@@ -481,25 +481,22 @@ func skewRun(cfg Config, sc SkewConfig, sched []skewArrival, policy string) (Ske
 	}
 	tickEv = s.Schedule(sim.Time(sc.RebalanceEvery), tick)
 
-	for _, a := range sched {
-		a := a
-		payload := web.MakeRequest(a.idx)
-		s.ScheduleAt(a.at, func() {
-			disp.observe(a.flow)
-			w := disp.pick(a.flow)
-			inflight[w]++
-			start := s.Now()
-			r.nics[names[w]].InvokeFlow(web.ID, payload, a.flow, nil, func(res backend.Result) {
-				inflight[w]--
-				completed[w]++
-				if res.Err != nil {
-					errs++
-				} else {
-					lat.AddDuration(time.Duration(s.Now() - start))
-				}
-			})
+	s.AtEach(len(sched), func(i int) sim.Time { return sched[i].at }, func(i int) {
+		a := &sched[i]
+		disp.observe(a.flow)
+		w := disp.pick(a.flow)
+		inflight[w]++
+		start := s.Now()
+		r.nics[names[w]].InvokeFlow(web.ID, web.MakeRequest(a.idx), a.flow, nil, func(res backend.Result) {
+			inflight[w]--
+			completed[w]++
+			if res.Err != nil {
+				errs++
+			} else {
+				lat.AddDuration(time.Duration(s.Now() - start))
+			}
 		})
-	}
+	})
 	executed, clock, err := r.run()
 	if err != nil {
 		return SkewPolicyStat{}, fmt.Errorf("skew/%s: %w", policy, err)

@@ -339,43 +339,46 @@ func Tenants(cfg Config, tc TenantsConfig) (*TenantsReport, error) {
 	// burst — so the whole run is a pure function of the seed. Every
 	// arrival passes gateway admission on the virtual clock before any
 	// wire event is scheduled; shed requests never touch the rack.
-	var samples []tenantsSample
-	next := 0
-	issue := func(wl *workloads.Workload, tenantID uint32, at sim.Time, i int) {
-		payload := wl.MakeRequest(i)
-		s.ScheduleAt(at, func() {
-			start := s.Now()
-			if err := plane.adm.Admit(tenantID, start); err != nil {
-				samples = append(samples, tenantsSample{
-					tenantID: tenantID, start: start, shed: true,
-				})
-				return
-			}
-			name := names[next%len(names)]
-			next++
-			r.nics[name].InvokeTraced(wl.ID, payload, nil, func(res backend.Result) {
-				lat := s.Now() - start
-				if tenantID == plane.vipID {
-					sloMeter.Observe(lat, res.Err != nil)
-				}
-				samples = append(samples, tenantsSample{
-					tenantID: tenantID, start: start,
-					latency: lat, failed: res.Err != nil,
-				})
-			})
-		})
-	}
 	rng := s.Rand()
+	var arrivals []sim.Time
 	at := sim.Time(0)
-	for i := 0; at < end; i++ {
-		issue(plane.web, plane.vipID, at, i)
+	for at < end {
+		arrivals = append(arrivals, at)
 		at += sim.Time(rng.ExpFloat64() / tc.InteractiveRate * float64(time.Second))
 	}
+	interactive := len(arrivals)
 	at = sim.Time(tc.BurstStart)
-	for i := 0; at < sim.Time(tc.BurstEnd); i++ {
-		issue(plane.batch, plane.bulkID, at, i)
+	for at < sim.Time(tc.BurstEnd) {
+		arrivals = append(arrivals, at)
 		at += sim.Time(rng.ExpFloat64() / tc.BurstRate * float64(time.Second))
 	}
+	samples := make([]tenantsSample, 0, len(arrivals))
+	next := 0
+	s.AtEach(len(arrivals), func(k int) sim.Time { return arrivals[k] }, func(k int) {
+		wl, tenantID, i := plane.web, plane.vipID, k
+		if k >= interactive {
+			wl, tenantID, i = plane.batch, plane.bulkID, k-interactive
+		}
+		start := s.Now()
+		if err := plane.adm.Admit(tenantID, start); err != nil {
+			samples = append(samples, tenantsSample{
+				tenantID: tenantID, start: start, shed: true,
+			})
+			return
+		}
+		name := names[next%len(names)]
+		next++
+		r.nics[name].InvokeTraced(wl.ID, wl.MakeRequest(i), nil, func(res backend.Result) {
+			lat := s.Now() - start
+			if tenantID == plane.vipID {
+				sloMeter.Observe(lat, res.Err != nil)
+			}
+			samples = append(samples, tenantsSample{
+				tenantID: tenantID, start: start,
+				latency: lat, failed: res.Err != nil,
+			})
+		})
+	})
 
 	executed, clock, err := r.run()
 	if err != nil {

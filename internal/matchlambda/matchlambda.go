@@ -88,6 +88,11 @@ type LambdaSpec struct {
 	// get parsers in the naive program (the generic parse logic the
 	// paper prepends) and are pruned by match reduction.
 	Uses []string
+	// Native, when set, computes the lambda's reply bytes in Go from the
+	// request payload alone, exactly as Entry does. It is what a compiled
+	// image answers with when it replays the lambda's NIC cost instead of
+	// executing it (mcc.Program.Native).
+	Native func([]byte) ([]byte, error)
 }
 
 // Validate checks the spec is self-consistent.
@@ -182,6 +187,12 @@ func Compose(specs []*LambdaSpec, opts ComposeOptions) (*mcc.Program, error) {
 		}
 		if err := p.AddEntry(s.ID, s.Entry.Name); err != nil {
 			return nil, err
+		}
+		if s.Native != nil {
+			if p.Native == nil {
+				p.Native = make(map[uint32]func([]byte) ([]byte, error))
+			}
+			p.Native[s.ID] = s.Native
 		}
 		plan.Tables = append(plan.Tables, mcc.MatchTable{
 			Name:  "route_" + s.Name,

@@ -11,7 +11,11 @@ package mcc
 // and error sentinels, bit for bit — which the differential tests in
 // diff_test.go enforce.
 
-import "lambdanic/internal/nicsim"
+import (
+	"slices"
+
+	"lambdanic/internal/nicsim"
+)
 
 // closure executes one compiled instruction (or fused block) and
 // returns the next pc, or retPC when the function returned.
@@ -192,13 +196,7 @@ func compileProgram(e *Executable) {
 // (sequential flow never enters them, but they stay executable).
 func compileFunc(e *Executable, cf *compiledFunc, f *Function) {
 	body := f.Body
-	isTarget := make([]bool, len(body)+1)
-	for i := range body {
-		switch body[i].Op {
-		case OpJmp, OpBrz, OpBrnz:
-			isTarget[body[i].Imm] = true
-		}
-	}
+	isTarget := branchTargets(body)
 	cf.code = make([]closure, len(body))
 	fu := &Fusion{}
 	pc := 0
@@ -940,7 +938,7 @@ func buildJumpTable(e *Executable) *jumpTable {
 		return nil
 	}
 	regen, err := GenerateMatch(p.Match)
-	if err != nil || bodyKey(regen) != bodyKey(mf) {
+	if err != nil || !slices.Equal(regen.Body, mf.Body) {
 		return nil
 	}
 	groups := groupMatchTables(p.Match)

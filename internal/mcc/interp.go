@@ -87,6 +87,9 @@ type env struct {
 	// ret receives the status register when a compiled closure executes
 	// OpRet (closures signal "return" through a sentinel pc).
 	ret int64
+	// rec, when set, shadows every instruction the interpreter runs
+	// (replay.go). The compiled engine never sets it.
+	rec *recorder
 }
 
 // reset prepares a pooled env for reuse, keeping the response buffer's
@@ -168,6 +171,9 @@ func (e *env) run(f *Function) (int64, error) {
 		in := &f.Body[pc]
 		if err := e.charge(1); err != nil {
 			return 0, err
+		}
+		if e.rec != nil {
+			e.rec.step(e, f, pc, in)
 		}
 		next := pc + 1
 		switch in.Op {

@@ -186,6 +186,11 @@ type Program struct {
 	// Match describes the synthesized parse+match stage, when present;
 	// the match-reduction pass rewrites it.
 	Match *MatchPlan
+	// Native maps a lambda ID to a Go function computing the same reply
+	// bytes as the lambda's IR. A compiled image may answer a request of
+	// a lambda that has one by replaying its recorded NIC cost
+	// (replay.go); a lambda without one always executes.
+	Native map[uint32]func([]byte) ([]byte, error)
 }
 
 // NewProgram returns an empty program.
@@ -273,6 +278,8 @@ func (p *Program) Clone() *Program {
 	}
 	cp.EntryOrder = append(cp.EntryOrder, p.EntryOrder...)
 	cp.Match = p.Match.clone()
+	// Shared, not copied: no pass edits it, and functions have no copy.
+	cp.Native = p.Native
 	return cp
 }
 

@@ -88,6 +88,14 @@ type Executable struct {
 	// pool's pin/unpin round trip.
 	envSlot atomic.Pointer[env]
 	envPool sync.Pool
+
+	// replay holds, by lambda ID, the recorded keys of the lambdas whose
+	// NIC cost a request may replay instead of executing (replay.go);
+	// use is the static object analysis their proofs read, computed
+	// by the first recording.
+	replay  []*lambdaReplay
+	useOnce sync.Once
+	use     objectUse
 }
 
 var _ nicsim.Program = (*Executable)(nil)
@@ -136,6 +144,7 @@ func Link(p *Program, opts LinkOptions) (*Executable, error) {
 	}
 	e.Reset()
 	compileProgram(e)
+	e.armReplay()
 	return e, nil
 }
 
@@ -241,7 +250,12 @@ func (e *Executable) prepare(en *env, req *nicsim.Request) {
 // ExecutePooled on paths that can give the buffer back.
 func (e *Executable) Execute(req *nicsim.Request) (nicsim.Response, error) {
 	if e.engine == EngineInterp {
-		return e.executeInterp(req)
+		return e.executeInterp(req, nil)
+	}
+	if r := e.replayer(req.LambdaID); r != nil {
+		if resp, done, err := r.serve(e, req); done {
+			return resp, err
+		}
 	}
 	en := e.getEnv()
 	e.prepare(en, req)
@@ -268,11 +282,19 @@ func (e *Executable) Execute(req *nicsim.Request) (nicsim.Response, error) {
 // per op. The returned error matches Execute's.
 func (e *Executable) ExecutePooled(req *nicsim.Request, fn func(nicsim.Response)) error {
 	if e.engine == EngineInterp {
-		resp, err := e.executeInterp(req)
+		resp, err := e.executeInterp(req, nil)
 		if fn != nil {
 			fn(resp)
 		}
 		return err
+	}
+	if r := e.replayer(req.LambdaID); r != nil {
+		if resp, done, err := r.serve(e, req); done {
+			if fn != nil {
+				fn(resp)
+			}
+			return err
+		}
 	}
 	en := e.getEnv()
 	e.prepare(en, req)
@@ -316,9 +338,10 @@ func (e *Executable) runCompiled(en *env, req *nicsim.Request) (int64, error) {
 	return e.funcs[name].run(en)
 }
 
-// executeInterp is the reference interpreter data path.
-func (e *Executable) executeInterp(req *nicsim.Request) (nicsim.Response, error) {
-	env := env{exe: e}
+// executeInterp is the reference interpreter data path; a non-nil rec
+// records the run (replay.go).
+func (e *Executable) executeInterp(req *nicsim.Request, rec *recorder) (nicsim.Response, error) {
+	env := env{exe: e, rec: rec}
 	e.prepare(&env, req)
 
 	entry := e.prog.Func(MatchFunction)

@@ -2,8 +2,8 @@ package mcc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
 	"lambdanic/internal/cluster"
 	"lambdanic/internal/nicsim"
@@ -253,16 +253,15 @@ func Optimize(p *Program, cfg OptimizeConfig) (*Program, []PassResult, error) {
 // (separately compiled lambdas each carry private copies of shared
 // helpers) and removes code unreachable from any entry point.
 func coalesceLambdas(p *Program) error {
-	// Map canonical body -> first function name carrying it.
-	canon := make(map[string]string)
+	// Each function maps to the first function with an equal body.
 	replace := make(map[string]string)
-	for _, f := range p.Funcs {
-		key := bodyKey(f)
-		if first, ok := canon[key]; ok {
-			replace[f.Name] = first
-			continue
+	for i, f := range p.Funcs {
+		for _, first := range p.Funcs[:i] {
+			if slices.Equal(first.Body, f.Body) {
+				replace[f.Name] = first.Name
+				break
+			}
 		}
-		canon[key] = f.Name
 	}
 	// Entry functions must survive under their own IDs even when their
 	// bodies coincide; only non-entry helpers are replaced.
@@ -297,15 +296,6 @@ func coalesceLambdas(p *Program) error {
 	}
 	removeDeadFunctions(p)
 	return nil
-}
-
-// bodyKey canonicalizes a function body for structural comparison.
-func bodyKey(f *Function) string {
-	var sb strings.Builder
-	for _, in := range f.Body {
-		fmt.Fprintf(&sb, "%d,%d,%d,%d,%d,%s,%s;", in.Op, in.Rd, in.Rs1, in.Rs2, in.Imm, in.Sym, in.Sym2)
-	}
-	return sb.String()
 }
 
 // removeDeadFunctions drops functions unreachable from entries and

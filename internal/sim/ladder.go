@@ -100,14 +100,13 @@ func (l *ladder) push(e entry) {
 }
 
 // insertCur places e into the undrained tail of the current bucket,
-// keeping it sorted. Entries with equal at order after existing ones:
-// e carries the highest seq issued so far, so "first at > e.at" is the
-// correct (at, seq) position.
+// keeping it sorted by (at, seq). e usually carries the highest seq
+// issued so far; an AtEach run re-arming carries a reserved, lower one.
 func (l *ladder) insertCur(e entry) {
 	lo, hi := l.curIdx, len(l.cur)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if l.cur[mid].at > e.at {
+		if e.before(l.cur[mid]) {
 			hi = mid
 		} else {
 			lo = mid + 1

@@ -17,7 +17,9 @@
 // identical, every experiment produces bit-identical results on either
 // kernel; the ladder is simply faster. Events scheduled through the
 // fire-and-forget After/At/AfterArg entry points are recycled through a
-// free list, so the schedule/fire hot loop allocates nothing.
+// free list, so the schedule/fire hot loop allocates nothing; AtEach
+// issues a pre-drawn schedule of any length through one event per
+// nondecreasing run of times.
 //
 // parallel.go runs several independent simulations concurrently, one per
 // core, for sweeps whose points never interact.
@@ -236,6 +238,60 @@ func (s *Sim) AfterArg(delay Time, fn func(any), arg any) {
 		delay = 0
 	}
 	s.schedule(s.now+delay, nil, fn, arg, true)
+}
+
+// AtEach schedules fire(0), …, fire(n-1) at the virtual times at(0), …,
+// at(n-1), ordered exactly as n ScheduleAt calls made now in index
+// order would be: it takes the next n sequence numbers, so an event that
+// ties with one of them on time fires before or after it just as it
+// would then. What differs is the cost. Each maximal run of
+// nondecreasing times is one caller-owned event that re-arms itself for
+// the next index when it fires, so a pre-drawn arrival schedule holds
+// one queue entry per run instead of one per arrival, and nothing is
+// allocated per arrival. at must return the same time every time it is
+// asked for index i; times before now are clamped to now, as in
+// ScheduleAt.
+func (s *Sim) AtEach(n int, at func(i int) Time, fire func(i int)) {
+	when := func(i int) Time { return max(at(i), s.now) }
+	start, seq := 0, s.seq
+	for i := 1; i <= n; i++ {
+		if i < n && when(i) >= when(i-1) {
+			continue
+		}
+		r := &eachRun{s: s, i: start, end: i, seq: seq + uint64(start), at: at, fire: fire}
+		r.ev.fn = r.next
+		r.arm()
+		start = i
+	}
+	s.seq += uint64(n)
+}
+
+// eachRun walks one nondecreasing run of an AtEach schedule with one
+// event.
+type eachRun struct {
+	s      *Sim
+	i, end int    // the pending index and the run's end
+	seq    uint64 // the sequence number AtEach gave index i
+	at     func(int) Time
+	fire   func(int)
+	ev     Event
+}
+
+// arm queues the event for index r.i under its reserved sequence number.
+func (r *eachRun) arm() {
+	at := max(r.at(r.i), r.s.now)
+	r.ev.at, r.ev.seq = at, r.seq
+	r.s.k.push(entry{at: at, seq: r.seq, ev: &r.ev})
+	r.s.live++
+}
+
+// next fires index r.i after arming the run's next index.
+func (r *eachRun) next() {
+	i := r.i
+	if r.i, r.seq = r.i+1, r.seq+1; r.i < r.end {
+		r.arm()
+	}
+	r.fire(i)
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or

@@ -15,8 +15,9 @@ import (
 // request holds an NPU thread for hundreds of microseconds — the
 // analytics-shaped traffic SuperNIC-style sharing must isolate from
 // interactive lambdas. The request and response both fit in one wire
-// packet, keeping the workload usable in parallel-domain simulations
-// where multi-packet RDMA commits are modeled differently per kernel.
+// packet. The sweep's path and cost do not depend on the request, so a
+// compiled image replays its NIC cost and answers with the native
+// function (mcc/replay.go).
 const (
 	batchDataSize      = 4096
 	DefaultBatchSweeps = 400
@@ -48,6 +49,24 @@ func BatchSweeperVariant(name string, id uint32, sweeps int) *Workload {
 		sweeps = DefaultBatchSweeps
 	}
 	data := batchData()
+	native := func(payload []byte) ([]byte, error) {
+		if len(payload) < 2 {
+			return nil, fmt.Errorf("%s: short request", name)
+		}
+		seed := uint64(binary.BigEndian.Uint16(payload[:2]))
+		acc := seed
+		idx := 0
+		for i := 0; i < sweeps; i++ {
+			acc += binary.LittleEndian.Uint64(data[idx : idx+8])
+			idx += 8
+			if idx >= batchDataSize-7 {
+				idx = 0
+			}
+		}
+		var out [8]byte
+		binary.LittleEndian.PutUint64(out[:], acc)
+		return out[:], nil
+	}
 	return &Workload{
 		Name: name,
 		ID:   id,
@@ -62,7 +81,8 @@ func BatchSweeperVariant(name string, id uint32, sweeps int) *Workload {
 				{Name: name + "_data", Size: batchDataSize, Init: data, Hint: mcc.HintCold},
 				{Name: name + "_scratch", Size: 64},
 			},
-			Uses: []string{"webreq"},
+			Uses:   []string{"webreq"},
+			Native: native,
 		},
 		Profile: cpusim.Profile{
 			ID:                 id,
@@ -75,22 +95,7 @@ func BatchSweeperVariant(name string, id uint32, sweeps int) *Workload {
 			return p[:]
 		},
 		Handle: func(payload []byte, _ *Deps) ([]byte, error) {
-			if len(payload) < 2 {
-				return nil, fmt.Errorf("%s: short request", name)
-			}
-			seed := uint64(binary.BigEndian.Uint16(payload[:2]))
-			acc := seed
-			idx := 0
-			for i := 0; i < sweeps; i++ {
-				acc += binary.LittleEndian.Uint64(data[idx : idx+8])
-				idx += 8
-				if idx >= batchDataSize-7 {
-					idx = 0
-				}
-			}
-			var out [8]byte
-			binary.LittleEndian.PutUint64(out[:], acc)
-			return out[:], nil
+			return native(payload)
 		},
 	}
 }

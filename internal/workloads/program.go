@@ -5,6 +5,7 @@ import (
 
 	"lambdanic/internal/matchlambda"
 	"lambdanic/internal/mcc"
+	"lambdanic/internal/nicsim"
 )
 
 // NaiveProgramTarget is the paper's naive four-lambda program size:
@@ -158,4 +159,24 @@ func OptimizedProgram(ws []*Workload, target int) (*mcc.Program, []mcc.PassResul
 		return nil, nil, err
 	}
 	return mcc.Optimize(naive, mcc.AllPasses())
+}
+
+// ExplainReplay compiles w on its own, runs its request 0 so persistent
+// state is warm (the runtime library's one-time init), and returns what
+// a compiled image decides for its request 1: "replayed: <guard>" when
+// the lambda's NIC cost is recorded once and replayed, "executed:
+// <reason>" when every request runs the IR (mcc.Executable.Explain).
+func ExplainReplay(w *Workload) (string, error) {
+	exe, _, err := CompileOptimized([]*Workload{w}, 0)
+	if err != nil {
+		return "", err
+	}
+	request := func(i int) *nicsim.Request {
+		payload := w.MakeRequest(i)
+		return &nicsim.Request{LambdaID: w.ID, Payload: payload, Packets: Packets(len(payload))}
+	}
+	if _, err := exe.Execute(request(0)); err != nil {
+		return "", fmt.Errorf("%s: %w", w.Name, err)
+	}
+	return exe.Explain(request(1)), nil
 }
