@@ -163,9 +163,9 @@ func (b *LambdaNIC) SetLinkOptions(opts mcc.LinkOptions) { b.linkOpts = opts }
 func (b *LambdaNIC) Executable() *mcc.Executable { return b.exe }
 
 // stagingRegionBytes is the registered size of each NIC's RPC staging
-// region: the bound multi-packet payloads are checked against. The
-// region is backed on first touch (rdma.Region), so the host pays for
-// the largest payload a NIC has seen, not for this.
+// region: the bound multi-packet payloads are checked against. Commits
+// into it move no bytes, so it is never backed (rdma.Region backs on
+// first touch) and costs the host nothing.
 const stagingRegionBytes = 64 << 20
 
 // Firmware runs the compiler front end over the workloads — compose the
@@ -340,8 +340,10 @@ func (b *LambdaNIC) invokeLambda(id uint32, payload []byte, flow uint64, tr *obs
 	}
 	if c.req.Packets > 1 {
 		// Multi-packet RPC: commit the payload into NIC memory over
-		// RDMA; the completion event triggers the lambda (D3).
-		b.rdma.Write(b.region.Key(), 0, payload, c.committed)
+		// RDMA; the completion event triggers the lambda (D3), which
+		// reads req.Payload where it lies — the caller keeps it until
+		// done — so the commit is charged but copies nothing.
+		b.rdma.Commit(b.region.Key(), 0, len(payload), c.committed)
 		return
 	}
 	// Single-packet RPC: one wire hop into the parse+match pipeline.
@@ -507,27 +509,52 @@ func (h *Host) InvokeTraced(id uint32, payload []byte, tr *obs.Req, done func(Re
 	if h.inflight > h.maxInflight {
 		h.maxInflight = h.inflight
 	}
-	packets := workloads.Packets(len(payload))
+	c := &hostCall{h: h, id: id, size: len(payload), tr: tr, done: done}
 	sent := h.sim.Now()
-	wire := h.testbed.Link.OneWay(len(payload))
+	wire := h.testbed.Link.OneWay(c.size)
 	if tr != nil {
 		tr.AddSpan(obs.StageTransport, "net", "request-wire", sent, sent+wire)
 	}
-	h.sim.After(wire, func() {
-		submitted := h.sim.Now()
-		h.host.Submit(id, len(payload), packets, func(err error) {
-			now := h.sim.Now()
-			back := h.testbed.Link.OneWay(256)
-			if tr != nil {
-				tr.AddSpan(obs.StageHost, "host/"+h.name, "service", submitted, now)
-				tr.AddSpan(obs.StageTransport, "net", "response-wire", now, now+back)
-			}
-			h.sim.After(back, func() {
-				h.inflight--
-				done(Result{Err: err})
-			})
-		})
-	})
+	h.sim.AfterArg(wire, submitHostCall, c)
+}
+
+// hostCall is one request on a CPU backend. As in lambdaCall, its hops
+// — wire in, the CPU model, wire out — are methods on one allocation
+// rather than a closure each, and the two timed hops ride AfterArg. The
+// CPU model charges by payload length, so that is all the call keeps of
+// the payload.
+type hostCall struct {
+	h         *Host
+	id        uint32
+	size      int
+	tr        *obs.Req
+	done      func(Result)
+	submitted sim.Time
+	err       error
+}
+
+func submitHostCall(c any)  { c.(*hostCall).submit() }
+func respondHostCall(c any) { c.(*hostCall).respond() }
+
+func (c *hostCall) submit() {
+	c.submitted = c.h.sim.Now()
+	c.h.host.Submit(c.id, c.size, workloads.Packets(c.size), c.served)
+}
+
+func (c *hostCall) served(err error) {
+	now := c.h.sim.Now()
+	back := c.h.testbed.Link.OneWay(256)
+	if tr := c.tr; tr != nil {
+		tr.AddSpan(obs.StageHost, "host/"+c.h.name, "service", c.submitted, now)
+		tr.AddSpan(obs.StageTransport, "net", "response-wire", now, now+back)
+	}
+	c.err = err
+	c.h.sim.AfterArg(back, respondHostCall, c)
+}
+
+func (c *hostCall) respond() {
+	c.h.inflight--
+	c.done(Result{Err: c.err})
 }
 
 // Usage implements Backend: runtime overhead plus per-in-flight working

@@ -145,6 +145,23 @@ func (c Config) newBackendOn(s *sim.Sim, id BackendID, ws []*workloads.Workload)
 	return b, nil
 }
 
+// requests is w's request generator on backend bid, the one place a
+// generator is chosen by backend. The image transformer's 1 MiB payload
+// is the one worth choosing for. λ-NIC runs the lambda on every byte, so
+// it gets real images, built in recycled buffers. The CPU backends' cost
+// model reads only a payload's length, so they get one shared buffer of
+// that length.
+func (c Config) requests(w *workloads.Workload, bid BackendID) trace.Generator {
+	switch {
+	case w.ID != workloads.ImageTransformerID:
+		return trace.Fixed(w.ID, w.MakeRequest)
+	case bid == BackendLambdaNIC:
+		return trace.Refilled(w.ID, w.FillRequest)
+	default:
+		return trace.Sized(w.ID, workloads.ImageRequestSize(c.ImageWidth, c.ImageHeight))
+	}
+}
+
 // gateway wraps a backend with the modeled gateway stage used in the
 // throughput experiments.
 func (c Config) gateway(s *sim.Sim, b trace.Invoker) *trace.Gateway {
@@ -168,13 +185,12 @@ type LatencySeries struct {
 func Figure6(cfg Config) ([]LatencySeries, error) {
 	type wl struct {
 		name string
-		gen  trace.Generator
+		w    *workloads.Workload
 	}
-	img := workloads.ImageTransformer(cfg.ImageWidth, cfg.ImageHeight)
 	wls := []wl{
-		{"web-server", trace.Fixed(workloads.WebServerID, workloads.WebServer().MakeRequest)},
-		{"key-value-client", trace.Fixed(workloads.KVGetClientID, workloads.KVGetClient().MakeRequest)},
-		{"image-transformer", trace.Refilled(workloads.ImageTransformerID, img.FillRequest)},
+		{"web-server", workloads.WebServer()},
+		{"key-value-client", workloads.KVGetClient()},
+		{"image-transformer", workloads.ImageTransformer(cfg.ImageWidth, cfg.ImageHeight)},
 	}
 	backends := []BackendID{BackendLambdaNIC, BackendBareMetal, BackendContainer}
 	var out []LatencySeries
@@ -192,7 +208,7 @@ func Figure6(cfg Config) ([]LatencySeries, error) {
 				Concurrency: 1,
 				Requests:    samples,
 				Warmup:      cfg.Warmup,
-				Gen:         w.gen,
+				Gen:         cfg.requests(w.w, bid),
 			}.Run(s, b)
 			if err != nil {
 				return nil, fmt.Errorf("figure6 %s/%s: %w", w.name, bid, err)
@@ -224,14 +240,13 @@ type ThroughputPoint struct {
 func Figure7(cfg Config) ([]ThroughputPoint, error) {
 	type wl struct {
 		name     string
-		gen      trace.Generator
+		w        *workloads.Workload
 		requests int
 	}
-	img := workloads.ImageTransformer(cfg.ImageWidth, cfg.ImageHeight)
 	wls := []wl{
-		{"web-server", trace.Fixed(workloads.WebServerID, workloads.WebServer().MakeRequest), cfg.Fig7Requests},
-		{"key-value-client", trace.Fixed(workloads.KVGetClientID, workloads.KVGetClient().MakeRequest), cfg.Fig7Requests},
-		{"image-transformer", trace.Refilled(workloads.ImageTransformerID, img.FillRequest), cfg.Fig7ImageRequests},
+		{"web-server", workloads.WebServer(), cfg.Fig7Requests},
+		{"key-value-client", workloads.KVGetClient(), cfg.Fig7Requests},
+		{"image-transformer", workloads.ImageTransformer(cfg.ImageWidth, cfg.ImageHeight), cfg.Fig7ImageRequests},
 	}
 	backends := []BackendID{BackendLambdaNIC, BackendBareMetal, BackendContainer}
 	var out []ThroughputPoint
@@ -247,7 +262,7 @@ func Figure7(cfg Config) ([]ThroughputPoint, error) {
 					Concurrency: threads,
 					Requests:    w.requests,
 					Warmup:      cfg.Warmup,
-					Gen:         w.gen,
+					Gen:         cfg.requests(w.w, bid),
 				}.Run(s, gw)
 				if err != nil {
 					return nil, fmt.Errorf("figure7 %s/%s/%d: %w", w.name, bid, threads, err)
@@ -334,7 +349,6 @@ type Table3Row struct {
 func Table3(cfg Config) ([]Table3Row, error) {
 	backends := []BackendID{BackendLambdaNIC, BackendBareMetal, BackendContainer}
 	img := workloads.ImageTransformer(cfg.ImageWidth, cfg.ImageHeight)
-	gen := trace.Refilled(workloads.ImageTransformerID, img.FillRequest)
 	var out []Table3Row
 	for _, bid := range backends {
 		s, b, err := cfg.newBackend(bid, cfg.set())
@@ -344,7 +358,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 		_, err = trace.ClosedLoop{
 			Concurrency: cfg.Concurrency,
 			Requests:    cfg.Table3Requests,
-			Gen:         gen,
+			Gen:         cfg.requests(img, bid),
 		}.Run(s, b)
 		if err != nil {
 			return nil, fmt.Errorf("table3 %s: %w", bid, err)

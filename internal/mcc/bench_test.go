@@ -58,7 +58,7 @@ func benchmarkExecute(b *testing.B, engine Engine) {
 }
 
 func BenchmarkInterpreterExecute(b *testing.B) { benchmarkExecute(b, EngineInterp) }
-func BenchmarkCompiledExecute(b *testing.B)   { benchmarkExecute(b, EngineCompiled) }
+func BenchmarkCompiledExecute(b *testing.B)    { benchmarkExecute(b, EngineCompiled) }
 
 func benchmarkBulkGray(b *testing.B, engine Engine) {
 	bd := NewBuilder("gray")

@@ -229,19 +229,44 @@ func (e *Engine) putStaging(b []byte) { e.staging = append(e.staging, b) }
 // immediately reuse data — e.g. return it to a sync.Pool — without
 // corrupting the committed bytes.
 func (e *Engine) Write(key RKey, offset int, data []byte, done func(error)) {
-	region, ok := e.check(key, offset, len(data))
-	if !ok {
-		if done != nil {
-			done(e.accessErr(key, offset, len(data)))
-		}
+	region := e.post(key, offset, len(data), done)
+	if region == nil {
 		return
 	}
 	// Copy at submit time: the completion fires later in virtual time
 	// and the caller's buffer (often pooled) may be reused by then.
 	staging := e.getStaging(len(data))
 	copy(staging, data)
-	e.doorbells.Add(1)
 	e.issueWrite(region, offset, staging, e.sim.Now()+e.cfg.DoorbellCost, done)
+}
+
+// Commit is Write for a payload the NIC consumes where it lies: the same
+// access check, counters, link time and completion, but no byte moves
+// and the region is never backed. The caller keeps the n bytes valid
+// until done has run.
+func (e *Engine) Commit(key RKey, offset, n int, done func(error)) {
+	if e.post(key, offset, n, done) == nil {
+		return
+	}
+	e.issue(n, e.sim.Now()+e.cfg.DoorbellCost, func() {
+		if done != nil {
+			done(nil)
+		}
+	})
+}
+
+// post checks an n-byte write and rings its doorbell. A failed check
+// completes done with the access error at once and returns nil.
+func (e *Engine) post(key RKey, offset, n int, done func(error)) *Region {
+	region, ok := e.check(key, offset, n)
+	if !ok {
+		if done != nil {
+			done(e.accessErr(key, offset, n))
+		}
+		return nil
+	}
+	e.doorbells.Add(1)
+	return region
 }
 
 // Read performs a one-sided RDMA read of length bytes from the region
@@ -280,22 +305,26 @@ func (e *Engine) accessErr(key RKey, offset, length int) error {
 	return fmt.Errorf("%w: [%d:%d) of %d", ErrAccessDenied, offset, offset+length, region.size)
 }
 
-// issueWrite puts a validated write on the link no earlier than `at`,
-// scheduling the commit + completion. staging is owned by the engine
-// and recycled after commit.
-func (e *Engine) issueWrite(region *Region, offset int, staging []byte, at sim.Time, done func(error)) sim.Time {
-	n := len(staging)
-	doneAt := e.linkTime(n, at)
+// issue puts a validated n-byte write on the link no earlier than `at`
+// and runs complete when its last byte has been committed: the one
+// timing path under Write, Commit and QP writes.
+func (e *Engine) issue(n int, at sim.Time, complete func()) {
 	e.writes.Add(1)
 	e.bytesWritten.Add(uint64(n))
-	e.sim.At(doneAt, func() {
+	e.sim.At(e.linkTime(n, at), complete)
+}
+
+// issueWrite is issue for a staged payload: the completion copies it
+// into the region and recycles the staging buffer, which the engine
+// owns.
+func (e *Engine) issueWrite(region *Region, offset int, staging []byte, at sim.Time, done func(error)) {
+	e.issue(len(staging), at, func() {
 		region.write(offset, staging)
 		e.putStaging(staging)
 		if done != nil {
 			done(nil)
 		}
 	})
-	return doneAt
 }
 
 // issueRead puts a validated read on the link no earlier than `at`.

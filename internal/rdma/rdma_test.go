@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -198,6 +199,67 @@ func TestWriteCopiesAtSubmit(t *testing.T) {
 	for i, b := range r.Bytes()[:1000] {
 		if b != 0xAB {
 			t.Fatalf("region[%d] = %#x, want %#x: committed bytes aliased the caller's buffer", i, b, 0xAB)
+		}
+	}
+}
+
+// TestCommitMatchesWrite holds Commit to Write for the same arguments:
+// the same completion times (queued behind each other on the link, with
+// and without a doorbell cost), counters, events and access errors. A
+// commit moves no bytes, so the region is never backed.
+func TestCommitMatchesWrite(t *testing.T) {
+	type outcome struct {
+		at       []sim.Time
+		errs     []string
+		counters Counters
+		events   uint64
+		backed   int
+	}
+	run := func(commit bool, doorbell sim.Time) outcome {
+		s := sim.New(1)
+		e := New(s, Config{Link: cluster.Default().Link, PerPacketDMA: 200 * time.Nanosecond, MTU: 1400, DoorbellCost: doorbell})
+		r, err := e.Register("rpc-staging", 64<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := []struct {
+			key       RKey
+			offset, n int
+		}{
+			{r.Key(), 0, 1 << 20},
+			{r.Key(), 0, 100},
+			{r.Key(), 4096, 3*1400 + 1},
+			{RKey(999), 0, 10},       // bad key
+			{r.Key(), 64<<20 - 4, 8}, // past the end
+			{r.Key(), -1, 4},         // before the start
+			{r.Key(), 1 << 10, 0},
+		}
+		out := outcome{at: make([]sim.Time, len(ops)), errs: make([]string, len(ops))}
+		for i, op := range ops {
+			done := func(err error) { out.at[i], out.errs[i] = s.Now(), fmt.Sprint(err) }
+			if commit {
+				e.Commit(op.key, op.offset, op.n, done)
+			} else {
+				e.Write(op.key, op.offset, make([]byte, op.n), done)
+			}
+		}
+		if err := s.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+		out.counters, out.events, out.backed = e.Counters(), s.Executed, len(r.buf)
+		return out
+	}
+	for _, doorbell := range []sim.Time{0, 3 * time.Microsecond} {
+		write, commit := run(false, doorbell), run(true, doorbell)
+		if write.backed == 0 {
+			t.Fatal("the writes backed nothing; the backing check below would prove nothing")
+		}
+		write.backed = 0 // the one difference: Commit must back nothing
+		if !reflect.DeepEqual(commit, write) {
+			t.Errorf("doorbell %v: Commit %+v, Write %+v", doorbell, commit, write)
+		}
+		if commit.counters.Violations != 3 {
+			t.Errorf("doorbell %v: %d violations, want 3", doorbell, commit.counters.Violations)
 		}
 	}
 }

@@ -76,6 +76,31 @@ func benchSteady(b *testing.B, kind KernelKind, pooled bool, outstanding int) {
 	}
 }
 
+// BenchmarkLadderSparse is the regime where finding the next bucket is
+// the ladder's whole cost: four outstanding events, each rescheduling
+// itself 0.5–1.5 wheel widths ahead, so a scan for the next non-empty
+// bucket crosses thousands of empty ones or finds none before the far
+// band's top.
+func BenchmarkLadderSparse(b *testing.B) {
+	s := New(1)
+	width := uint64(defaultBuckets) * uint64(defaultGranularity)
+	fired := uint64(0)
+	var tick func()
+	tick = func() {
+		fired++
+		s.After(Time(width/2+fired*0x9E3779B97F4A7C15%width), tick)
+	}
+	for e := uint64(0); e < 4; e++ {
+		s.After(Time(e*width/4), tick)
+	}
+	b.ResetTimer()
+	for fired < uint64(b.N) {
+		if !s.Step() {
+			b.Fatal("queue drained")
+		}
+	}
+}
+
 func BenchmarkSteadyHeap(b *testing.B)         { benchSteady(b, KernelHeap, false, 32768) }
 func BenchmarkSteadyLadder(b *testing.B)       { benchSteady(b, KernelLadder, false, 32768) }
 func BenchmarkSteadyLadderPooled(b *testing.B) { benchSteady(b, KernelLadder, true, 32768) }

@@ -47,7 +47,11 @@ type ladder struct {
 	mask      uint64 // nb - 1
 
 	buckets [][]entry
-	near    int // entries in the wheel, including cur's undrained tail
+	// occ has one bit per wheel slot, set while the slot's bucket holds
+	// entries, so the scan for the next non-empty bucket reads nb/64
+	// words instead of nb slice headers.
+	occ  []uint64
+	near int // entries in the wheel, including cur's undrained tail
 
 	// cur is the materialized current bucket (nil when none), sorted by
 	// (at, seq) and drained via curIdx. curVB is the virtual bucket cur
@@ -63,8 +67,8 @@ func newLadder(gran Time, nb int) *ladder {
 	if gran <= 0 || gran&(gran-1) != 0 {
 		panic("sim: ladder granularity must be a power of two")
 	}
-	if nb <= 0 || nb&(nb-1) != 0 {
-		panic("sim: ladder bucket count must be a power of two")
+	if nb < 64 || nb&(nb-1) != 0 {
+		panic("sim: ladder bucket count must be a power of two, at least 64")
 	}
 	return &ladder{
 		gran:      gran,
@@ -72,6 +76,7 @@ func newLadder(gran Time, nb int) *ladder {
 		nb:        uint64(nb),
 		mask:      uint64(nb) - 1,
 		buckets:   make([][]entry, nb),
+		occ:       make([]uint64, nb/64),
 	}
 }
 
@@ -93,10 +98,27 @@ func (l *ladder) push(e entry) {
 	if v < l.curVB+l.nb {
 		idx := v & l.mask
 		l.buckets[idx] = append(l.buckets[idx], e)
+		l.occ[idx>>6] |= 1 << (idx & 63)
 		l.near++
 		return
 	}
 	l.far.push(e)
+}
+
+// nextOcc returns the earliest virtual bucket in [from, to] whose wheel
+// slot is occupied. The range lies inside the window, so it wraps the
+// wheel at most once; nb is a multiple of 64, so a word never straddles
+// the wrap.
+func (l *ladder) nextOcc(from, to uint64) (uint64, bool) {
+	for v := from; v <= to; {
+		idx := v & l.mask
+		if w := l.occ[idx>>6] >> (idx & 63); w != 0 {
+			v += uint64(bits.TrailingZeros64(w))
+			return v, v <= to
+		}
+		v += 64 - idx&63
+	}
+	return 0, false
 }
 
 // insertCur places e into the undrained tail of the current bucket,
@@ -137,33 +159,23 @@ func (l *ladder) first() (entry, bool) {
 		// Find the earliest non-empty virtual bucket: scan the wheel
 		// from the window floor, bounded by the far band's top (no
 		// point scanning past a band that fires sooner).
-		var candVB uint64
 		haveFar := l.far.len() > 0
 		var farVB uint64
 		if haveFar {
 			farVB = l.vbOf(l.far.h[0].at)
 		}
+		// Unless the wheel has a bucket at or before farVB, the far band
+		// fires first. (farVB is then inside the window, and its wheel
+		// slot was scanned empty.)
+		candVB := farVB
 		if l.near > 0 {
 			bound := l.curVB + l.nb - 1
 			if haveFar && farVB < bound {
 				bound = farVB
 			}
-			found := false
-			for v := l.curVB; v <= bound; v++ {
-				if len(l.buckets[v&l.mask]) > 0 {
-					candVB = v
-					found = true
-					break
-				}
+			if v, ok := l.nextOcc(l.curVB, bound); ok {
+				candVB = v
 			}
-			if !found {
-				// The wheel's earliest bucket lies beyond farVB; the
-				// far band fires first. (farVB is inside the window
-				// here, and its wheel slot was scanned empty.)
-				candVB = farVB
-			}
-		} else {
-			candVB = farVB
 		}
 
 		// Materialize candVB: adopt its wheel slice, merge far-band
@@ -171,6 +183,7 @@ func (l *ladder) first() (entry, bool) {
 		idx := candVB & l.mask
 		b := l.buckets[idx]
 		l.buckets[idx] = b[:0]
+		l.occ[idx>>6] &^= 1 << (idx & 63)
 		l.cur = b
 		l.curIdx = 0
 		l.curVB = candVB
@@ -202,6 +215,7 @@ func (l *ladder) dump() {
 		}
 		l.buckets[i] = l.buckets[i][:0]
 	}
+	clear(l.occ)
 	if l.cur != nil {
 		for _, e := range l.cur[l.curIdx:] {
 			l.far.push(e)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -44,25 +45,112 @@ func TestKernelsFireIdentically(t *testing.T) {
 	}
 }
 
+// wheelSizes are the ladder wheels the differential tests hold to the
+// heap: the default, and 64 buckets — a single bitmap word and an 8 µs
+// window, which the schedules below wrap and spill past constantly.
+var wheelSizes = []int{defaultBuckets, 64}
+
+// newLadderSim is a ladder Sim with an nb-bucket wheel.
+func newLadderSim(seed int64, nb int) *Sim {
+	s := NewWithKernel(seed, KernelHeap)
+	s.k = newLadder(defaultGranularity, nb)
+	return s
+}
+
+func newHeapSim(seed int64) *Sim { return NewWithKernel(seed, KernelHeap) }
+
+// checkOccupancy fails the test unless a ladder's bitmap marks exactly
+// its non-empty wheel slots. A stale bit costs scans, never order, so no
+// fire-order differential can see one.
+func checkOccupancy(t *testing.T, s *Sim) {
+	t.Helper()
+	l, ok := s.k.(*ladder)
+	if !ok {
+		return
+	}
+	for i, b := range l.buckets {
+		if set := l.occ[i>>6]>>(i&63)&1 == 1; set != (len(b) > 0) {
+			t.Fatalf("wheel slot %d holds %d entries, occupancy bit %v", i, len(b), set)
+		}
+	}
+}
+
+// sameLog fails the test at the first difference between two kernels'
+// logs.
+func sameLog(t *testing.T, what string, heap, ladder []fuzzRecord) {
+	t.Helper()
+	if len(heap) != len(ladder) {
+		t.Fatalf("%s: heap log %d entries, ladder log %d", what, len(heap), len(ladder))
+	}
+	for i := range heap {
+		if heap[i] != ladder[i] {
+			t.Fatalf("%s entry %d: heap %+v, ladder %+v", what, i, heap[i], ladder[i])
+		}
+	}
+}
+
 // TestKernelFuzzDifferential is the seeded fuzz half of the determinism
 // differential: random interleavings of schedule / cancel / reschedule /
 // horizon-bounded runs on both kernels must produce the identical fire
 // order, executed counts, and final clocks.
 func TestKernelFuzzDifferential(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		heapLog := fuzzKernel(t, KernelHeap, seed)
-		ladderLog := fuzzKernel(t, KernelLadder, seed)
-		if len(heapLog) != len(ladderLog) {
-			t.Fatalf("seed %d: heap log %d entries, ladder log %d",
-				seed, len(heapLog), len(ladderLog))
-		}
-		for i := range heapLog {
-			if heapLog[i] != ladderLog[i] {
-				t.Fatalf("seed %d entry %d: heap %+v, ladder %+v",
-					seed, i, heapLog[i], ladderLog[i])
-			}
+		heapLog := fuzzKernel(t, newHeapSim, seed)
+		for _, nb := range wheelSizes {
+			ladderLog := fuzzKernel(t, func(seed int64) *Sim { return newLadderSim(seed, nb) }, seed)
+			sameLog(t, fmt.Sprintf("seed %d, %d buckets", seed, nb), heapLog, ladderLog)
 		}
 	}
+}
+
+// TestKernelSparseDifferential drives schedules whose gaps are 0.5–1.5
+// wheel widths, mixed with far-band timers: the ladder's next bucket is
+// then usually thousands of empty buckets past the window floor or
+// beyond the window, so the bitmap scan crosses words, wraps the wheel,
+// and often comes up empty.
+func TestKernelSparseDifferential(t *testing.T) {
+	for _, nb := range wheelSizes {
+		width := Time(nb) * defaultGranularity
+		script := func(s *Sim) []fuzzRecord {
+			rng := rand.New(rand.NewSource(int64(nb)))
+			var log []fuzzRecord
+			var tick func(arg any)
+			tick = func(arg any) {
+				id := arg.(int)
+				log = append(log, fuzzRecord{id: id, at: s.Now()})
+				if len(log)%500 == 0 {
+					checkOccupancy(t, s)
+				}
+				if len(log) >= 4000 {
+					return
+				}
+				gap := width/2 + Time(rng.Int63n(int64(width)))
+				if rng.Intn(6) == 0 {
+					gap = Time(2+rng.Intn(40)) * width // far band
+				}
+				s.AfterArg(gap, tick, id)
+			}
+			for id := 0; id < 8; id++ {
+				s.AfterArg(Time(rng.Int63n(int64(3*width))), tick, id)
+			}
+			if err := s.RunUntilIdle(); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			return append(log, fuzzRecord{id: int(s.Executed), at: s.Now(), end: true})
+		}
+		sameLog(t, fmt.Sprintf("%d buckets", nb), script(newHeapSim(1)), script(newLadderSim(1, nb)))
+	}
+}
+
+// TestLadderRejectsNarrowWheel: the occupancy bitmap scans whole words,
+// so a wheel narrower than one word is refused rather than mis-scanned.
+func TestLadderRejectsNarrowWheel(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("newLadder accepted a 32-bucket wheel")
+		}
+	}()
+	newLadder(defaultGranularity, 32)
 }
 
 // fuzzRecord is one observable kernel fact: which event fired at what
@@ -74,12 +162,12 @@ type fuzzRecord struct {
 }
 
 // fuzzKernel runs a deterministic pseudo-random command stream against
-// one kernel and returns the observable log. The command RNG is
-// separate from the Sim's RNG so both kernels see the same stream.
-func fuzzKernel(t *testing.T, kind KernelKind, seed int64) []fuzzRecord {
+// the Sim newSim builds and returns the observable log. The command RNG
+// is separate from the Sim's RNG so every kernel sees the same stream.
+func fuzzKernel(t *testing.T, newSim func(seed int64) *Sim, seed int64) []fuzzRecord {
 	t.Helper()
 	cmd := rand.New(rand.NewSource(seed))
-	s := NewWithKernel(seed, kind)
+	s := newSim(seed)
 	var log []fuzzRecord
 	var handles []*Event
 	nextID := 0
@@ -152,13 +240,13 @@ func fuzzKernel(t *testing.T, kind KernelKind, seed int64) []fuzzRecord {
 				}
 			}
 		}
+		checkOccupancy(t, s)
 	}
 	if err := s.RunUntilIdle(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	if s.Pending() != 0 {
-		t.Fatalf("kernel %v seed %d: %d events still pending after drain",
-			kind, seed, s.Pending())
+		t.Fatalf("seed %d: %d events still pending after drain", seed, s.Pending())
 	}
 	log = append(log, fuzzRecord{id: int(s.Executed), at: s.Now(), end: true})
 	return log
@@ -168,30 +256,33 @@ func fuzzKernel(t *testing.T, kind KernelKind, seed int64) []fuzzRecord {
 // horizon stop materializes a far-band bucket (jumping the window
 // forward), then a later schedule lands below the window floor.
 func TestLadderRewind(t *testing.T) {
-	s := New(1)
-	var fired []Time
-	rec := func() { fired = append(fired, s.Now()) }
-	s.Schedule(10*time.Millisecond, rec) // far band
-	// Run to a horizon before it: peeking materializes the 10ms bucket.
-	if err := s.Run(2 * time.Millisecond); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if s.Now() != 2*time.Millisecond {
-		t.Fatalf("clock at %v, want 2ms", s.Now())
-	}
-	// Now schedule below the materialized window: must still fire first.
-	s.Schedule(time.Millisecond, rec) // fires at 3ms < 10ms
-	s.Schedule(100*time.Microsecond, rec)
-	if err := s.RunUntilIdle(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	want := []Time{2100 * time.Microsecond, 3 * time.Millisecond, 10 * time.Millisecond}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fire %d at %v, want %v", i, fired[i], want[i])
+	for _, nb := range wheelSizes {
+		s := newLadderSim(1, nb)
+		var fired []Time
+		rec := func() { fired = append(fired, s.Now()) }
+		s.Schedule(10*time.Millisecond, rec) // far band
+		// Run to a horizon before it: peeking materializes the 10ms bucket.
+		if err := s.Run(2 * time.Millisecond); err != nil {
+			t.Fatalf("%d buckets: run: %v", nb, err)
+		}
+		if s.Now() != 2*time.Millisecond {
+			t.Fatalf("%d buckets: clock at %v, want 2ms", nb, s.Now())
+		}
+		// Now schedule below the materialized window: must still fire first.
+		s.Schedule(time.Millisecond, rec) // fires at 3ms < 10ms
+		s.Schedule(100*time.Microsecond, rec)
+		checkOccupancy(t, s)
+		if err := s.RunUntilIdle(); err != nil {
+			t.Fatalf("%d buckets: drain: %v", nb, err)
+		}
+		want := []Time{2100 * time.Microsecond, 3 * time.Millisecond, 10 * time.Millisecond}
+		if len(fired) != len(want) {
+			t.Fatalf("%d buckets: fired %v, want %v", nb, fired, want)
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("%d buckets: fire %d at %v, want %v", nb, i, fired[i], want[i])
+			}
 		}
 	}
 }

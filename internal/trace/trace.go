@@ -90,10 +90,10 @@ type Request struct {
 	// Label optionally names the workload in trace reports.
 	Label string
 	// Recycle, when non-nil, takes Payload back for the generator to
-	// build a later request in. The payload is the driver's again once
-	// the request's completion callback has run — rdma copies at submit,
-	// and nicsim and cpusim are done with it before they complete — so
-	// that is when ClosedLoop and OpenLoop call it.
+	// build a later request in. The payload stays the caller's until the
+	// request's completion callback has run — the λ-NIC lambda reads it
+	// in place after its RDMA commit, and cpusim only takes its length —
+	// so that is when ClosedLoop and OpenLoop call it.
 	Recycle func(payload []byte)
 }
 
@@ -139,6 +139,14 @@ func Refilled(id uint32, fill func(i int, buf []byte) []byte) Generator {
 		}
 		return Request{Workload: id, Payload: fill(i, buf), Recycle: recycle}
 	}
+}
+
+// Sized is the generator for targets that read a payload's length and
+// nothing else (the CPU cost models): every request carries the same
+// n-byte buffer, which nothing writes and no target reads.
+func Sized(id uint32, n int) Generator {
+	payload := make([]byte, n)
+	return func(int) Request { return Request{Workload: id, Payload: payload} }
 }
 
 // Labeled is Fixed with a workload name attached for trace reports.

@@ -81,12 +81,14 @@ func ImageRequest(width, height int, seed byte) []byte {
 	return ImageRequestInto(nil, width, height, seed)
 }
 
+// ImageRequestSize is the length of a width x height imgreq payload.
+func ImageRequestSize(width, height int) int { return imgHeaderSize + width*height*4 }
+
 // ImageRequestInto is ImageRequest built in buf's backing array when it
 // is large enough (a fresh one otherwise). Every byte of the result is
 // written, so buf may hold anything — a finished request's payload.
 func ImageRequestInto(buf []byte, width, height int, seed byte) []byte {
-	pixels := width * height
-	size := imgHeaderSize + pixels*4
+	size := ImageRequestSize(width, height)
 	if cap(buf) < size {
 		buf = make([]byte, size)
 	}
@@ -94,17 +96,32 @@ func ImageRequestInto(buf []byte, width, height int, seed byte) []byte {
 	binary.BigEndian.PutUint32(p[0:4], uint32(width))
 	binary.BigEndian.PutUint32(p[4:8], uint32(height))
 	// Pixel i is the bytes {i+seed, i>>8, i>>16, 0xFF}: one little-endian
-	// word, stored two pixels at a time.
-	pixel := func(i int) uint64 {
-		return 0xFF000000 | uint64(i)&0x00FFFF00 | uint64(byte(i)+seed)
+	// word. Within a run of 256 pixels only byte 0 varies, so every run is
+	// one table of two-pixel words ORed with the run's constant upper
+	// bytes.
+	var pairs [128]uint64
+	for m := range pairs {
+		pairs[m] = 0xFF000000_FF000000 | uint64(byte(2*m)+seed) | uint64(byte(2*m+1)+seed)<<32
+	}
+	upper := func(run int) uint64 {
+		u := uint64(run&0xFFFF) << 8
+		return u | u<<32
 	}
 	px := p[imgHeaderSize:]
-	i := 0
-	for ; len(px) >= 8; i, px = i+2, px[8:] {
-		binary.LittleEndian.PutUint64(px, pixel(i)|pixel(i+1)<<32)
+	run := 0
+	for ; len(px) >= 1024; run, px = run+1, px[1024:] {
+		r, u := (*[1024]byte)(px), upper(run)
+		for m := range pairs {
+			binary.LittleEndian.PutUint64(r[8*m:], pairs[m]|u)
+		}
+	}
+	// The last run is partial: whole pairs, then an odd pixel.
+	m, u := 0, upper(run)
+	for ; len(px) >= 8; m, px = m+1, px[8:] {
+		binary.LittleEndian.PutUint64(px, pairs[m]|u)
 	}
 	if len(px) > 0 {
-		binary.LittleEndian.PutUint32(px, uint32(pixel(i)))
+		binary.LittleEndian.PutUint32(px, uint32(pairs[m]|u))
 	}
 	return p
 }

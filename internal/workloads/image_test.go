@@ -42,6 +42,26 @@ func TestImageRequestMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestImageRequestRunTable holds the run-table fill to the per-pixel
+// formula at sizes with whole runs of 256 pixels, a partial last run, an
+// odd pixel count, and pixel indices past 1<<16 (a nonzero i>>16 byte).
+func TestImageRequestRunTable(t *testing.T) {
+	sizes := [][2]int{{512, 512}, {64, 64}, {1, 1}, {3, 5}, {257, 3}, {1000, 300}}
+	for _, wh := range sizes {
+		for _, seed := range []byte{0, 1, 255} {
+			w, h := wh[0], wh[1]
+			want := imageRequestOracle(w, h, seed)
+			if got := ImageRequest(w, h, seed); !bytes.Equal(got, want) {
+				t.Errorf("%dx%d seed %d: ImageRequest differs from the per-pixel formula", w, h, seed)
+			}
+			dirty := bytes.Repeat([]byte{0xDB}, len(want))
+			if got := ImageRequestInto(dirty, w, h, seed); !bytes.Equal(got, want) {
+				t.Errorf("%dx%d seed %d: fill into a dirty buffer differs from the per-pixel formula", w, h, seed)
+			}
+		}
+	}
+}
+
 func TestImageRequestIntoRecycledBuffer(t *testing.T) {
 	want := imageRequestOracle(9, 7, 3)
 	// A larger, dirty buffer is reused in place and fully overwritten.
