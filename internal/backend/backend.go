@@ -34,6 +34,10 @@ import (
 type Result struct {
 	Err     error
 	Payload []byte
+	// Recycle, when non-nil, takes Payload back for the backend to build
+	// a later reply in. A caller done reading the reply may call it once;
+	// one that keeps the reply does not call it.
+	Recycle func(payload []byte)
 }
 
 // Usage is the backend's additional resource consumption while serving
@@ -122,6 +126,12 @@ type LambdaNIC struct {
 	kvQP        *rdma.QP
 	kvHits      uint64
 	kvFallbacks uint64
+
+	// replies holds the lambda replies callers gave back through
+	// Result.Recycle, for later requests to build theirs in; recycle is
+	// the one method value every Result carries.
+	replies [][]byte
+	recycle func([]byte)
 }
 
 // NewLambdaNIC constructs the λ-NIC backend. dispatch selects the NIC
@@ -145,7 +155,9 @@ func NewLambdaNICWithConfig(s *sim.Sim, tb cluster.Testbed, nicCfg nicsim.Config
 		PerPacketDMA: 100 * time.Nanosecond,
 		MTU:          workloads.MTU,
 	})
-	return &LambdaNIC{sim: s, testbed: tb, nic: nic, rdma: eng}, nil
+	b := &LambdaNIC{sim: s, testbed: tb, nic: nic, rdma: eng}
+	b.recycle = b.putReply
+	return b, nil
 }
 
 // Name implements Backend.
@@ -368,7 +380,7 @@ type lambdaCall struct {
 func injectCall(c any)  { c.(*lambdaCall).inject() }
 func respondCall(c any) { c.(*lambdaCall).respond() }
 
-func (c *lambdaCall) respond() { c.finish(Result{Payload: c.resp}) }
+func (c *lambdaCall) respond() { c.finish(Result{Payload: c.resp, Recycle: c.b.recycle}) }
 
 func (c *lambdaCall) finish(r Result) {
 	c.b.inflight--
@@ -386,7 +398,14 @@ func (c *lambdaCall) committed(err error) {
 	c.inject()
 }
 
-func (c *lambdaCall) inject() { c.b.nic.Inject(&c.req, c.injected) }
+// inject hands the request to the NIC with a recycled reply buffer, if
+// there is one: taken here, a request waiting on its commit holds none.
+func (c *lambdaCall) inject() {
+	if free := c.b.replies; len(free) > 0 {
+		c.req.Reply, c.b.replies = free[len(free)-1], free[:len(free)-1]
+	}
+	c.b.nic.Inject(&c.req, c.injected)
+}
 
 func (c *lambdaCall) injected(resp nicsim.Response, err error) {
 	if err != nil {
@@ -401,6 +420,17 @@ func (c *lambdaCall) injected(resp nicsim.Response, err error) {
 	}
 	c.resp = resp.Payload
 	c.b.sim.AfterArg(back, respondCall, c)
+}
+
+// putReply is Result.Recycle for lambda replies: the firmware builds the
+// reply in the request's Reply buffer (or in a fresh one it allocates),
+// so every reply is the backend's to reuse once its caller is done.
+func (b *LambdaNIC) putReply(p []byte) {
+	if cap(p) == 0 {
+		return
+	}
+	poison(p)
+	b.replies = append(b.replies, p[:0])
 }
 
 // Usage implements Backend: λ-NIC consumes NIC memory (firmware plus

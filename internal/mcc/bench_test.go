@@ -95,6 +95,28 @@ func benchmarkBulkGray(b *testing.B, engine Engine) {
 func BenchmarkInterpreterBulkGray(b *testing.B) { benchmarkBulkGray(b, EngineInterp) }
 func BenchmarkCompiledBulkGray(b *testing.B)    { benchmarkBulkGray(b, EngineCompiled) }
 
+// BenchmarkGrayPixels converts a 512x512 RGBA image (1 MiB) one pixel
+// at a time (the oracle) and a word at a time (GrayPixels).
+func BenchmarkGrayPixels(b *testing.B) {
+	const pixels = 512 * 512
+	src := make([]byte, 4*pixels)
+	for i := range src {
+		src[i] = byte(i * 7)
+	}
+	dst := make([]byte, pixels)
+	for _, k := range []struct {
+		name string
+		fn   func(dst, src []byte)
+	}{{"oracle", grayOracle}, {"kernel", GrayPixels}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				k.fn(dst, src)
+			}
+		})
+	}
+}
+
 func BenchmarkOptimizeAllPasses(b *testing.B) {
 	p := buildBenchMatchProgram(b)
 	b.ReportAllocs()

@@ -886,7 +886,7 @@ func compileGray(e *Executable, in *Instr, next int) closure {
 		}
 		e.stats.AddAccess(slvl, bursts(n))
 		e.stats.AddAccess(dst.level, bursts(pixels))
-		grayPixels(dst.mem[doff:doff+pixels], src[soff:soff+n])
+		GrayPixels(dst.mem[doff:doff+pixels], src[soff:soff+n])
 		return next, nil
 	}
 }

@@ -1,6 +1,7 @@
 package mcc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -385,18 +386,49 @@ func (e *env) bulkGray(in *Instr) error {
 	}
 	e.stats.AddAccess(slvl, bursts(n))
 	e.stats.AddAccess(dst.level, bursts(pixels))
-	grayPixels(dst.mem[doff:doff+pixels], src[soff:soff+n])
+	GrayPixels(dst.mem[doff:doff+pixels], src[soff:soff+n])
 	return nil
 }
 
-// grayPixels converts len(dst) RGBA pixels from src to luma bytes.
-func grayPixels(dst, src []byte) {
-	for p := range dst {
-		r := uint32(src[p*4])
-		g := uint32(src[p*4+1])
-		bl := uint32(src[p*4+2])
-		dst[p] = byte((77*r + 150*g + 29*bl) >> 8)
+// GrayPixels converts the first len(dst) RGBA pixels of src to luma
+// bytes: (77R + 150G + 29B) >> 8 per pixel, alpha ignored. It is the
+// conversion assist behind OpGray on both engines, and the image
+// workload's native handler.
+//
+// It converts the two pixels of a 64-bit word at once. Masking the
+// word's bytes into 16-bit lanes gives R and B of both pixels in one
+// word and G and A in another; one multiply each and an add leave the
+// first pixel's 77R+150G+29B in bits 16–31 and the second's in bits
+// 48–63. Every lane sums at most 256·255 < 2¹⁶, so no carry crosses a
+// lane, and each luma is the high byte of its lane.
+func GrayPixels(dst, src []byte) {
+	src = src[:4*len(dst)]
+	for len(dst) >= 8 {
+		s := (*[32]byte)(src)
+		binary.LittleEndian.PutUint64(dst, gray2(binary.LittleEndian.Uint64(s[0:]))|
+			gray2(binary.LittleEndian.Uint64(s[8:]))<<16|
+			gray2(binary.LittleEndian.Uint64(s[16:]))<<32|
+			gray2(binary.LittleEndian.Uint64(s[24:]))<<48)
+		dst, src = dst[8:], src[32:]
 	}
+	for p := range dst {
+		dst[p] = byte(luma2(uint64(binary.LittleEndian.Uint32(src[4*p:]))) >> 24)
+	}
+}
+
+// byteLanes masks every other byte of a word into a 16-bit lane.
+const byteLanes = 0x00ff00ff00ff00ff
+
+// luma2 returns 77R+150G+29B of w's low pixel in bits 16–31 and of its
+// high pixel in bits 48–63.
+func luma2(w uint64) uint64 {
+	return (w&byteLanes)*(29|77<<16) + (w>>8&byteLanes)*(150<<16)
+}
+
+// gray2 returns the lumas of w's two pixels as a little-endian byte pair.
+func gray2(w uint64) uint64 {
+	y := luma2(w)
+	return y>>24&0xff | y>>48&0xff00
 }
 
 // bulkHash implements OpHash: FNV-1a over obj[rs1 : rs1+rs2].

@@ -245,8 +245,9 @@ func (e *Executable) prepare(en *env, req *nicsim.Request) {
 // Execute runs the image for one request: parse (header extraction),
 // match (synthesized __match function when present), then the lambda —
 // charging dynamic instructions and memory accesses. The response
-// payload is detached from the engine's buffers and may be retained by
-// the caller (nicsim holds responses across simulated time); use
+// payload is built in req.Reply's backing array when it is large enough
+// and in a fresh one otherwise, never in the engine's buffers, so the
+// caller owns it (nicsim holds responses across simulated time); use
 // ExecutePooled on paths that can give the buffer back.
 func (e *Executable) Execute(req *nicsim.Request) (nicsim.Response, error) {
 	if e.engine == EngineInterp {
@@ -259,10 +260,12 @@ func (e *Executable) Execute(req *nicsim.Request) (nicsim.Response, error) {
 	}
 	en := e.getEnv()
 	e.prepare(en, req)
+	en.resp = req.Reply[:0]
 	status, err := e.runCompiled(en, req)
 	if err != nil {
 		resp := nicsim.Response{Stats: en.stats}
 		noEntry := err == ErrNoEntry
+		en.resp = nil // req.Reply's array stays the caller's
 		e.putEnv(en)
 		if noEntry {
 			return nicsim.Response{}, fmt.Errorf("%w: %d", ErrNoEntry, req.LambdaID)
@@ -341,7 +344,7 @@ func (e *Executable) runCompiled(en *env, req *nicsim.Request) (int64, error) {
 // executeInterp is the reference interpreter data path; a non-nil rec
 // records the run (replay.go).
 func (e *Executable) executeInterp(req *nicsim.Request, rec *recorder) (nicsim.Response, error) {
-	env := env{exe: e, rec: rec}
+	env := env{exe: e, rec: rec, resp: req.Reply[:0]}
 	e.prepare(&env, req)
 
 	entry := e.prog.Func(MatchFunction)

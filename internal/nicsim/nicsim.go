@@ -108,6 +108,10 @@ type Request struct {
 	// spans: scheduler queue wait, instruction cycles, and per-level
 	// memory stalls on the executing thread's island/core track.
 	Trace *obs.Req
+	// Reply, when non-nil, is a buffer the caller lends the firmware to
+	// build the response in: Program.Execute may append the response to
+	// Reply[:0] and keeps no reference to it after returning.
+	Reply []byte
 }
 
 // Response is the lambda's reply.

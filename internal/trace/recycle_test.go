@@ -16,6 +16,10 @@ type holdingInvoker struct {
 	t       *testing.T
 	s       *sim.Sim
 	service time.Duration
+	// replies, when set, gives every request a reply of its own that the
+	// caller may recycle; recycled counts those given back.
+	replies  bool
+	recycled int
 }
 
 func (h *holdingInvoker) Invoke(id uint32, payload []byte, done func(backend.Result)) {
@@ -24,8 +28,36 @@ func (h *holdingInvoker) Invoke(id uint32, payload []byte, done func(backend.Res
 		if !bytes.Equal(payload, want) {
 			h.t.Errorf("payload %q changed while its request was in flight (want %q)", payload[:4], want[:4])
 		}
-		done(backend.Result{})
+		var r backend.Result
+		if h.replies {
+			reply, back := []byte("reply"), false
+			r = backend.Result{Payload: reply, Recycle: func(p []byte) {
+				if back || &p[0] != &reply[0] {
+					h.t.Errorf("recycled %q: not the request's own reply, or twice", p)
+				}
+				back = true
+				h.recycled++
+			}}
+		}
+		done(r)
 	})
+}
+
+// TestLoadDriversReleaseReply: ClosedLoop and OpenLoop give every reply
+// back to its backend exactly once, warmup requests' too.
+func TestLoadDriversReleaseReply(t *testing.T) {
+	s := sim.New(1)
+	closed := &holdingInvoker{t: t, s: s, service: time.Millisecond, replies: true}
+	if _, err := (ClosedLoop{Concurrency: 4, Requests: 40, Warmup: 3, Gen: Sized(1, 8)}).Run(s, closed); err != nil {
+		t.Fatal(err)
+	}
+	open := &holdingInvoker{t: t, s: s, service: time.Millisecond, replies: true}
+	if _, err := (OpenLoop{RatePerSec: 2000, Requests: 200, Warmup: 5, Gen: Sized(1, 8)}).Run(s, open); err != nil {
+		t.Fatal(err)
+	}
+	if closed.recycled != 43 || open.recycled != 205 {
+		t.Errorf("replies recycled: closed loop %d, open loop %d; want 43 and 205", closed.recycled, open.recycled)
+	}
 }
 
 // stampFill builds a 64-byte payload carrying its index and records

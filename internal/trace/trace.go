@@ -97,11 +97,16 @@ type Request struct {
 	Recycle func(payload []byte)
 }
 
-// release returns a finished request's payload to its generator.
-func (r Request) release() {
+// release returns a finished request's payload to its generator and
+// its reply to the backend: the load drivers read neither once the
+// request's completion callback has run.
+func (r Request) release(reply backend.Result) {
 	if r.Recycle != nil {
 		poison(r.Payload)
 		r.Recycle(r.Payload)
+	}
+	if reply.Recycle != nil {
+		reply.Recycle(reply.Payload)
 	}
 }
 
@@ -225,7 +230,7 @@ func (o OpenLoop) Start(s *sim.Sim, target Invoker) (*Result, error) {
 			}
 			invoke(target, req.Workload, req.Payload, tr, func(r backend.Result) {
 				tr.Finish(s.Now(), r.Err)
-				req.release()
+				req.release(r)
 				if !measured {
 					return
 				}
@@ -323,7 +328,7 @@ func (c ClosedLoop) Start(s *sim.Sim, target Invoker) (*Result, error) {
 				res.Throughput.Completed++
 				res.Throughput.End = s.Now()
 			}
-			req.release()
+			req.release(r)
 			issue()
 		})
 	}

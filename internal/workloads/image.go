@@ -126,9 +126,9 @@ func ImageRequestInto(buf []byte, width, height int, seed byte) []byte {
 	return p
 }
 
-// grayscaleNative is the reference implementation used by the CPU
-// backends and to validate the NIC path: integer luma, matching the
-// NIC's conversion assist.
+// grayscaleNative is the transformer as a Go handler, for the real
+// worker and to validate the NIC path: the NIC's conversion assist
+// (mcc.GrayPixels) over the request's pixels.
 func grayscaleNative(payload []byte) ([]byte, error) {
 	if len(payload) < imgHeaderSize {
 		return nil, fmt.Errorf("image_transformer: short request")
@@ -136,16 +136,12 @@ func grayscaleNative(payload []byte) ([]byte, error) {
 	w := int(binary.BigEndian.Uint32(payload[0:4]))
 	h := int(binary.BigEndian.Uint32(payload[4:8]))
 	px := payload[imgHeaderSize:]
-	if w <= 0 || h <= 0 || len(px) < w*h*4 {
+	// Divide rather than multiply: a forged header's w*h*4 can wrap.
+	if w <= 0 || h <= 0 || len(px)/4/w < h {
 		return nil, fmt.Errorf("image_transformer: bad dimensions %dx%d for %d bytes", w, h, len(px))
 	}
 	out := make([]byte, w*h)
-	for i := 0; i < w*h; i++ {
-		r := uint32(px[i*4])
-		g := uint32(px[i*4+1])
-		b := uint32(px[i*4+2])
-		out[i] = byte((77*r + 150*g + 29*b) >> 8)
-	}
+	mcc.GrayPixels(out, px)
 	return out, nil
 }
 

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -208,6 +209,14 @@ func TestImageTransformerRejectsTruncated(t *testing.T) {
 	// Native path errors explicitly.
 	if _, err := img.Handle(payload, nil); err == nil {
 		t.Error("native handler accepted truncated image")
+	}
+	// A forged header whose width*height*4 wraps to 0 is rejected, not
+	// sized: 2³¹ x 2³¹ with no pixels once panicked in makeslice.
+	forged := make([]byte, 16)
+	binary.BigEndian.PutUint32(forged[0:4], 1<<31)
+	binary.BigEndian.PutUint32(forged[4:8], 1<<31)
+	if _, err := img.Handle(forged, nil); err == nil {
+		t.Error("native handler accepted a 2^31 x 2^31 image in 8 bytes")
 	}
 }
 
