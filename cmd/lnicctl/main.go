@@ -35,7 +35,10 @@
 //	         errors, sheds, one-sided fast-path GET rates (1SIDED/S,
 //	         from lnic_worker_bypass_total), and latency percentiles
 //	         computed from the deltas; -tenant narrows the view to one
-//	         tenant's rows including its gateway admission sheds
+//	         tenant's rows including its gateway admission sheds. A
+//	         gateway's per-workload failover count (FailoversFor) runs
+//	         from the moment the workload's route was installed, so a
+//	         redeploy starts it again at zero
 //	slo      -targets ... [-interval D] [-availability T] [-p99 D]
 //	         [-p99-target T] [-tenant T]
 //	         scrape the fleet twice and grade the interval against
@@ -303,6 +306,11 @@ func scrapeTwice(spec string, interval time.Duration) (prev, cur telemetry.Fleet
 // errors, and latency percentiles over one scrape interval.
 func top(args []string) error {
 	fs := flag.NewFlagSet("top", flag.ContinueOnError)
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: lnicctl top -targets nic=host:port,... [-interval D] [-tenant T]\n"+
+			"Per-workload gateway failover counts (FailoversFor) run from when the workload's route was installed.")
+		fs.PrintDefaults()
+	}
 	targets := fs.String("targets", "", "comma-separated nic=host:port scrape targets (-metrics endpoints)")
 	interval := fs.Duration("interval", 2*time.Second, "observation interval between the two scrapes")
 	tenantName := fs.String("tenant", "", "show only this tenant's rows (and its admission sheds)")

@@ -33,11 +33,19 @@ import (
 // Result is one completed request.
 type Result struct {
 	Err     error
-	Payload []byte
-	// Recycle, when non-nil, takes Payload back for the backend to build
-	// a later reply in. A caller done reading the reply may call it once;
-	// one that keeps the reply does not call it.
-	Recycle func(payload []byte)
+	payload []byte
+	call    *lambdaCall // a λ-NIC request, whose reply may be unbuilt
+}
+
+// Reply returns the reply's bytes. The NIC answers a request whose
+// lambda's cost it replays with the reply's length alone; Reply then
+// builds the bytes from the request's payload, which must not have
+// changed since Invoke.
+func (r Result) Reply() ([]byte, error) {
+	if c := r.call; c != nil && c.resp.Size > len(c.resp.Payload) {
+		return c.b.exe.Reply(&c.req)
+	}
+	return r.payload, nil
 }
 
 // Usage is the backend's additional resource consumption while serving
@@ -126,12 +134,6 @@ type LambdaNIC struct {
 	kvQP        *rdma.QP
 	kvHits      uint64
 	kvFallbacks uint64
-
-	// replies holds the lambda replies callers gave back through
-	// Result.Recycle, for later requests to build theirs in; recycle is
-	// the one method value every Result carries.
-	replies [][]byte
-	recycle func([]byte)
 }
 
 // NewLambdaNIC constructs the λ-NIC backend. dispatch selects the NIC
@@ -155,9 +157,7 @@ func NewLambdaNICWithConfig(s *sim.Sim, tb cluster.Testbed, nicCfg nicsim.Config
 		PerPacketDMA: 100 * time.Nanosecond,
 		MTU:          workloads.MTU,
 	})
-	b := &LambdaNIC{sim: s, testbed: tb, nic: nic, rdma: eng}
-	b.recycle = b.putReply
-	return b, nil
+	return &LambdaNIC{sim: s, testbed: tb, nic: nic, rdma: eng}, nil
 }
 
 // Name implements Backend.
@@ -311,7 +311,7 @@ func (b *LambdaNIC) invokeKVBypass(key string, payload []byte, tr *obs.Req, done
 		}
 		if v, ok := kvstore.Lookup(window, key); ok {
 			b.kvHits++
-			done(Result{Payload: append([]byte(nil), v...)})
+			done(Result{payload: append([]byte(nil), v...)})
 			return
 		}
 		b.kvFallbacks++
@@ -374,13 +374,13 @@ type lambdaCall struct {
 	req  nicsim.Request
 	sent sim.Time
 	done func(Result)
-	resp []byte
+	resp nicsim.Response
 }
 
 func injectCall(c any)  { c.(*lambdaCall).inject() }
 func respondCall(c any) { c.(*lambdaCall).respond() }
 
-func (c *lambdaCall) respond() { c.finish(Result{Payload: c.resp, Recycle: c.b.recycle}) }
+func (c *lambdaCall) respond() { c.finish(Result{payload: c.resp.Payload, call: c}) }
 
 func (c *lambdaCall) finish(r Result) {
 	c.b.inflight--
@@ -398,14 +398,7 @@ func (c *lambdaCall) committed(err error) {
 	c.inject()
 }
 
-// inject hands the request to the NIC with a recycled reply buffer, if
-// there is one: taken here, a request waiting on its commit holds none.
-func (c *lambdaCall) inject() {
-	if free := c.b.replies; len(free) > 0 {
-		c.req.Reply, c.b.replies = free[len(free)-1], free[:len(free)-1]
-	}
-	c.b.nic.Inject(&c.req, c.injected)
-}
+func (c *lambdaCall) inject() { c.b.nic.Inject(&c.req, c.injected) }
 
 func (c *lambdaCall) injected(resp nicsim.Response, err error) {
 	if err != nil {
@@ -413,24 +406,13 @@ func (c *lambdaCall) injected(resp nicsim.Response, err error) {
 		return
 	}
 	// Response wire trip back to the caller.
-	back := c.b.testbed.Link.OneWay(len(resp.Payload))
+	back := c.b.testbed.Link.OneWay(resp.Size)
 	if tr := c.req.Trace; tr != nil {
 		now := c.b.sim.Now()
 		tr.AddSpan(obs.StageTransport, "net", "response-wire", now, now+back)
 	}
-	c.resp = resp.Payload
+	c.resp = resp
 	c.b.sim.AfterArg(back, respondCall, c)
-}
-
-// putReply is Result.Recycle for lambda replies: the firmware builds the
-// reply in the request's Reply buffer (or in a fresh one it allocates),
-// so every reply is the backend's to reuse once its caller is done.
-func (b *LambdaNIC) putReply(p []byte) {
-	if cap(p) == 0 {
-		return
-	}
-	poison(p)
-	b.replies = append(b.replies, p[:0])
 }
 
 // Usage implements Backend: λ-NIC consumes NIC memory (firmware plus

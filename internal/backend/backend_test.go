@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -73,30 +74,53 @@ func TestInvokeBeforeDeploy(t *testing.T) {
 	}
 }
 
+// reply returns r's bytes, failing the test when they cannot be built.
+func reply(t *testing.T, r Result) []byte {
+	t.Helper()
+	b, err := r.Reply()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestLambdaNICServesWebRequest sends one page twice: the first request
+// records its key, the second replays it, and both replies are the
+// page, built only when Reply is called.
 func TestLambdaNICServesWebRequest(t *testing.T) {
 	s := sim.New(1)
 	b := newNICBackend(t, s)
 	warm(t, s, b)
-
-	var resp []byte
-	var at sim.Time
-	start := s.Now()
-	b.Invoke(workloads.WebServerID, workloads.WebServer().MakeRequest(1), func(r Result) {
-		if r.Err != nil {
-			t.Fatalf("Invoke: %v", r.Err)
-		}
-		resp = r.Payload
-		at = s.Now() - start
-	})
-	if err := s.RunUntilIdle(); err != nil {
+	web := workloads.WebServer()
+	want, err := web.Handle(web.MakeRequest(1), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp) == 0 {
-		t.Fatal("no response payload")
+	var lat [2]sim.Time
+	var built [2]bool
+	for i := range lat {
+		start := s.Now()
+		b.Invoke(web.ID, web.MakeRequest(1), func(r Result) {
+			if r.Err != nil {
+				t.Fatalf("Invoke: %v", r.Err)
+			}
+			built[i] = r.payload != nil
+			if got := reply(t, r); !bytes.Equal(got, want) {
+				t.Errorf("request %d replied %q, want %q", i, got, want)
+			}
+			lat[i] = s.Now() - start
+		})
+		if err := s.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Warm web service should complete in a handful of microseconds.
-	if at <= 0 || at > 50*time.Microsecond {
-		t.Errorf("latency = %v, want (0, 50µs]", at)
+	if built != [2]bool{true, false} {
+		t.Errorf("reply bytes built by the NIC: %v, want only the recording's", built)
+	}
+	// Warm web service should complete in a handful of microseconds, and
+	// a replay costs what the execution it replays did.
+	if lat[0] <= 0 || lat[0] > 50*time.Microsecond || lat[1] != lat[0] {
+		t.Errorf("latencies = %v, want equal and in (0, 50µs]", lat)
 	}
 }
 
@@ -120,8 +144,8 @@ func TestLambdaNICMultiPacketUsesRDMA(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("Invoke: %v", r.Err)
 		}
-		if len(r.Payload) != 64*64 {
-			t.Errorf("grayscale output = %d bytes, want %d", len(r.Payload), 64*64)
+		if got := reply(t, r); len(got) != 64*64 {
+			t.Errorf("grayscale output = %d bytes, want %d", len(got), 64*64)
 		}
 	})
 	if err := s.RunUntilIdle(); err != nil {
@@ -339,7 +363,7 @@ func TestLambdaNICKVBypass(t *testing.T) {
 		if r.Err != nil {
 			t.Errorf("bypass GET: %v", r.Err)
 		}
-		hitPayload = r.Payload
+		hitPayload = reply(t, r)
 		hitElapsed = s.Now() - hitStart
 	})
 	if err := s.RunUntilIdle(); err != nil {

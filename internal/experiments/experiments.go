@@ -145,21 +145,16 @@ func (c Config) newBackendOn(s *sim.Sim, id BackendID, ws []*workloads.Workload)
 	return b, nil
 }
 
-// requests is w's request generator on backend bid, the one place a
-// generator is chosen by backend. The image transformer's 1 MiB payload
-// is the one worth choosing for. λ-NIC runs the lambda on every byte, so
-// it gets real images, built in recycled buffers. The CPU backends' cost
-// model reads only a payload's length, so they get one shared buffer of
-// that length.
-func (c Config) requests(w *workloads.Workload, bid BackendID) trace.Generator {
-	switch {
-	case w.ID != workloads.ImageTransformerID:
+// requests is w's request generator. Every image request of a run
+// carries one 1 MiB payload: no backend writes it (λ-NIC reads it in
+// place after a copy-free commit, cpusim reads its length) and no
+// virtual-time result depends on its pixels.
+func (c Config) requests(w *workloads.Workload) trace.Generator {
+	if w.ID != workloads.ImageTransformerID {
 		return trace.Fixed(w.ID, w.MakeRequest)
-	case bid == BackendLambdaNIC:
-		return trace.Refilled(w.ID, w.FillRequest)
-	default:
-		return trace.Sized(w.ID, workloads.ImageRequestSize(c.ImageWidth, c.ImageHeight))
 	}
+	payload := w.MakeRequest(0)
+	return trace.Fixed(w.ID, func(int) []byte { return payload })
 }
 
 // gateway wraps a backend with the modeled gateway stage used in the
@@ -208,7 +203,7 @@ func Figure6(cfg Config) ([]LatencySeries, error) {
 				Concurrency: 1,
 				Requests:    samples,
 				Warmup:      cfg.Warmup,
-				Gen:         cfg.requests(w.w, bid),
+				Gen:         cfg.requests(w.w),
 			}.Run(s, b)
 			if err != nil {
 				return nil, fmt.Errorf("figure6 %s/%s: %w", w.name, bid, err)
@@ -262,7 +257,7 @@ func Figure7(cfg Config) ([]ThroughputPoint, error) {
 					Concurrency: threads,
 					Requests:    w.requests,
 					Warmup:      cfg.Warmup,
-					Gen:         cfg.requests(w.w, bid),
+					Gen:         cfg.requests(w.w),
 				}.Run(s, gw)
 				if err != nil {
 					return nil, fmt.Errorf("figure7 %s/%s/%d: %w", w.name, bid, threads, err)
@@ -358,7 +353,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 		_, err = trace.ClosedLoop{
 			Concurrency: cfg.Concurrency,
 			Requests:    cfg.Table3Requests,
-			Gen:         cfg.requests(img, bid),
+			Gen:         cfg.requests(img),
 		}.Run(s, b)
 		if err != nil {
 			return nil, fmt.Errorf("table3 %s: %w", bid, err)

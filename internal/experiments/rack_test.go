@@ -131,12 +131,12 @@ func TestSharedFirmwareMatchesPerNICCompile(t *testing.T) {
 	}
 }
 
-// TestRecycledPayloadsMatchFresh drives every backend with recycled
-// image payloads and with a fresh payload per request, and wants the
-// same report from both. Under -race the driver overwrites a payload
-// with 0xDB the moment it is recycled, so a backend that reads a
-// request's payload after completing it computes on garbage here.
-func TestRecycledPayloadsMatchFresh(t *testing.T) {
+// TestSharedPayloadMatchesDistinct drives every backend with the one
+// shared image Config.requests gives a run and with a distinct
+// MakeRequest(i) image per request, and wants the same report from
+// both: no virtual-time result depends on the pixels. No backend may
+// write the shared buffer.
+func TestSharedPayloadMatchesDistinct(t *testing.T) {
 	cfg := Quick()
 	img := workloads.ImageTransformer(cfg.ImageWidth, cfg.ImageHeight)
 	type report struct {
@@ -152,7 +152,7 @@ func TestRecycledPayloadsMatchFresh(t *testing.T) {
 		}
 		res, err := trace.ClosedLoop{
 			Concurrency: concurrency,
-			Requests:    8 * concurrency, // every payload is reused several times
+			Requests:    8 * concurrency,
 			Warmup:      cfg.Warmup,
 			Gen:         gen,
 		}.Run(s, cfg.gateway(s, b))
@@ -163,13 +163,18 @@ func TestRecycledPayloadsMatchFresh(t *testing.T) {
 	}
 	for _, bid := range []BackendID{BackendLambdaNIC, BackendBareMetal, BackendContainer} {
 		for _, concurrency := range []int{1, 8} {
-			fresh := run(bid, concurrency, trace.Fixed(img.ID, img.MakeRequest))
-			recycled := run(bid, concurrency, trace.Refilled(img.ID, img.FillRequest))
-			if fresh.errors != 0 {
-				t.Errorf("%s x%d: %d requests failed", bid, concurrency, fresh.errors)
+			shared := cfg.requests(img)
+			before := bytes.Clone(shared(0).Payload)
+			got := run(bid, concurrency, shared)
+			want := run(bid, concurrency, trace.Fixed(img.ID, img.MakeRequest))
+			if want.errors != 0 {
+				t.Errorf("%s x%d: %d requests failed", bid, concurrency, want.errors)
 			}
-			if !reflect.DeepEqual(recycled, fresh) {
-				t.Errorf("%s x%d: recycled payloads %+v, fresh payloads %+v", bid, concurrency, recycled, fresh)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s x%d: shared payload %+v, distinct payloads %+v", bid, concurrency, got, want)
+			}
+			if !bytes.Equal(shared(0).Payload, before) {
+				t.Errorf("%s x%d: the shared payload was written", bid, concurrency)
 			}
 		}
 	}

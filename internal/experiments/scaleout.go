@@ -68,7 +68,7 @@ func ScaleOut(cfg Config) ([]ScaleOutPoint, error) {
 			// drain edges stay a small fraction of the run.
 			Requests: requests * workers,
 			Warmup:   cfg.Warmup,
-			Gen:      trace.Refilled(img.ID, img.FillRequest),
+			Gen:      cfg.requests(img),
 		}.Run(s, mi)
 		if err != nil {
 			return 0, err
@@ -130,7 +130,7 @@ func ParallelScaleOut(cfg Config) ([]ScaleOutPoint, error) {
 				Concurrency: cfg.Concurrency,
 				Requests:    requests,
 				Warmup:      cfg.Warmup,
-				Gen:         trace.Refilled(img.ID, img.FillRequest),
+				Gen:         cfg.requests(img),
 			}.Start(d, b)
 			if err != nil {
 				return 0, err

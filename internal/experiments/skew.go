@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -271,8 +273,10 @@ type skewArrival struct {
 // of the config.
 func skewSchedule(cfg Config, sc SkewConfig) []skewArrival {
 	seed := uint64(cfg.Seed)
-	flowKey := func(rank int) uint64 {
-		return dispatch.FlowKey(fmt.Sprintf("c%04d", rank), workloads.BatchSweepID)
+	var name []byte
+	flowKey := func(prefix string, n, width int) uint64 {
+		name = flowName(name, prefix, n, width)
+		return dispatch.FlowKey(string(name), workloads.BatchSweepID)
 	}
 
 	var arrivals []skewArrival
@@ -286,10 +290,10 @@ func skewSchedule(cfg Config, sc SkewConfig) []skewArrival {
 	at := sim.Time(0)
 	oneShots := 0
 	for i := 0; at < end; i++ {
-		flow := flowKey(pop.Next())
+		flow := flowKey("c", pop.Next(), 4)
 		if float64(pop.Uint64()>>11)/(1<<53) < sc.OneShotFrac {
 			oneShots++
-			flow = dispatch.FlowKey(fmt.Sprintf("one%06d", oneShots), workloads.BatchSweepID)
+			flow = flowKey("one", oneShots, 6)
 		}
 		arrivals = append(arrivals, skewArrival{at: at, flow: flow, idx: i})
 		u := float64(pop.Uint64()>>11) / (1 << 53)
@@ -303,11 +307,21 @@ func skewSchedule(cfg Config, sc SkewConfig) []skewArrival {
 	}
 	at = sim.Time(sc.CrowdStart)
 	for i := len(arrivals); at < sim.Time(sc.CrowdEnd); i++ {
-		arrivals = append(arrivals, skewArrival{at: at, flow: flowKey(crowd.Next()), idx: i})
+		arrivals = append(arrivals, skewArrival{at: at, flow: flowKey("c", crowd.Next(), 4), idx: i})
 		u := float64(crowd.Uint64()>>11) / (1 << 53)
 		at += sim.Time(-math.Log(1-u) / sc.CrowdRate * float64(time.Second))
 	}
 	return arrivals
+}
+
+// flowName is prefix then n, zero-padded to width digits, appended to
+// buf[:0]: fmt's "%0*d" for n ≥ 0 without its cost.
+func flowName(buf []byte, prefix string, n, width int) []byte {
+	buf = strconv.AppendInt(append(buf[:0], prefix...), int64(n), 10)
+	for len(buf) < len(prefix)+width {
+		buf = slices.Insert(buf, len(prefix), '0')
+	}
+	return buf
 }
 
 // skewDispatcher is one policy's routing brain at the gateway position.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -80,6 +81,20 @@ func TestSkewQuick(t *testing.T) {
 		}
 		if r.P99Ns <= 0 || r.P999Ns < r.P99Ns {
 			t.Errorf("%s: p99=%d p999=%d", r.Name, r.P99Ns, r.P999Ns)
+		}
+	}
+}
+
+// TestFlowNameMatchesSprintf: skewSchedule's flow names, and so its flow
+// keys, are the ones fmt.Sprintf made.
+func TestFlowNameMatchesSprintf(t *testing.T) {
+	var buf []byte
+	for _, n := range []int{0, 7, 42, 999, 1000, 4095, 12345, 999999, 1000000, 123456789} {
+		for _, width := range []int{4, 6} {
+			buf = flowName(buf, "c", n, width)
+			if want := fmt.Sprintf("c%0*d", width, n); string(buf) != want {
+				t.Errorf("flowName(%d, %d) = %q, want %q", n, width, buf, want)
+			}
 		}
 	}
 }

@@ -26,6 +26,26 @@ func TestTableSetGetDelete(t *testing.T) {
 	}
 }
 
+// TestDefaultTableMirrorsKeySpace loads the workloads' 1 000 keys, shaped
+// as the KV clients name them, into a default-size table: every one must
+// be mirrored and found by a one-sided reader scanning its probe window.
+func TestDefaultTableMirrorsKeySpace(t *testing.T) {
+	tb := NewTable(DefaultSlots)
+	for k := 0; k < 1000; k++ {
+		if key := fmt.Sprintf("user:%04d", k); !tb.Set(key, []byte(fmt.Sprintf("value-%d", k))) {
+			t.Fatalf("%s not mirrored: its probe window is full", key)
+		}
+	}
+	for k := 0; k < 1000; k++ {
+		key := fmt.Sprintf("user:%04d", k)
+		aOff, aLen, bOff, bLen := tb.ProbeWindow(key)
+		window := append(bytes.Clone(tb.Bytes()[aOff:aOff+aLen]), tb.Bytes()[bOff:bOff+bLen]...)
+		if v, ok := Lookup(window, key); !ok || string(v) != fmt.Sprintf("value-%d", k) {
+			t.Fatalf("Lookup(%s) over its probe window = %q, %v", key, v, ok)
+		}
+	}
+}
+
 func TestTableRejectsOversized(t *testing.T) {
 	tb := NewTable(64)
 	if tb.Set(string(bytes.Repeat([]byte{'k'}, slotKeyCap+1)), []byte("v")) {

@@ -13,6 +13,22 @@ import (
 	"lambdanic/internal/workloads"
 )
 
+// executing links ws without their native reply functions, so the
+// compiled engine executes every request rather than replaying it.
+func executing(tb testing.TB, ws []*workloads.Workload, target int, opts mcc.LinkOptions) *mcc.Executable {
+	tb.Helper()
+	prog, _, err := workloads.OptimizedProgram(ws, target)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog.Native = nil
+	exe, err := mcc.Link(prog, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return exe
+}
+
 // TestExecAllocs gates the tentpole's 0 allocs/op claim: steady-state
 // pooled execution of the KV and grayscale lambdas (and the web
 // server) must not allocate. GC is disabled for the measurement so
@@ -23,10 +39,7 @@ func TestExecAllocs(t *testing.T) {
 		workloads.KVGetClient(),
 		workloads.ImageTransformer(16, 16),
 	}
-	exe, _, err := workloads.CompileOptimizedWith(ws, 0, mcc.LinkOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exe := executing(t, ws, 0, mcc.LinkOptions{})
 	if kind := exe.DispatchKind(); kind != "jump-table" {
 		t.Fatalf("DispatchKind = %q, want jump-table for the optimized paper program", kind)
 	}

@@ -204,7 +204,7 @@ func compileFunc(e *Executable, cf *compiledFunc, f *Function) {
 		// Extend a fusable straight-line run from pc.
 		n := 0
 		for pc+n < len(body) {
-			if n > 0 && isTarget[pc+n] {
+			if n > 0 && isTarget[pc+n] > 0 {
 				break
 			}
 			if _, ok := compileFused(e, &body[pc+n]); !ok {

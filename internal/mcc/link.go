@@ -242,14 +242,12 @@ func (e *Executable) prepare(en *env, req *nicsim.Request) {
 	en.headers[FieldPayloadLen] = int64(len(req.Payload))
 }
 
-// Execute runs the image for one request: parse (header extraction),
-// match (synthesized __match function when present), then the lambda —
-// charging dynamic instructions and memory accesses. The response
-// payload is built in req.Reply's backing array when it is large enough
-// and in a fresh one otherwise, never in the engine's buffers, so the
-// caller owns it (nicsim holds responses across simulated time); use
-// ExecutePooled on paths that can give the buffer back.
-func (e *Executable) Execute(req *nicsim.Request) (nicsim.Response, error) {
+// Serve implements nicsim.Program: it runs the image for one request —
+// parse, match (the __match function when present), then the lambda —
+// charging instructions and memory accesses, or answers from a recorded
+// run of the request's key (replay.go) with the reply's length and no
+// bytes. An executed reply is the caller's to keep.
+func (e *Executable) Serve(req *nicsim.Request) (nicsim.Response, error) {
 	if e.engine == EngineInterp {
 		return e.executeInterp(req, nil)
 	}
@@ -260,12 +258,10 @@ func (e *Executable) Execute(req *nicsim.Request) (nicsim.Response, error) {
 	}
 	en := e.getEnv()
 	e.prepare(en, req)
-	en.resp = req.Reply[:0]
 	status, err := e.runCompiled(en, req)
 	if err != nil {
 		resp := nicsim.Response{Stats: en.stats}
 		noEntry := err == ErrNoEntry
-		en.resp = nil // req.Reply's array stays the caller's
 		e.putEnv(en)
 		if noEntry {
 			return nicsim.Response{}, fmt.Errorf("%w: %d", ErrNoEntry, req.LambdaID)
@@ -273,10 +269,30 @@ func (e *Executable) Execute(req *nicsim.Request) (nicsim.Response, error) {
 		return resp, fmt.Errorf("lambda %d: %w", req.LambdaID, err)
 	}
 	en.headers[FieldStatus] = status
-	resp := nicsim.Response{Payload: en.resp, Stats: en.stats}
+	resp := nicsim.Response{Payload: en.resp, Size: len(en.resp), Stats: en.stats}
 	en.resp = nil // ownership moves to the caller
 	e.putEnv(en)
 	return resp, nil
+}
+
+// Execute is Serve for a caller that reads the reply: the bytes of a
+// replayed one are built by its lambda's native function (Reply).
+func (e *Executable) Execute(req *nicsim.Request) (nicsim.Response, error) {
+	resp, err := e.Serve(req)
+	if err == nil && resp.Size > len(resp.Payload) {
+		resp.Payload, err = e.Reply(req)
+	}
+	return resp, err
+}
+
+// Reply builds the reply Serve replayed for req without building it:
+// the native reply of req's lambda.
+func (e *Executable) Reply(req *nicsim.Request) ([]byte, error) {
+	r := e.replayer(req.LambdaID)
+	if r == nil {
+		return nil, fmt.Errorf("mcc: lambda %d never replays", req.LambdaID)
+	}
+	return r.native(req.Payload)
 }
 
 // ExecutePooled is Execute for steady-state data paths: the response
@@ -294,6 +310,9 @@ func (e *Executable) ExecutePooled(req *nicsim.Request, fn func(nicsim.Response)
 	if r := e.replayer(req.LambdaID); r != nil {
 		if resp, done, err := r.serve(e, req); done {
 			if fn != nil {
+				if err == nil && resp.Size > len(resp.Payload) {
+					resp.Payload, err = r.native(req.Payload)
+				}
 				fn(resp)
 			}
 			return err
@@ -317,7 +336,7 @@ func (e *Executable) ExecutePooled(req *nicsim.Request, fn func(nicsim.Response)
 	}
 	en.headers[FieldStatus] = status
 	if fn != nil {
-		fn(nicsim.Response{Payload: en.resp, Stats: en.stats})
+		fn(nicsim.Response{Payload: en.resp, Size: len(en.resp), Stats: en.stats})
 	}
 	e.putEnv(en)
 	return err
@@ -344,7 +363,7 @@ func (e *Executable) runCompiled(en *env, req *nicsim.Request) (int64, error) {
 // executeInterp is the reference interpreter data path; a non-nil rec
 // records the run (replay.go).
 func (e *Executable) executeInterp(req *nicsim.Request, rec *recorder) (nicsim.Response, error) {
-	env := env{exe: e, rec: rec, resp: req.Reply[:0]}
+	env := env{exe: e, rec: rec}
 	e.prepare(&env, req)
 
 	entry := e.prog.Func(MatchFunction)
@@ -360,7 +379,7 @@ func (e *Executable) executeInterp(req *nicsim.Request, rec *recorder) (nicsim.R
 		return nicsim.Response{Stats: env.stats}, fmt.Errorf("lambda %d: %w", req.LambdaID, err)
 	}
 	env.headers[FieldStatus] = status
-	return nicsim.Response{Payload: env.resp, Stats: env.stats}, nil
+	return nicsim.Response{Payload: env.resp, Size: len(env.resp), Stats: env.stats}, nil
 }
 
 // RunStandalone executes a single named function outside the NIC (used

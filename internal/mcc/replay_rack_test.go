@@ -25,7 +25,25 @@ func rackSets() map[string][]*workloads.Workload {
 			workloads.BatchSweeperVariant("bnd_heavy", 23, bc.HeavySweeps),
 		},
 		"chaos": {workloads.WebServer()},
+		// The section 6 set with a small image transformer: requestFor
+		// sends it images of mixed sizes.
+		"paper": {workloads.WebServer(), workloads.KVGetClient(), workloads.KVSetClient(), workloads.ImageTransformer(16, 16)},
 	}
+}
+
+// imageSizes are the image requests the rack test mixes. A 1×1 or 3×5
+// image emits fewer bytes than padChecksum reads back from img_out, so
+// those loads read bytes the run did not write.
+var imageSizes = [][2]int{{1, 1}, {3, 5}, {16, 16}, {7, 2}}
+
+// requestFor draws a request for w: a mixed-size image for the image
+// transformer, w's own i-th request otherwise.
+func requestFor(w *workloads.Workload, rng *rand.Rand) []byte {
+	if w.ID == workloads.ImageTransformerID {
+		s := imageSizes[rng.Intn(len(imageSizes))]
+		return workloads.ImageRequest(s[0], s[1], byte(rng.Intn(256)))
+	}
+	return w.MakeRequest(rng.Intn(1 << 16))
 }
 
 // TestReplayMatchesInterpreterOnRackSets streams each rack experiment's
@@ -33,8 +51,9 @@ func rackSets() map[string][]*workloads.Workload {
 // and EngineInterp, which never does — and wants every request's stats,
 // reply and error identical, and object memory identical at the end
 // except in objects whose stores a replay may skip. The stream starts
-// cold, Resets both images half-way, mixes in payloads of 0-3 bytes
-// and multi-packet requests, and runs at two seeds.
+// cold, Resets both images half-way, mixes in payloads of 0-3 bytes,
+// images of mixed sizes and multi-packet requests, and runs at two
+// seeds. Every set must replay some key.
 func TestReplayMatchesInterpreterOnRackSets(t *testing.T) {
 	for name, ws := range rackSets() {
 		prog, _, err := workloads.OptimizedProgram(ws, workloads.NaiveProgramTarget)
@@ -59,7 +78,7 @@ func TestReplayMatchesInterpreterOnRackSets(t *testing.T) {
 						interp.Reset()
 					}
 					w := ws[rng.Intn(len(ws))]
-					payload := w.MakeRequest(rng.Intn(1 << 16))
+					payload := requestFor(w, rng)
 					switch rng.Intn(8) {
 					case 0:
 						payload = payload[:rng.Intn(min(len(payload), 3)+1)]
@@ -83,8 +102,8 @@ func TestReplayMatchesInterpreterOnRackSets(t *testing.T) {
 				for _, w := range ws {
 					armed += compiled.ArmedKeys(w.ID)
 				}
-				if (name == "chaos") != (armed == 0) {
-					t.Errorf("%d keys armed; the sweep sets must replay and the web-only set must not", armed)
+				if armed == 0 {
+					t.Error("no key armed")
 				}
 			})
 		}

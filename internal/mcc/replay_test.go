@@ -121,12 +121,24 @@ func TestReplayRejections(t *testing.T) {
 		return b.MustBuild()
 	}
 	one := func([]byte) ([]byte, error) { return []byte{1}, nil }
+	zeros := func(n int) func([]byte) ([]byte, error) {
+		return func(p []byte) ([]byte, error) { return make([]byte, max(n, len(p))), nil }
+	}
 	tbl := &Object{Name: "tbl", Size: 256}
+	wide := NewBuilder("f") // parses payload[0:17] into arg0
+	for i := int64(0); i < 17; i++ {
+		wide.PktLoad(2, RegZero, i).Or(1, 1, 2)
+	}
+	emitBuf := func(b *Builder) *Function { // stores buf[0:8], calls g, emits buf[0:8]
+		return b.MovImm(1, 0).MovImm(2, 8).StoreW("buf", 1, 0, RegZero).Call("g").Emit("buf", 1, 2).Ret(RegZero).MustBuild()
+	}
+	buf := &Object{Name: "buf", Size: 8}
 	cases := []struct {
 		name      string
 		fs        []*Function
 		objs      []*Object
 		native    func([]byte) ([]byte, error)
+		payload   []byte
 		stepLimit uint64
 		want      string
 	}{{
@@ -137,7 +149,48 @@ func TestReplayRejections(t *testing.T) {
 		name: "branch on a parsed header",
 		fs: []*Function{echoOne(NewBuilder("f").PktLoad(1, RegZero, 0).HdrSet(FieldArg0, 1).
 			HdrGet(2, FieldArg0).Brnz(2, "x").Label("x"))},
-		want: "executed: brnz f+3 depends on header arg0", native: one,
+		want: "replayed: key header arg0", native: one,
+	}, {
+		name: "branch on a header parsed from the body",
+		fs: []*Function{echoOne(NewBuilder("f").MovImm(1, 2).Memcpy("tbl", RegZero, PayloadObject, RegZero, 1).
+			Load(2, "tbl", RegZero, 0).HdrSet(FieldArg0, 2).HdrGet(3, FieldArg0).Brnz(3, "x").Label("x"))},
+		objs: []*Object{tbl},
+		want: "executed: brnz f+5 depends on header arg0", native: one,
+	}, {
+		name: "branch on the payload",
+		fs:   []*Function{echoOne(NewBuilder("f").PktLoad(1, RegZero, 0).Brnz(1, "x").Label("x"))},
+		want: "executed: brnz f+1 depends on payload", native: one,
+	}, {
+		name:    "a header key of more than 16 bytes",
+		fs:      []*Function{echoOne(wide.HdrSet(FieldArg0, 1).HdrGet(3, FieldArg0).Brnz(3, "x").Label("x"))},
+		payload: make([]byte, 20),
+		want:    "executed: brnz f+36 depends on header arg0", native: one,
+	}, {
+		name: "a call keeps what its callee does not write",
+		fs:   []*Function{emitBuf(NewBuilder("f")), NewBuilder("g").MovImm(7, 1).Ret(RegZero).MustBuild()},
+		objs: []*Object{buf},
+		want: "replayed: no guard", native: zeros(8),
+	}, {
+		name: "a call forgets what its callee writes",
+		fs:   []*Function{emitBuf(NewBuilder("f")), NewBuilder("g").MovImm(2, 8).Ret(RegZero).MustBuild()},
+		objs: []*Object{buf},
+		want: "executed: stw f+2 writes buf, which emit f+4 reads before writing", native: zeros(8),
+	}, {
+		name: "a bulk span in an opaque length",
+		fs: []*Function{NewBuilder("f").HdrGet(5, FieldPayloadLen).MovImm(6, 4).Mul(6, 5, 6).
+			Gray("out", RegZero, "img", RegZero, 6).Emit("out", RegZero, 5).Ret(RegZero).MustBuild()},
+		objs: []*Object{{Name: "out", Size: 64}, {Name: "img", Size: 64}},
+		want: "replayed: no guard", native: zeros(0),
+	}, {
+		name: "a load whose value reaches nothing",
+		fs:   []*Function{echoOne(NewBuilder("f").Load(1, "priv", RegZero, 0).Add(2, 2, 1).Store("priv", RegZero, 0, RegZero))},
+		objs: []*Object{{Name: "priv", Size: 8}},
+		want: "replayed: no guard", native: one,
+	}, {
+		name: "a store of the value its guard holds is still a store",
+		fs:   []*Function{echoOne(NewBuilder("f").LoadW(1, "st", RegZero, 0).Brnz(1, "x").Label("x").StoreW("st", RegZero, 0, RegZero))},
+		objs: []*Object{{Name: "st", Size: 8}},
+		want: "executed: stw f+2 writes st, which ldw f+0 reads before writing", native: one,
 	}, {
 		name: "payload-derived address",
 		fs:   []*Function{echoOne(NewBuilder("f").PktLoad(1, RegZero, 0).Load(2, "tbl", 1, 0))},
@@ -198,7 +251,11 @@ func TestReplayRejections(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := exe.Explain(&nicsim.Request{LambdaID: 1, Payload: []byte{2, 0}, Packets: 1})
+			payload := tc.payload
+			if payload == nil {
+				payload = []byte{2, 0}
+			}
+			got := exe.Explain(&nicsim.Request{LambdaID: 1, Payload: payload, Packets: 1})
 			if got != tc.want {
 				t.Errorf("Explain = %q\nwant      %q", got, tc.want)
 			}

@@ -18,11 +18,7 @@ func benchWorkloads(b *testing.B, eng mcc.Engine) {
 		workloads.KVGetClient(),
 		workloads.ImageTransformer(16, 16),
 	}
-	exe, _, err := workloads.CompileOptimizedWith(ws, workloads.NaiveProgramTarget,
-		mcc.LinkOptions{Engine: eng})
-	if err != nil {
-		b.Fatal(err)
-	}
+	exe := executing(b, ws, workloads.NaiveProgramTarget, mcc.LinkOptions{Engine: eng})
 	for _, w := range ws {
 		payload := w.MakeRequest(7)
 		req := &nicsim.Request{

@@ -108,15 +108,15 @@ type Request struct {
 	// spans: scheduler queue wait, instruction cycles, and per-level
 	// memory stalls on the executing thread's island/core track.
 	Trace *obs.Req
-	// Reply, when non-nil, is a buffer the caller lends the firmware to
-	// build the response in: Program.Execute may append the response to
-	// Reply[:0] and keeps no reference to it after returning.
-	Reply []byte
 }
 
 // Response is the lambda's reply.
 type Response struct {
+	// Payload holds the reply's bytes, or is nil when the program knew
+	// the reply's length without building it (Program.Serve).
 	Payload []byte
+	// Size is the reply's length in bytes.
+	Size int
 	// Stats are the execution statistics for observability and tests.
 	Stats ExecStats
 }
@@ -127,10 +127,11 @@ type Response struct {
 // functionally and reports their dynamic cost. Implementations live in
 // internal/mcc (compiled Match+Lambda programs) and in tests.
 type Program interface {
-	// Execute runs the image against the request (parse + match +
-	// lambda). It must be deterministic given the request (simulation
-	// determinism depends on it).
-	Execute(req *Request) (Response, error)
+	// Serve runs the image against the request (parse + match +
+	// lambda) and returns the run's cost and the reply's length, its
+	// bytes only if it built them. It must be deterministic given the
+	// request (simulation determinism depends on it).
+	Serve(req *Request) (Response, error)
 	// Handles reports whether the image has a lambda for the ID;
 	// unmatched requests go to the host OS path (§4.1).
 	Handles(id uint32) bool
@@ -604,7 +605,7 @@ func (n *NIC) start(p *pending) {
 	}
 	if !p.started {
 		p.started = true
-		p.resp, p.err = n.fw.Execute(p.req)
+		p.resp, p.err = n.fw.Serve(p.req)
 		cycles := n.cfg.NIC.ParseMatchCycles
 		if pk := p.req.Packets; pk > 1 {
 			// Multi-packet RPC: the NIC reorders/commits packets before

@@ -25,13 +25,13 @@ type fakeImage struct {
 	execCount int
 }
 
-func (f *fakeImage) Execute(req *Request) (Response, error) {
+func (f *fakeImage) Serve(req *Request) (Response, error) {
 	f.execCount++
 	l := f.lambdas[req.LambdaID]
 	var st ExecStats
 	st.Instructions = l.instr
 	st.AddAccess(MemEMEM, l.emem)
-	return Response{Payload: req.Payload, Stats: st}, nil
+	return Response{Payload: req.Payload, Size: len(req.Payload), Stats: st}, nil
 }
 
 func (f *fakeImage) Handles(id uint32) bool {

@@ -89,25 +89,6 @@ type Request struct {
 	Payload  []byte
 	// Label optionally names the workload in trace reports.
 	Label string
-	// Recycle, when non-nil, takes Payload back for the generator to
-	// build a later request in. The payload stays the caller's until the
-	// request's completion callback has run — the λ-NIC lambda reads it
-	// in place after its RDMA commit, and cpusim only takes its length —
-	// so that is when ClosedLoop and OpenLoop call it.
-	Recycle func(payload []byte)
-}
-
-// release returns a finished request's payload to its generator and
-// its reply to the backend: the load drivers read neither once the
-// request's completion callback has run.
-func (r Request) release(reply backend.Result) {
-	if r.Recycle != nil {
-		poison(r.Payload)
-		r.Recycle(r.Payload)
-	}
-	if reply.Recycle != nil {
-		reply.Recycle(reply.Payload)
-	}
 }
 
 // Generator produces the i-th request of a run.
@@ -127,31 +108,6 @@ func Fixed(id uint32, makePayload func(i int) []byte) Generator {
 	return func(i int) Request {
 		return Request{Workload: id, Payload: makePayload(i)}
 	}
-}
-
-// Refilled is Fixed for payloads worth recycling: fill(i, buf) builds
-// the i-th payload in buf's backing array when it is large enough, and
-// buf is a finished request's payload (nil until one has finished). The
-// free list belongs to the returned generator, so drive one simulation
-// with it at a time.
-func Refilled(id uint32, fill func(i int, buf []byte) []byte) Generator {
-	var free [][]byte
-	recycle := func(p []byte) { free = append(free, p) }
-	return func(i int) Request {
-		var buf []byte
-		if last := len(free) - 1; last >= 0 {
-			buf, free = free[last], free[:last]
-		}
-		return Request{Workload: id, Payload: fill(i, buf), Recycle: recycle}
-	}
-}
-
-// Sized is the generator for targets that read a payload's length and
-// nothing else (the CPU cost models): every request carries the same
-// n-byte buffer, which nothing writes and no target reads.
-func Sized(id uint32, n int) Generator {
-	payload := make([]byte, n)
-	return func(int) Request { return Request{Workload: id, Payload: payload} }
 }
 
 // Labeled is Fixed with a workload name attached for trace reports.
@@ -220,8 +176,6 @@ func (o OpenLoop) Start(s *sim.Sim, target Invoker) (*Result, error) {
 				windowOpen = true
 				res.Throughput.Start = s.Now()
 			}
-			// Generated at issue time, so payloads of requests that have
-			// finished by now can be reused.
 			req := o.Gen(i)
 			start := s.Now()
 			var tr *obs.Req
@@ -230,7 +184,6 @@ func (o OpenLoop) Start(s *sim.Sim, target Invoker) (*Result, error) {
 			}
 			invoke(target, req.Workload, req.Payload, tr, func(r backend.Result) {
 				tr.Finish(s.Now(), r.Err)
-				req.release(r)
 				if !measured {
 					return
 				}
@@ -328,7 +281,6 @@ func (c ClosedLoop) Start(s *sim.Sim, target Invoker) (*Result, error) {
 				res.Throughput.Completed++
 				res.Throughput.End = s.Now()
 			}
-			req.release(r)
 			issue()
 		})
 	}

@@ -270,3 +270,21 @@ func TestClosedLoopTracesMeasuredRequestsOnly(t *testing.T) {
 		}
 	}
 }
+
+// TestFixedPayloadsAreNotRecycled: the load drivers hand a Fixed
+// generator's payload to the target and never write it, even when every
+// request of a run shares one slice.
+func TestFixedPayloadsAreNotRecycled(t *testing.T) {
+	s := sim.New(1)
+	shared := []byte("constant")
+	gen := Fixed(1, func(int) []byte { return shared })
+	if _, err := (ClosedLoop{Concurrency: 2, Requests: 10, Gen: gen}).Run(s, &fixedInvoker{s: s, service: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (OpenLoop{RatePerSec: 2000, Requests: 20, Gen: gen}).Run(s, &fixedInvoker{s: s, service: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if string(shared) != "constant" {
+		t.Errorf("a Fixed payload was overwritten: %q", shared)
+	}
+}

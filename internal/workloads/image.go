@@ -56,7 +56,8 @@ func ImageTransformer(width, height int) *Workload {
 				{Name: "img_out", Size: maxPixels},
 				{Name: "img_meta", Size: 64, Hint: mcc.HintHot},
 			},
-			Uses: []string{"imgreq"},
+			Uses:   []string{"imgreq"},
+			Native: grayscaleNative,
 		},
 		Profile: cpusim.Profile{
 			ID:                 ImageTransformerID,
@@ -65,9 +66,6 @@ func ImageTransformer(width, height int) *Workload {
 		},
 		MakeRequest: func(i int) []byte {
 			return ImageRequest(width, height, byte(i))
-		},
-		FillRequest: func(i int, buf []byte) []byte {
-			return ImageRequestInto(buf, width, height, byte(i))
 		},
 		Handle: func(payload []byte, _ *Deps) ([]byte, error) {
 			return grayscaleNative(payload)
@@ -78,21 +76,7 @@ func ImageTransformer(width, height int) *Workload {
 // ImageRequest builds an imgreq payload: header plus a deterministic
 // RGBA gradient seeded by seed.
 func ImageRequest(width, height int, seed byte) []byte {
-	return ImageRequestInto(nil, width, height, seed)
-}
-
-// ImageRequestSize is the length of a width x height imgreq payload.
-func ImageRequestSize(width, height int) int { return imgHeaderSize + width*height*4 }
-
-// ImageRequestInto is ImageRequest built in buf's backing array when it
-// is large enough (a fresh one otherwise). Every byte of the result is
-// written, so buf may hold anything — a finished request's payload.
-func ImageRequestInto(buf []byte, width, height int, seed byte) []byte {
-	size := ImageRequestSize(width, height)
-	if cap(buf) < size {
-		buf = make([]byte, size)
-	}
-	p := buf[:size]
+	p := make([]byte, imgHeaderSize+width*height*4)
 	binary.BigEndian.PutUint32(p[0:4], uint32(width))
 	binary.BigEndian.PutUint32(p[4:8], uint32(height))
 	// Pixel i is the bytes {i+seed, i>>8, i>>16, 0xFF}: one little-endian

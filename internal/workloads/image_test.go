@@ -54,49 +54,13 @@ func TestImageRequestRunTable(t *testing.T) {
 			if got := ImageRequest(w, h, seed); !bytes.Equal(got, want) {
 				t.Errorf("%dx%d seed %d: ImageRequest differs from the per-pixel formula", w, h, seed)
 			}
-			dirty := bytes.Repeat([]byte{0xDB}, len(want))
-			if got := ImageRequestInto(dirty, w, h, seed); !bytes.Equal(got, want) {
-				t.Errorf("%dx%d seed %d: fill into a dirty buffer differs from the per-pixel formula", w, h, seed)
-			}
 		}
-	}
-}
-
-func TestImageRequestIntoRecycledBuffer(t *testing.T) {
-	want := imageRequestOracle(9, 7, 3)
-	// A larger, dirty buffer is reused in place and fully overwritten.
-	dirty := bytes.Repeat([]byte{0xDB}, len(want)+64)
-	got := ImageRequestInto(dirty, 9, 7, 3)
-	if !bytes.Equal(got, want) {
-		t.Error("fill into a dirty buffer differs from the byte-wise fill")
-	}
-	if &got[0] != &dirty[0] {
-		t.Error("a buffer large enough was not reused")
-	}
-	// One too small is replaced, not overrun.
-	small := make([]byte, 16)
-	if got := ImageRequestInto(small, 9, 7, 3); !bytes.Equal(got, want) {
-		t.Error("fill past a small buffer differs from the byte-wise fill")
-	}
-	// The workload's two payload makers agree.
-	img := ImageTransformer(9, 7)
-	if !bytes.Equal(img.FillRequest(3, dirty), img.MakeRequest(3)) {
-		t.Error("FillRequest and MakeRequest disagree")
 	}
 }
 
 func BenchmarkImageRequest(b *testing.B) {
-	b.Run("fresh", func(b *testing.B) {
-		b.SetBytes(imgHeaderSize + DefaultImageWidth*DefaultImageHeight*4)
-		for i := 0; i < b.N; i++ {
-			ImageRequest(DefaultImageWidth, DefaultImageHeight, byte(i))
-		}
-	})
-	b.Run("recycled", func(b *testing.B) {
-		b.SetBytes(imgHeaderSize + DefaultImageWidth*DefaultImageHeight*4)
-		var buf []byte
-		for i := 0; i < b.N; i++ {
-			buf = ImageRequestInto(buf, DefaultImageWidth, DefaultImageHeight, byte(i))
-		}
-	})
+	b.SetBytes(imgHeaderSize + DefaultImageWidth*DefaultImageHeight*4)
+	for i := 0; i < b.N; i++ {
+		ImageRequest(DefaultImageWidth, DefaultImageHeight, byte(i))
+	}
 }

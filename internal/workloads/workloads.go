@@ -70,11 +70,6 @@ type Workload struct {
 	Profile cpusim.Profile
 	// MakeRequest builds the i-th request payload.
 	MakeRequest func(i int) []byte
-	// FillRequest, when non-nil, builds the same payload in buf's backing
-	// array when it is large enough, overwriting whatever buf held. Set
-	// by workloads whose payloads are worth recycling (the 1 MiB image
-	// request); load drivers pair it with trace.Refilled.
-	FillRequest func(i int, buf []byte) []byte
 	// Handle is the native Go implementation (functional layer).
 	Handle func(payload []byte, deps *Deps) ([]byte, error)
 	// Bypass, when non-nil, tries to serve a request on the one-sided
@@ -124,6 +119,15 @@ func WebServer() *Workload {
 func WebServerVariant(name string, id uint32) *Workload {
 	content := webContent()
 	entry := buildWebEntry(name)
+	// page is the lambda's reply: the page the webreq header names, or
+	// page 0 when the request is too short to carry one.
+	page := func(payload []byte) ([]byte, error) {
+		p := 0
+		if len(payload) >= 2 {
+			p = int(binary.BigEndian.Uint16(payload[:2])) % webPages
+		}
+		return content[p*webPageSize : (p+1)*webPageSize], nil
+	}
 	return &Workload{
 		Name: name,
 		ID:   id,
@@ -138,7 +142,8 @@ func WebServerVariant(name string, id uint32) *Workload {
 				{Name: name + "_content", Size: len(content), Init: content, Hint: mcc.HintHot},
 				{Name: name + "_scratch", Size: 128},
 			},
-			Uses: []string{"webreq"},
+			Uses:   []string{"webreq"},
+			Native: page,
 		},
 		Profile: cpusim.Profile{
 			ID:                 id,
@@ -154,8 +159,7 @@ func WebServerVariant(name string, id uint32) *Workload {
 			if len(payload) < 2 {
 				return nil, fmt.Errorf("web_server: short request")
 			}
-			page := int(binary.BigEndian.Uint16(payload[:2])) % webPages
-			return content[page*webPageSize : (page+1)*webPageSize], nil
+			return page(payload)
 		},
 	}
 }

@@ -73,7 +73,7 @@ func TestSimulationBackends(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("Invoke: %v", r.Err)
 		}
-		got = r.Payload
+		got, _ = r.Reply()
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
