@@ -12,6 +12,29 @@ import (
 	"lambdanic/internal/transport"
 )
 
+// replyChan takes the reply handle sends, for tests that call it
+// directly.
+type replyChan chan result
+
+type result struct {
+	resp []byte
+	err  error
+}
+
+func (c replyChan) Reply(resp []byte, err error) { c <- result{resp, err} }
+
+// handleSync runs handle on req and waits for its reply.
+func handleSync(g *Gateway, req *transport.Message) ([]byte, error) {
+	c := make(replyChan, 1)
+	src := ""
+	if req.Source != nil {
+		src = req.Source.String()
+	}
+	g.handle(req, src, c)
+	r := <-c
+	return r.resp, r.err
+}
+
 // TestGatewayUpstreamDeadlineFailover: the upstream timeout bounds all
 // attempts at one worker together. In front of a black-holed owner and a
 // live successor the gateway gives the owner one timeout — not
@@ -67,7 +90,7 @@ func TestGatewayAllDeadErrorKind(t *testing.T) {
 		Payload: []byte("x"),
 		Source:  transport.MemAddr("client"),
 	}
-	_, err := gw.handle(req)
+	_, err := handleSync(gw, req)
 	if !errors.Is(err, transport.ErrTimeout) {
 		t.Errorf("err = %v, want a transport.ErrTimeout", err)
 	}

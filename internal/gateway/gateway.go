@@ -14,6 +14,13 @@
 // migrates only the elephant flows (top-k of a sliding-window rate
 // sketch) off overloaded workers — mice stay pinned.
 //
+// The gateway waits on nothing. A request is admitted, routed and sent
+// upstream on the transport reader that received it; the upstream call
+// ends by callback, and the reply is relayed on the goroutine that ended
+// it — the reader of the worker's response, or the attempt timer or
+// abort that failed it over. No goroutine is parked per request, so
+// what bounds the gateway is maxOpen, the requests open at once.
+//
 // The forward path is lock-free: the route table is a copy-on-write
 // snapshot behind an atomic pointer (ring and pins are immutable per
 // snapshot; the flow-rate sketch is a lock-free lossy table), so handle
@@ -23,7 +30,6 @@
 package gateway
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -89,10 +95,11 @@ var ErrNoRoute = errors.New("gateway: no route for workload")
 // agree on flow placement.
 const DefaultRingSeed = 0x1a4bda9c0ffee
 
-// poolDepth is the gateway's request-execution pool, its concurrency
-// limit: a proxied request blocks a pool worker for a full upstream
-// round trip, so the gateway runs a deeper pool than a compute endpoint.
-const poolDepth = 256
+// maxOpen bounds the requests the gateway holds open — admitted and
+// not yet replied to — at once; past it, requests are shed and counted
+// as pool drops. It is what a pool of 256 goroutines with a 4×256 queue
+// used to admit.
+const maxOpen = 1280
 
 // New starts a gateway on conn. The gateway owns the connection.
 func New(conn net.PacketConn, opts ...Option) *Gateway {
@@ -104,7 +111,7 @@ func New(conn net.PacketConn, opts ...Option) *Gateway {
 	for _, o := range opts {
 		o(g)
 	}
-	g.ep = transport.NewEndpoint(conn, g.handle, transport.WithWorkers(poolDepth))
+	g.ep = transport.NewInlineEndpoint(conn, func(req *transport.Request) { g.handle(&req.Message, req.Peer(), req) }, maxOpen)
 	return g
 }
 
@@ -226,9 +233,9 @@ func (g *Gateway) EnableMetrics(reg *monitor.Registry) error {
 		{"lnic_gateway_upstream_timeouts_total", "upstream calls that timed out after retransmits", g.UpstreamTimeouts},
 		{"lnic_gateway_retransmits_total", "upstream request retransmissions", g.Retransmits},
 		{"lnic_gateway_tenant_throttled_total", "requests shed by tenant admission control", g.Throttled},
-		// The gateway's own pool sheds under overload exactly like a
-		// worker's; exposing it separates "gateway saturated" from
-		// "tenant over quota".
+		// The gateway sheds past maxOpen open requests as a worker's pool
+		// sheds; exposing it separates "gateway saturated" from "tenant
+		// over quota".
 		{"lnic_gateway_pool_drops_total", "requests shed by the gateway worker pool", g.ep.Drops},
 		{"lnic_gateway_reassembly_evictions_total", "partially received messages pushed out by newer ones", g.ep.Evictions},
 		{"lnic_gateway_migrations_total", "elephant-flow migrations applied by the rebalancer", g.Migrations},
@@ -275,28 +282,36 @@ func (g *Gateway) EnableTracing(t obs.Tracer) {
 	g.tracer.Store(&t)
 }
 
-// handle proxies one client request to a worker and relays the
-// response. It reads exactly one route snapshot — workers, their names,
-// in-flight counters and the workload's failover counter all come from
-// it — so the worker set it iterates cannot change mid-request. The
-// first attempt goes to the flow's pinned owner (standing migration if
-// one exists, ring owner otherwise); when an upstream call fails (a
-// crashed or unreachable worker), the gateway fails over along the
-// flow's ring successors — the same deterministic order on every
-// gateway — before giving up, keeping a lambda available while any
-// replica lives.
+// replier takes a request's response: *transport.Request, or a test's
+// channel.
+type replier interface {
+	Reply(resp []byte, err error)
+}
+
+// handle proxies one client request, from the client whose address is
+// src, to a worker and relays the response through reply. It reads
+// exactly one route snapshot — workers, their names, in-flight counters
+// and the workload's failover counter all come from it — so the worker
+// set it iterates cannot change mid-request. The first attempt goes to the flow's pinned owner
+// (standing migration if one exists, ring owner otherwise); when an
+// upstream call fails (a crashed or unreachable worker), the gateway
+// fails over along the flow's ring successors — the same deterministic
+// order on every gateway — before giving up, keeping a lambda available
+// while any replica lives.
 //
-// req.Payload is the transport's pooled buffer for the request (for a
-// multi-fragment request, the one buffer it was reassembled into) and
-// every upstream attempt streams straight out of it; it is recycled
-// when handle has returned and the reply is sent, so nothing here may
-// keep it.
-func (g *Gateway) handle(req *transport.Message) ([]byte, error) {
+// handle runs on a transport reader and returns once the first upstream
+// call is sent; the proxy carries the request on from there. req.Payload
+// is the transport's pooled buffer for the request (for a multi-fragment
+// request, the one buffer it was reassembled into) and every upstream
+// attempt streams straight out of it; it is recycled by reply, so
+// nothing may keep it past that.
+func (g *Gateway) handle(req *transport.Message, src string, reply replier) {
 	id := req.Header.WorkloadID
 	// Tenant admission runs before any routing work: an over-quota
 	// request costs the gateway one bucket probe, nothing upstream.
 	if err := g.admit(id); err != nil {
-		return nil, err
+		reply.Reply(nil, err)
+		return
 	}
 	var tr *obs.Req
 	if t := g.tracer.Load(); t != nil {
@@ -307,50 +322,90 @@ func (g *Gateway) handle(req *transport.Message) ([]byte, error) {
 		g.unrouted.Add(1)
 		err := fmt.Errorf("%w: %d", ErrNoRoute, id)
 		tr.Finish(tr.Now(), err)
-		return nil, err
+		reply.Reply(nil, err)
+		return
 	}
-	src := ""
-	if req.Source != nil {
-		src = req.Source.String()
+	p := proxyPool.Get().(*proxy)
+	if p.done == nil {
+		p.done = p.upstream
 	}
-	flow := dispatch.FlowKey(src, id)
-	wr.stats.observe(flow)
-	wi := wr.ownerIndex(flow)
-	// The successor order is only materialized on the first failover —
-	// the happy path costs one ring lookup and no allocation.
-	var order []int
-	for attempt := 0; ; attempt++ {
-		start := time.Now()
-		wr.inflight[wi].Add(1)
-		// The upstream deadline rides the call's own retransmit timer;
-		// running it out is an ErrTimeout like running out of retries.
-		resp, err := g.ep.CallWithin(context.Background(), wr.workers[wi], id, req.Payload, g.timeout, tr)
-		wr.inflight[wi].Add(-1)
-		g.latency.ObserveDuration(time.Since(start))
-		if err == nil {
-			g.forwarded.Add(1)
-			tr.Finish(tr.Now(), nil)
-			return resp, nil
-		}
-		g.upstreamErrs.Add(1)
-		timedOut := errors.Is(err, transport.ErrTimeout)
-		if timedOut {
-			g.timeouts.Add(1)
-		}
-		// Unreachability (timeout after retransmits) and eviction drains
-		// (AbortTo) trigger failover while a successor is left; an
-		// application error from a live worker is deterministic and is
-		// returned as-is.
-		if !timedOut && !errors.Is(err, transport.ErrAborted) || attempt+1 == len(wr.workers) {
-			err = fmt.Errorf("gateway: upstream %s: %w", wr.names[wi], err)
-			tr.Finish(tr.Now(), err)
-			return nil, err
-		}
-		g.failovers.Add(1)
-		wr.failovers.Add(1)
-		if order == nil {
-			order = wr.failoverOrder(flow, wi)
-		}
-		wi = order[attempt]
+	p.g, p.req, p.reply, p.tr, p.wr = g, req, reply, tr, wr
+	p.flow = dispatch.FlowKey(src, id)
+	wr.stats.observe(p.flow)
+	p.wi = wr.ownerIndex(p.flow)
+	p.send()
+}
+
+// proxy is one request between its forward and its reply: which worker
+// of the snapshot it is at, and how many it has tried. Proxies are
+// pooled with their callback bound once.
+type proxy struct {
+	g     *Gateway
+	req   *transport.Message
+	reply replier
+	tr    *obs.Req
+	wr    *workloadRoute
+	flow  uint64
+	wi    int
+	tries int
+	// order is the flow's successor order, only materialized on the
+	// first failover: the happy path costs one ring lookup and no
+	// allocation.
+	order []int
+	start time.Time
+	done  func([]byte, error) // p.upstream
+}
+
+var proxyPool = sync.Pool{New: func() any { return new(proxy) }}
+
+// send calls the current worker. The upstream deadline rides the call's
+// own attempt timer; running it out is an ErrTimeout like running out of
+// retries.
+func (p *proxy) send() {
+	p.start = time.Now()
+	p.wr.inflight[p.wi].Add(1)
+	p.g.ep.CallAsync(p.wr.workers[p.wi], p.req.Header.WorkloadID, p.req.Payload, p.g.timeout, p.tr, p.done)
+}
+
+// upstream ends one upstream call: it relays the response, fails over to
+// the next worker, or relays the error.
+func (p *proxy) upstream(resp []byte, err error) {
+	g, wr := p.g, p.wr
+	wr.inflight[p.wi].Add(-1)
+	g.latency.ObserveDuration(time.Since(p.start))
+	if err == nil {
+		g.forwarded.Add(1)
+		p.finish(resp, nil)
+		return
 	}
+	g.upstreamErrs.Add(1)
+	timedOut := errors.Is(err, transport.ErrTimeout)
+	if timedOut {
+		g.timeouts.Add(1)
+	}
+	// Unreachability (timeout after retransmits) and eviction drains
+	// (AbortTo) trigger failover while a successor is left; an
+	// application error from a live worker is deterministic and is
+	// returned as-is.
+	if !timedOut && !errors.Is(err, transport.ErrAborted) || p.tries+1 == len(wr.workers) {
+		p.finish(nil, fmt.Errorf("gateway: upstream %s: %w", wr.names[p.wi], err))
+		return
+	}
+	g.failovers.Add(1)
+	wr.failovers.Add(1)
+	if p.order == nil {
+		p.order = wr.failoverOrder(p.flow, p.wi)
+	}
+	p.wi = p.order[p.tries]
+	p.tries++
+	p.send()
+}
+
+// finish closes the trace, recycles the proxy and replies.
+func (p *proxy) finish(resp []byte, err error) {
+	p.tr.Finish(p.tr.Now(), err)
+	reply := p.reply
+	*p = proxy{done: p.done}
+	proxyPool.Put(p)
+	reply.Reply(resp, err)
 }

@@ -161,10 +161,12 @@ func TestPeerNameFormatsOncePerRun(t *testing.T) {
 		return
 	}
 	// ReadFrom returns a fresh *net.UDPAddr per packet: the same peer
-	// behind another pointer must cost no formatting.
+	// behind another pointer must cost no formatting, nor must a reader
+	// alternating between a few peers (a gateway's clients and workers).
 	again := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4000}
 	if avg := testing.AllocsPerRun(100, func() {
 		_ = p.of(a)
+		_ = p.of(b)
 		_ = p.of(again)
 	}); avg != 0 {
 		t.Errorf("naming a repeated peer allocates %.1f times", avg)

@@ -18,8 +18,14 @@ import (
 func newGatewayPath(tb testing.TB) func() error {
 	tb.Helper()
 	n := transport.NewMemNetwork(1)
+	return newGatewayPathOn(tb, func(name string) (net.PacketConn, error) { return n.Listen(name) })
+}
+
+// newGatewayPathOn is newGatewayPath over the sockets listen opens.
+func newGatewayPathOn(tb testing.TB, listenOn func(name string) (net.PacketConn, error)) func() error {
+	tb.Helper()
 	listen := func(name string) net.PacketConn {
-		conn, err := n.Listen(name)
+		conn, err := listenOn(name)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -115,5 +121,35 @@ func TestGatewayRoundTripAllocs(t *testing.T) {
 	})
 	if avg > 5 {
 		t.Errorf("client → gateway → worker round trip allocates %.1f allocs/op, want ≤ 5", avg)
+	}
+}
+
+// TestUDPGatewayRoundTripAllocs holds the same round trip over UDP
+// loopback sockets (the bench's transport.udp_allocs_per_req) to the
+// allocation-free socket calls: reads by ReadFromUDPAddrPort, with each
+// reader's recent peers cached as formatted names and net.Addrs, and
+// writes by WriteToUDPAddrPort. It measures 4, the memnet budget's
+// allocations less the harness's gw.Addr(); the generic ReadFrom and
+// WriteTo, or a peer formatted per packet, take it past 15.
+func TestUDPGatewayRoundTripAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc gate needs steady-state warmup")
+	}
+	if transport.RaceEnabled {
+		t.Skip("race-detector instrumentation inflates alloc counts")
+	}
+	call := newGatewayPathOn(t, func(string) (net.PacketConn, error) { return net.ListenPacket("udp", "127.0.0.1:0") })
+	for i := 0; i < 300; i++ {
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(500, func() {
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 5 {
+		t.Errorf("client → gateway → worker round trip over UDP allocates %.1f allocs/op, want ≤ 5", avg)
 	}
 }

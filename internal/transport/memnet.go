@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,6 +114,77 @@ type MemConn struct {
 	closed     atomic.Bool
 	delayed    memPacket // one packet being reordered behind the next
 	hasDelayed bool
+
+	// rd is the read deadline; reads wait on it only once one has been
+	// set (rdSet), so a conn that never sets one reads from inbox alone.
+	rd    readDeadline
+	rdSet atomic.Bool
+}
+
+// readDeadline is a settable read deadline: a channel closed once the
+// deadline passes, and one timer that closes it. Moving the deadline
+// later — each command of a request-response client does — only
+// records it: the timer, due earlier, finds the deadline moved when it
+// fires and re-arms itself for the rest.
+type readDeadline struct {
+	mu      sync.Mutex
+	at      time.Time // zero: no deadline
+	timer   *time.Timer
+	due     time.Time // when the timer fires; zero while it is idle
+	expired chan struct{}
+}
+
+func (d *readDeadline) set(t time.Time) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.at = t
+	select {
+	case <-d.expired:
+		d.expired = nil // passed: the new deadline starts open
+	default:
+	}
+	if d.expired == nil {
+		d.expired = make(chan struct{})
+	}
+	switch now := time.Now(); {
+	case t.IsZero():
+	case !t.After(now):
+		close(d.expired)
+	case d.due.IsZero() || t.Before(d.due):
+		d.due = t
+		if d.timer == nil {
+			d.timer = time.AfterFunc(t.Sub(now), d.expire)
+		} else {
+			d.timer.Reset(t.Sub(now))
+		}
+	}
+}
+
+// expire runs on the timer: it closes the channel if the deadline has
+// passed, or re-arms for a deadline that moved later.
+func (d *readDeadline) expire() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.due = time.Time{}
+	if d.at.IsZero() {
+		return
+	}
+	if left := time.Until(d.at); left > 0 {
+		d.due = d.at
+		d.timer.Reset(left)
+		return
+	}
+	select {
+	case <-d.expired:
+	default:
+		close(d.expired)
+	}
+}
+
+func (d *readDeadline) wait() <-chan struct{} {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.expired
 }
 
 var _ net.PacketConn = (*MemConn)(nil)
@@ -191,10 +263,21 @@ func (c *MemConn) push(pkt memPacket) {
 	}
 }
 
-// ReadFrom blocks until a packet arrives. After Close it returns what
-// was already queued, then net.ErrClosed.
+// ReadFrom blocks until a packet arrives, or the read deadline passes
+// (os.ErrDeadlineExceeded). After Close it returns what was already
+// queued, then net.ErrClosed.
 func (c *MemConn) ReadFrom(p []byte) (int, net.Addr, error) {
-	pkt, ok := <-c.inbox
+	var pkt memPacket
+	var ok bool
+	if !c.rdSet.Load() {
+		pkt, ok = <-c.inbox
+	} else {
+		select {
+		case pkt, ok = <-c.inbox:
+		case <-c.rd.wait():
+			return 0, nil, os.ErrDeadlineExceeded
+		}
+	}
 	if !ok {
 		return 0, nil, net.ErrClosed
 	}
@@ -235,11 +318,17 @@ func (c *MemConn) Close() error {
 // LocalAddr returns the endpoint's name.
 func (c *MemConn) LocalAddr() net.Addr { return c.addr }
 
-// SetDeadline is a no-op (the in-memory network has no deadlines).
-func (c *MemConn) SetDeadline(time.Time) error { return nil }
+// SetDeadline sets the read deadline (writes never block).
+func (c *MemConn) SetDeadline(t time.Time) error { return c.SetReadDeadline(t) }
 
-// SetReadDeadline is a no-op.
-func (c *MemConn) SetReadDeadline(time.Time) error { return nil }
+// SetReadDeadline bounds reads as on a socket: past t, ReadFrom fails
+// with os.ErrDeadlineExceeded, and a zero t clears the deadline. A read
+// already waiting when the conn's first deadline is set is not bound.
+func (c *MemConn) SetReadDeadline(t time.Time) error {
+	c.rd.set(t)
+	c.rdSet.Store(true)
+	return nil
+}
 
-// SetWriteDeadline is a no-op.
+// SetWriteDeadline is a no-op: writes never block.
 func (c *MemConn) SetWriteDeadline(time.Time) error { return nil }

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestMemConnCloseRacingWriters: Close while 8 writers keep sending to
@@ -183,5 +185,63 @@ func TestMemNetworkFaultFreeDrawsNothing(t *testing.T) {
 	}
 	if got, want := n.rng.Float64(), rand.New(rand.NewSource(seed)).Float64(); got != want {
 		t.Errorf("the hub's next draw is %v, the seed's first is %v: fault-free traffic drew numbers", got, want)
+	}
+}
+
+// TestMemConnReadDeadline: a read past the deadline fails with
+// os.ErrDeadlineExceeded; a later deadline, and a cleared one, let
+// packets through again; a deadline already past fails at once, and a
+// moved one holds to where it was moved.
+func TestMemConnReadDeadline(t *testing.T) {
+	n := NewMemNetwork(1)
+	a, err := n.Listen("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := n.Listen("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	buf := make([]byte, 16)
+	read := func() error {
+		_, _, err := b.ReadFrom(buf)
+		return err
+	}
+	start := time.Now()
+	b.SetReadDeadline(start.Add(10 * time.Millisecond))
+	if err := read(); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read past the deadline: %v", err)
+	}
+	if took := time.Since(start); took < 10*time.Millisecond || took > time.Second {
+		t.Errorf("deadline read returned after %v", took)
+	}
+	for _, dl := range []time.Time{time.Now().Add(time.Second), {}} {
+		b.SetReadDeadline(dl)
+		a.WriteTo([]byte("x"), MemAddr("b"))
+		if err := read(); err != nil {
+			t.Errorf("read under deadline %v: %v", dl, err)
+		}
+	}
+	b.SetReadDeadline(time.Now().Add(-time.Second))
+	if err := read(); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("read under a past deadline: %v", err)
+	}
+	// A deadline moved later holds the read to the later one; moved
+	// earlier, to the earlier one.
+	for _, tc := range []struct{ first, then time.Duration }{
+		{10 * time.Millisecond, 40 * time.Millisecond},
+		{time.Minute, 10 * time.Millisecond},
+	} {
+		start := time.Now()
+		b.SetReadDeadline(start.Add(tc.first))
+		b.SetReadDeadline(start.Add(tc.then))
+		if err := read(); !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("deadline moved from %v to %v: %v", tc.first, tc.then, err)
+		}
+		if took := time.Since(start); took < tc.then || took > tc.then+time.Second {
+			t.Errorf("deadline moved from %v to %v: read returned after %v", tc.first, tc.then, took)
+		}
 	}
 }

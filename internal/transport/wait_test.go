@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"lambdanic/internal/matchlambda"
 )
 
-// These tests pin down who wakes a blocked caller and how: a response,
-// the call's own timer, an abort, a shutdown — all through the call's
-// one channel — and a cancelled context.
+// These tests pin down who ends a call and how: a response, the call's
+// own attempt timer, an abort, a shutdown, a cancelled context — each
+// completing the one call record exactly once.
 
 // blackHole attaches a node that nobody reads: packets sent to it queue
 // up and are never answered.
@@ -299,23 +302,25 @@ func TestAbortedCallsArePooled(t *testing.T) {
 // over an abort delivered afterwards — the call succeeds.
 func TestAbortLosesToResponse(t *testing.T) {
 	n := NewMemNetwork(1)
-	cli := clientOn(t, n, "client")
-	pc := callPool.Get().(*pendingCall)
-	pc.to = "server"
-	sh := cli.shardByID(7)
-	sh.mu.Lock()
-	sh.pending[7] = pc
-	pc.deliver(callResult{payload: []byte("answer")})
-	sh.mu.Unlock()
-	if got := cli.AbortTo(MemAddr("server")); got != 0 {
-		t.Errorf("AbortTo ended %d answered calls", got)
+	blackHole(t, n, "server")
+	cli := clientOn(t, n, "client", WithTimeout(10*time.Second))
+	got := make(chan callResult, 1)
+	go func() {
+		resp, err := cli.Call(context.Background(), MemAddr("server"), 1, []byte("q"))
+		got <- callResult{payload: resp, err: err}
+	}()
+	waitFor(t, "the call to block", func() bool { return pendingCalls(cli) == 1 })
+	answer := []byte("answer")
+	cli.handleResponse(matchlambda.WireHeader{
+		Version: matchlambda.Version1, Flags: matchlambda.FlagResponse, WorkloadID: 1,
+		RequestID: cli.nextID.Load(), Total: 1, PayloadLen: uint32(len(answer)),
+	}, answer, "server")
+	if n := cli.AbortTo(MemAddr("server")); n != 0 {
+		t.Errorf("AbortTo ended %d answered calls", n)
 	}
-	if res := <-pc.ch; res.err != nil || string(res.payload) != "answer" {
-		t.Errorf("call result = %+v, want the response", res)
+	if res := <-got; res.err != nil || string(res.payload) != "answer" {
+		t.Errorf("call result = %q, %v, want the response", res.payload, res.err)
 	}
-	sh.mu.Lock()
-	delete(sh.pending, 7)
-	sh.mu.Unlock()
 }
 
 // TestCallWithin: the budget bounds the sum of all attempts' waits — the
@@ -357,4 +362,79 @@ func TestCallWithin(t *testing.T) {
 			t.Errorf("resp %q, err %v", resp, err)
 		}
 	})
+}
+
+// TestCallbackCompletesOnce: responses — some lost, some duplicated —
+// attempt timers, AbortTo and Close race on the same calls, and each
+// call's done runs exactly once. Every done starts a follow-up call, as
+// the gateway's failover does; run under a shard lock, that would
+// deadlock on the first follow-up landing in the same shard.
+func TestCallbackCompletesOnce(t *testing.T) {
+	n := NewMemNetwork(7)
+	n.LossRate, n.DupRate = 0.2, 0.2
+	sc, err := n.Listen("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewEndpoint(sc, func(req *Message) ([]byte, error) { return req.Payload, nil })
+	t.Cleanup(func() { srv.Close() })
+	cli := clientOn(t, n, "client", WithTimeout(time.Millisecond), WithRetries(2))
+
+	const calls, senders = 2000, 4
+	var ends [2 * calls]atomic.Int32
+	payload := []byte("q")
+	var done func(i int) func([]byte, error)
+	done = func(i int) func([]byte, error) {
+		return func(resp []byte, err error) {
+			if err == nil && string(resp) != "q" {
+				t.Errorf("call %d: reply %q", i, resp)
+			}
+			ends[i].Add(1)
+			if i < calls {
+				cli.CallAsync(MemAddr("server"), 1, payload, 0, nil, done(calls+i))
+			}
+		}
+	}
+	stop := make(chan struct{})
+	aborted := make(chan struct{})
+	go func() {
+		defer close(aborted)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				cli.AbortTo(MemAddr("server"))
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}()
+	var sent sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		sent.Add(1)
+		go func() {
+			defer sent.Done()
+			for i := s; i < calls; i += senders {
+				cli.CallAsync(MemAddr("server"), 1, payload, 0, nil, done(i))
+			}
+		}()
+	}
+	sent.Wait()
+	cli.Close()
+	close(stop)
+	<-aborted
+	waitFor(t, "every call to end", func() bool {
+		for i := range ends {
+			if ends[i].Load() == 0 {
+				return false
+			}
+		}
+		return true
+	})
+	time.Sleep(10 * time.Millisecond) // room for a second completion to show
+	for i := range ends {
+		if got := ends[i].Load(); got != 1 {
+			t.Errorf("call %d completed %d times", i, got)
+		}
+	}
 }
