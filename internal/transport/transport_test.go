@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -496,5 +497,31 @@ func TestSeenCacheStaysBounded(t *testing.T) {
 	}
 	if cached == 0 {
 		t.Error("seen cache empty; requests were not remembered")
+	}
+}
+
+// TestUDPCallToResolvedAddress: over real UDP sockets, a destination
+// resolved from text — its IPv4 address in the 16-byte form, as the
+// daemons' -route and -gateway flags produce it — is reached like the
+// 4-byte form LocalAddr returns, and the reply finds its way back.
+func TestUDPCallToResolvedAddress(t *testing.T) {
+	listen := func() net.PacketConn {
+		c, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	sc := listen()
+	srv := NewEndpoint(sc, func(req *Message) ([]byte, error) { return req.Payload, nil })
+	defer srv.Close()
+	cli := NewEndpoint(listen(), nil, WithTimeout(time.Second), WithRetries(0))
+	defer cli.Close()
+	to, err := net.ResolveUDPAddr("udp", sc.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := cli.Call(context.Background(), to, 1, []byte("q")); err != nil || string(resp) != "q" {
+		t.Errorf("call to %v (%d-byte IP): %q, %v", to, len(to.IP), resp, err)
 	}
 }
