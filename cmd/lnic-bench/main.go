@@ -6,24 +6,26 @@
 //
 //	lnic-bench [-experiment NAME] [-quick] [-short] [-seed N]
 //	           [-kernel ladder|heap] [-parallel]
-//	           [-trace-out FILE] [-bench-out FILE] [-bench-guard FILE] [-slo-out FILE]
+//	           [-trace-out FILE] [-slo-out FILE]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 //
 // lnic-bench -h lists the experiment names. The default, all, runs the
 // paper's tables and figures at the sizes recorded in EXPERIMENTS.md;
 // -quick shrinks them. Files are written only where a flag names them.
+// Every report runs on a virtual clock and repeats bit for bit; the
+// tests hold each run they make byte for byte against testdata/*.golden.
 // README.md describes each experiment, its verdict and its artefacts.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 
-	"lambdanic/internal/benchio"
 	"lambdanic/internal/experiments"
 	"lambdanic/internal/obs"
 	"lambdanic/internal/sim"
@@ -31,7 +33,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "lnic-bench:", err)
 		os.Exit(1)
 	}
@@ -44,8 +46,10 @@ type options struct {
 	// have one of their own (-short or -quick).
 	smoke    bool
 	parallel bool
+	// out receives every report.
+	out io.Writer
 
-	traceOut, benchOut, benchGuard, sloOut string
+	traceOut, sloOut string
 }
 
 // experiment is one -experiment value.
@@ -61,8 +65,8 @@ type experiment struct {
 // experimentTable is every experiment the command knows; the flag help
 // and the unknown-experiment error are generated from it.
 var experimentTable = []experiment{
-	{name: "table1", inAll: true, run: func(*options) error {
-		fmt.Println(experiments.RenderTable1(experiments.Table1()))
+	{name: "table1", inAll: true, run: func(o *options) error {
+		fmt.Fprintln(o.out, experiments.RenderTable1(experiments.Table1()))
 		return nil
 	}},
 	{name: "fig6", inAll: true, run: show(experiments.Figure6, experiments.RenderFigure6)},
@@ -92,14 +96,14 @@ var experimentTable = []experiment{
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.RenderLatencyBreakdown(rep))
+		fmt.Fprintln(o.out, experiments.RenderLatencyBreakdown(rep))
 		if o.traceOut == "" {
 			return nil
 		}
 		if err := obs.WriteChromeTraceFile(o.traceOut, rep.Requests); err != nil {
 			return err
 		}
-		fmt.Printf("lnic-bench: wrote Chrome trace (%d requests) to %s\n",
+		fmt.Fprintf(o.out, "lnic-bench: wrote Chrome trace (%d requests) to %s\n",
 			len(rep.Requests), o.traceOut)
 		return nil
 	}},
@@ -112,8 +116,8 @@ var experimentTable = []experiment{
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.RenderChaos(rep))
-		if err := sloReport(o.sloOut, rep.SLO); err != nil {
+		fmt.Fprintln(o.out, experiments.RenderChaos(rep))
+		if err := o.sloReport(rep.SLO); err != nil {
 			return err
 		}
 		if o.traceOut == "" {
@@ -122,7 +126,7 @@ var experimentTable = []experiment{
 		if err := obs.WriteChromeTraceFileWithMarks(o.traceOut, rep.Requests, rep.Marks); err != nil {
 			return err
 		}
-		fmt.Printf("lnic-bench: wrote Chrome trace (%d requests, %d fault marks) to %s\n",
+		fmt.Fprintf(o.out, "lnic-bench: wrote Chrome trace (%d requests, %d fault marks) to %s\n",
 			len(rep.Requests), len(rep.Marks), o.traceOut)
 		return nil
 	}},
@@ -135,11 +139,8 @@ var experimentTable = []experiment{
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.RenderTenants(rep))
-		if err := benchReport(o.benchOut, "", rep.Bench(), "", nil); err != nil {
-			return err
-		}
-		if err := sloReport(o.sloOut, rep.SLO); err != nil {
+		fmt.Fprintln(o.out, experiments.RenderTenants(rep))
+		if err := o.sloReport(rep.SLO); err != nil {
 			return err
 		}
 		if !rep.Isolated {
@@ -157,15 +158,7 @@ var experimentTable = []experiment{
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.RenderSkew(rep))
-		// Latencies are virtual-clock and thus machine-independent;
-		// guard every policy's p99 directly, no normalization needed.
-		if err := benchReport(o.benchOut, o.benchGuard, rep.Bench(),
-			"skew p99s within 25%", func(baseline, current benchio.Report) error {
-				return benchio.GuardLatency(baseline, current, 0.25, "skew/")
-			}); err != nil {
-			return err
-		}
+		fmt.Fprintln(o.out, experiments.RenderSkew(rep))
 		if !rep.Affine {
 			return fmt.Errorf("skew: affinity verdict not met (pinned+mig must beat rr on p99 and warm-hit rate)")
 		}
@@ -180,15 +173,7 @@ var experimentTable = []experiment{
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.RenderBoundary(rep))
-		// Latencies are virtual-clock and thus machine-independent;
-		// guard every per-policy and per-phase p99 directly.
-		if err := benchReport(o.benchOut, o.benchGuard, rep.Bench(),
-			"boundary p99s within 25%", func(baseline, current benchio.Report) error {
-				return benchio.GuardLatency(baseline, current, 0.25, "boundary/")
-			}); err != nil {
-			return err
-		}
+		fmt.Fprintln(o.out, experiments.RenderBoundary(rep))
 		if !rep.Pareto {
 			return fmt.Errorf("boundary: Pareto verdict not met (dynamic must match the better static tail per phase and burn less NIC-core·time than static-nic)")
 		}
@@ -199,32 +184,12 @@ var experimentTable = []experiment{
 		if o.smoke {
 			rbCfg = experiments.QuickRdmaBench()
 		}
-		rep, err := experiments.RdmaBench(o.cfg, rbCfg)
+		rows, err := experiments.RdmaBench(o.cfg, rbCfg)
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.RenderRdmaBench(rep))
-		// All rates are virtual-clock and thus machine-independent;
-		// every kvget and large row is guarded, normalized to the
-		// single-client lambda baseline.
-		return benchReport(o.benchOut, o.benchGuard, rep,
-			"rdmabench within 20%", func(baseline, current benchio.Report) error {
-				return benchio.Guard(baseline, current, "kvget/lambda/c1", 0.20, "kvget/", "large/")
-			})
-	}},
-	{name: "simbench", run: func(o *options) error {
-		sbCfg := experiments.DefaultSimBench()
-		if o.smoke {
-			sbCfg = experiments.QuickSimBench()
-		}
-		rep := experiments.SimBench(o.cfg, sbCfg)
-		fmt.Println(experiments.RenderSimBench(rep))
-		// Raw rates are normalized to this run's sched/heap, so the
-		// check holds across machines.
-		return benchReport(o.benchOut, o.benchGuard, rep,
-			"simbench within 20%", func(baseline, current benchio.Report) error {
-				return benchio.Guard(baseline, current, "sched/heap", 0.20, "sched/", "timers/")
-			})
+		fmt.Fprintln(o.out, experiments.RenderRdmaBench(rows))
+		return nil
 	}},
 }
 
@@ -236,7 +201,7 @@ func show[T any](compute func(experiments.Config) (T, error), render func(T) str
 		if err != nil {
 			return err
 		}
-		fmt.Println(render(r))
+		fmt.Fprintln(o.out, render(r))
 		return nil
 	}
 }
@@ -252,7 +217,9 @@ func experimentNames(keep func(experiment) bool) string {
 	return strings.Join(names, ", ")
 }
 
-func run(args []string) error {
+// run parses args, runs the selected experiments and writes their
+// reports to stdout.
+func run(args []string, stdout io.Writer) error {
 	allNames := experimentNames(func(experiment) bool { return true })
 	parallelNames := experimentNames(func(e experiment) bool { return e.parallel })
 
@@ -270,10 +237,6 @@ func run(args []string) error {
 		"run the independent sweep points of "+parallelNames+" concurrently (bit-identical results)")
 	traceOut := fs.String("trace-out", "",
 		"write the breakdown or chaos experiment's Chrome trace-event JSON to this file")
-	benchOut := fs.String("bench-out", "",
-		"write the tenants/skew/boundary/rdmabench/simbench JSON report to this file")
-	benchGuard := fs.String("bench-guard", "",
-		"fail if the skew/boundary/rdmabench/simbench report regresses against this baseline JSON")
 	sloOut := fs.String("slo-out", "",
 		"write the chaos or tenants experiment's SLO error-budget report JSON to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -283,13 +246,12 @@ func run(args []string) error {
 	}
 
 	o := &options{
-		cfg:        experiments.Default(),
-		smoke:      *short || *quick,
-		parallel:   *parallel,
-		traceOut:   *traceOut,
-		benchOut:   *benchOut,
-		benchGuard: *benchGuard,
-		sloOut:     *sloOut,
+		cfg:      experiments.Default(),
+		smoke:    *short || *quick,
+		parallel: *parallel,
+		out:      stdout,
+		traceOut: *traceOut,
+		sloOut:   *sloOut,
 	}
 	if *quick {
 		o.cfg = experiments.Quick()
@@ -352,47 +314,19 @@ func run(args []string) error {
 	return nil
 }
 
-// benchReport is the shared artifact wiring every benchmark-producing
-// experiment goes through: write the report when -bench-out names a
-// path, then, when -bench-guard names a committed baseline and the
-// experiment supplies a check, fail the run on regression. okMsg
-// describes the passing guard, e.g. "skew p99s within 25%".
-func benchReport(outPath, guardPath string, rep benchio.Report,
-	okMsg string, check func(baseline, current benchio.Report) error) error {
-	if outPath != "" {
-		if err := benchio.WriteJSON(outPath, rep); err != nil {
-			return err
-		}
-		fmt.Printf("lnic-bench: wrote %d benchmark results to %s\n",
-			len(rep.Results), outPath)
-	}
-	if guardPath == "" || check == nil {
-		return nil
-	}
-	baseline, err := benchio.ReadJSON(guardPath)
-	if err != nil {
-		return err
-	}
-	if err := check(baseline, rep); err != nil {
-		return err
-	}
-	fmt.Printf("lnic-bench: %s of baseline %s\n", okMsg, guardPath)
-	return nil
-}
-
 // sloReport writes an experiment's SLO error-budget timeline when
 // -slo-out names a path.
-func sloReport(path string, rep *telemetry.SLOReport) error {
-	if path == "" || rep == nil {
+func (o *options) sloReport(rep *telemetry.SLOReport) error {
+	if o.sloOut == "" || rep == nil {
 		return nil
 	}
 	data, err := rep.JSON()
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(o.sloOut, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("lnic-bench: wrote SLO report (%d samples) to %s\n", len(rep.Samples), path)
+	fmt.Fprintf(o.out, "lnic-bench: wrote SLO report (%d samples) to %s\n", len(rep.Samples), o.sloOut)
 	return nil
 }

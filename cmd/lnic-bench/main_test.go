@@ -1,35 +1,115 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-
-	"lambdanic/internal/benchio"
 )
 
-// TestRunSingleExperiments runs every registered experiment end-to-end
-// through the CLI entry point at smoke size, from an empty working
-// directory: without -bench-out/-slo-out/-trace-out no experiment may
-// leave a file behind (the repo root holds committed BENCH_*.json
-// artefacts a stray default filename would overwrite).
+var update = flag.Bool("update", false, "rewrite testdata/*.golden")
+
+// goldenCase is one command line whose stdout testdata/<golden>.golden
+// holds byte for byte.
+type goldenCase struct {
+	name string
+	args []string
+	// golden names another case's file when this one must print the
+	// same text; empty means the case's own name.
+	golden string
+	// full marks a paper-size run, skipped under -short.
+	full bool
+}
+
+// goldenCases is every experiment at smoke size, plus the smoke and
+// full-size runs README.md and DESIGN.md quote. The heap-kernel case
+// shares the ladder run's file: the two kernels are bit-identical.
+func goldenCases() []goldenCase {
+	var cases []goldenCase
+	for _, e := range experimentTable {
+		cases = append(cases, goldenCase{name: e.name, args: []string{"-quick", "-short", "-experiment", e.name}})
+	}
+	return append(cases,
+		goldenCase{name: "skew-short", args: []string{"-short", "-experiment", "skew"}},
+		goldenCase{name: "boundary-short", args: []string{"-short", "-experiment", "boundary"}},
+		goldenCase{name: "skew-full", args: []string{"-experiment", "skew"}, full: true},
+		goldenCase{name: "boundary-full", args: []string{"-experiment", "boundary"}, full: true},
+		goldenCase{name: "rdmabench-full", args: []string{"-experiment", "rdmabench"}, full: true},
+		goldenCase{name: "rdmabench-full-heap", args: []string{"-kernel", "heap", "-experiment", "rdmabench"},
+			golden: "rdmabench-full", full: true},
+	)
+}
+
+// TestRunSingleExperiments runs each golden case through the CLI entry
+// point from an empty working directory. Its stdout must equal the
+// golden file byte for byte (-update rewrites the files), and without
+// -slo-out/-trace-out no run may leave a file behind.
 func TestRunSingleExperiments(t *testing.T) {
-	for _, exp := range experimentTable {
-		t.Run(exp.name, func(t *testing.T) {
+	testdata, err := filepath.Abs("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range goldenCases() {
+		t.Run(c.name, func(t *testing.T) {
+			if c.full && testing.Short() {
+				t.Skip("full-size run")
+			}
 			dir := t.TempDir()
 			t.Chdir(dir)
-			if err := run([]string{"-quick", "-short", "-experiment", exp.name}); err != nil {
-				t.Fatalf("run(%s): %v", exp.name, err)
+			var out bytes.Buffer
+			if err := run(c.args, &out); err != nil {
+				t.Fatalf("run(%s): %v", strings.Join(c.args, " "), err)
 			}
 			left, err := os.ReadDir(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, f := range left {
-				t.Errorf("run(%s) left %s behind", exp.name, f.Name())
+				t.Errorf("run(%s) left %s behind", strings.Join(c.args, " "), f.Name())
+			}
+
+			golden := c.golden
+			if golden == "" {
+				golden = c.name
+			}
+			path := filepath.Join(testdata, golden+".golden")
+			if *update && c.golden == "" {
+				if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read golden (run with -update to regenerate): %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Errorf("lnic-bench %s differs from %s:\n%s",
+					strings.Join(c.args, " "), path, firstDiff(string(want), out.String()))
 			}
 		})
 	}
+}
+
+// firstDiff shows the first line where got departs from want.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			return fmt.Sprintf("line %d\n- %s\n+ %s", i+1, wl, gl)
+		}
+	}
+	return "(no line differs)"
 }
 
 func TestRunWritesRequestedArtefacts(t *testing.T) {
@@ -37,7 +117,7 @@ func TestRunWritesRequestedArtefacts(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "chaos.json")
 	slo := filepath.Join(dir, "SLO_chaos.json")
-	if err := run([]string{"-short", "-experiment", "chaos", "-trace-out", trace, "-slo-out", slo}); err != nil {
+	if err := run([]string{"-short", "-experiment", "chaos", "-trace-out", trace, "-slo-out", slo}, io.Discard); err != nil {
 		t.Fatalf("run(chaos -short): %v", err)
 	}
 	for _, path := range []string{trace, slo} {
@@ -45,39 +125,27 @@ func TestRunWritesRequestedArtefacts(t *testing.T) {
 			t.Errorf("%s not written (%v)", path, err)
 		}
 	}
-
-	bench := filepath.Join(dir, "BENCH_sim.json")
-	if err := run([]string{"-quick", "-experiment", "simbench", "-bench-out", bench}); err != nil {
-		t.Fatalf("run(simbench -quick): %v", err)
-	}
-	rep, err := benchio.ReadJSON(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) == 0 {
-		t.Error("report has no results")
-	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-experiment", "bogus"}); err == nil {
+	if err := run([]string{"-experiment", "bogus"}, io.Discard); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
 func TestRunParallelOnlyWhereItApplies(t *testing.T) {
 	for _, exp := range []string{"all", "chaos", "table1"} {
-		if err := run([]string{"-quick", "-parallel", "-experiment", exp}); err == nil {
+		if err := run([]string{"-quick", "-parallel", "-experiment", exp}, io.Discard); err == nil {
 			t.Errorf("-parallel accepted for %s", exp)
 		}
 	}
-	if err := run([]string{"-quick", "-parallel", "-experiment", "loadcurve"}); err != nil {
+	if err := run([]string{"-quick", "-parallel", "-experiment", "loadcurve"}, io.Discard); err != nil {
 		t.Errorf("-parallel loadcurve: %v", err)
 	}
 }
 
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-nonsense"}); err == nil {
+	if err := run([]string{"-nonsense"}, io.Discard); err == nil {
 		t.Error("bad flag accepted")
 	}
 }

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
 
 	"lambdanic/internal/autoscale"
 	"lambdanic/internal/backend"
-	"lambdanic/internal/benchio"
 	"lambdanic/internal/cluster"
 	"lambdanic/internal/metrics"
 	"lambdanic/internal/nicsim"
@@ -744,45 +742,6 @@ func boundaryVerdict(bc BoundaryConfig, rep *BoundaryReport) bool {
 		}
 	}
 	return dyn.NICCoreSeconds < sn.NICCoreSeconds
-}
-
-// Bench converts the report to the benchmark-artifact schema
-// (BENCH_boundary.json): one row per policy plus per-phase rows, with
-// virtual-clock percentiles suitable for benchio.GuardLatency.
-func (r *BoundaryReport) Bench() benchio.Report {
-	rep := benchio.Report{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	for _, row := range r.Rows {
-		res := benchio.Result{
-			Name:      "boundary/" + row.Policy,
-			Transport: "nicsim",
-			Mode:      "open",
-			Requests:  row.Requests,
-			Errors:    row.Errors,
-			P50Ns:     row.P50.Nanoseconds(),
-			P99Ns:     row.P99.Nanoseconds(),
-			P999Ns:    row.P999.Nanoseconds(),
-		}
-		if d := row.FinalClock.Seconds(); d > 0 {
-			res.ReqPerSec = float64(row.Requests) / d
-		}
-		rep.Results = append(rep.Results, res)
-		for _, ph := range row.Phases {
-			rep.Results = append(rep.Results, benchio.Result{
-				Name:      "boundary/" + row.Policy + "/" + ph.Phase,
-				Transport: "nicsim",
-				Mode:      "open",
-				Requests:  ph.Requests,
-				Errors:    ph.Errors,
-				P50Ns:     ph.P50.Nanoseconds(),
-				P99Ns:     ph.P99.Nanoseconds(),
-				P999Ns:    ph.P999.Nanoseconds(),
-			})
-		}
-	}
-	return rep
 }
 
 // RenderBoundary prints the boundary report.

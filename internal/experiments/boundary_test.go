@@ -87,16 +87,20 @@ func TestBoundaryQuick(t *testing.T) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
-	bench := rep.Bench()
-	if want := 3 * (1 + len(boundaryPhases)); len(bench.Results) != want {
-		t.Fatalf("bench rows = %d, want %d", len(bench.Results), want)
+	if len(rep.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(rep.Rows))
 	}
-	for _, r := range bench.Results {
-		if !strings.HasPrefix(r.Name, "boundary/") {
-			t.Errorf("bench row name %q, want boundary/...", r.Name)
+	for _, r := range rep.Rows {
+		if len(r.Phases) != len(boundaryPhases) {
+			t.Errorf("%s: %d phases, want %d", r.Policy, len(r.Phases), len(boundaryPhases))
 		}
-		if r.P99Ns <= 0 || r.P999Ns < r.P99Ns {
-			t.Errorf("%s: p99=%d p999=%d", r.Name, r.P99Ns, r.P999Ns)
+		if r.P99 <= 0 || r.P999 < r.P99 {
+			t.Errorf("%s: p99=%v p999=%v", r.Policy, r.P99, r.P999)
+		}
+		for _, ph := range r.Phases {
+			if ph.P99 <= 0 || ph.P999 < ph.P99 {
+				t.Errorf("%s/%s: p99=%v p999=%v", r.Policy, ph.Phase, ph.P99, ph.P999)
+			}
 		}
 	}
 }

@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"time"
 
 	"lambdanic/internal/backend"
-	"lambdanic/internal/benchio"
 	"lambdanic/internal/kvstore"
 	"lambdanic/internal/metrics"
 	"lambdanic/internal/nicsim"
@@ -21,7 +19,7 @@ import (
 // The rdmabench experiment measures the one-sided RDMA fast path on
 // the simulated testbed, in virtual time — every number is a property
 // of the timing model, deterministic and machine-independent, which is
-// why the committed BENCH_rdma_baseline.json can be guarded tightly.
+// why cmd/lnic-bench/testdata holds its output byte for byte.
 //
 // Three row families, reproducing the SMART-style scalability curves:
 //
@@ -39,9 +37,18 @@ import (
 //     wait per fragment (the stop-and-wait fragmentation path). The
 //     gap is the per-doorbell charge plus the lost pipelining.
 //
-// The whole suite runs under both simulation kernels (ladder and binary
-// heap) and RdmaBench fails if the reports differ in any bit that
-// matters — same determinism contract as the other experiments.
+// The suite runs on the kernel cfg.Kernel names; TestRdmaBenchDeterministic
+// holds the heap kernel's rows to the ladder's, the determinism contract
+// every experiment carries.
+
+// RdmaRow is one rdmabench scenario's measurement. ReqPerSec is
+// completions per second of simulated time.
+type RdmaRow struct {
+	Name      string
+	Requests  int
+	ReqPerSec float64
+	P50, P99  time.Duration
+}
 
 // RdmaBenchConfig sizes the one-sided RDMA benchmark.
 type RdmaBenchConfig struct {
@@ -121,21 +128,21 @@ func rdmaBenchTable() (*kvstore.Table, []int) {
 
 // runKVGetRow drives one closed-loop GET scenario. window < 0 disables
 // the bypass entirely (the lambda baseline).
-func runKVGetRow(cfg Config, rb RdmaBenchConfig, name string, clients, window int) (benchio.Result, error) {
+func runKVGetRow(cfg Config, rb RdmaBenchConfig, name string, clients, window int) (RdmaRow, error) {
 	s := sim.NewWithKernel(cfg.Seed, cfg.Kernel)
 	b, err := backend.NewLambdaNIC(s, cfg.Testbed, nicsim.DispatchUniform)
 	if err != nil {
-		return benchio.Result{}, err
+		return RdmaRow{}, err
 	}
 	get := workloads.KVGetClient()
 	if err := b.Deploy([]*workloads.Workload{get}); err != nil {
-		return benchio.Result{}, err
+		return RdmaRow{}, err
 	}
 	table, present := rdmaBenchTable()
 	var target trace.Invoker = b
 	if window >= 0 {
 		if err := b.EnableKVBypass(get.ID, table, window); err != nil {
-			return benchio.Result{}, err
+			return RdmaRow{}, err
 		}
 	} else {
 		// Lambda baseline: the served GET pays the memcached machine
@@ -152,43 +159,32 @@ func runKVGetRow(cfg Config, rb RdmaBenchConfig, name string, clients, window in
 		}),
 	}).Run(s, target)
 	if err != nil {
-		return benchio.Result{}, err
+		return RdmaRow{}, err
 	}
 	if res.Errors > 0 {
-		return benchio.Result{}, fmt.Errorf("rdmabench: %s: %d errors", name, res.Errors)
+		return RdmaRow{}, fmt.Errorf("rdmabench: %s: %d errors", name, res.Errors)
 	}
 	if window >= 0 {
 		hits, fallbacks := b.BypassStats()
 		if fallbacks > 0 || hits == 0 {
-			return benchio.Result{}, fmt.Errorf("rdmabench: %s: bypass hits=%d fallbacks=%d, want all hits",
+			return RdmaRow{}, fmt.Errorf("rdmabench: %s: bypass hits=%d fallbacks=%d, want all hits",
 				name, hits, fallbacks)
 		}
 	}
-	return traceRow(name, clients, res), nil
-}
-
-// traceRow converts a virtual-clock load result to the benchmark row
-// schema. ReqPerSec is completions per second of simulated time.
-func traceRow(name string, clients int, res *trace.Result) benchio.Result {
-	return benchio.Result{
-		Name:        name,
-		Transport:   "nicsim",
-		Mode:        "closed",
-		Concurrency: clients,
-		Requests:    int(res.Throughput.Completed),
-		Errors:      res.Errors,
-		ReqPerSec:   res.Throughput.PerSecond(),
-		P50Ns:       int64(res.Latency.Quantile(0.50) * 1e9),
-		P90Ns:       int64(res.Latency.Quantile(0.90) * 1e9),
-		P99Ns:       int64(res.Latency.Quantile(0.99) * 1e9),
-	}
+	return RdmaRow{
+		Name:      name,
+		Requests:  int(res.Throughput.Completed),
+		ReqPerSec: res.Throughput.PerSecond(),
+		P50:       time.Duration(res.Latency.Quantile(0.50) * 1e9),
+		P99:       time.Duration(res.Latency.Quantile(0.99) * 1e9),
+	}, nil
 }
 
 // runLargeRow measures rb.Transfers large-object transfers, each
 // rb.LargeOps MTU-sized writes. Batched mode posts the whole transfer
 // and rings once; per-fragment mode rings and waits per write — the
 // stop-and-wait discipline of the fragmentation path it stands in for.
-func runLargeRow(cfg Config, rb RdmaBenchConfig, name string, batched bool) (benchio.Result, error) {
+func runLargeRow(cfg Config, rb RdmaBenchConfig, name string, batched bool) (RdmaRow, error) {
 	s := sim.NewWithKernel(cfg.Seed, cfg.Kernel)
 	eng := rdma.New(s, rdma.Config{
 		Link:         cfg.Testbed.Link,
@@ -199,7 +195,7 @@ func runLargeRow(cfg Config, rb RdmaBenchConfig, name string, batched bool) (ben
 	size := rb.LargeOps * workloads.MTU
 	region, err := eng.Register("large-object", size)
 	if err != nil {
-		return benchio.Result{}, err
+		return RdmaRow{}, err
 	}
 	qp := eng.NewQP(0)
 	chunk := make([]byte, workloads.MTU)
@@ -219,32 +215,28 @@ func runLargeRow(cfg Config, rb RdmaBenchConfig, name string, batched bool) (ben
 			}
 			qp.RingDoorbell()
 			if err := s.RunUntilIdle(); err != nil {
-				return benchio.Result{}, err
+				return RdmaRow{}, err
 			}
 		} else {
 			for op := 0; op < rb.LargeOps; op++ {
 				qp.PostWrite(region.Key(), op*workloads.MTU, chunk, onDone)
 				qp.RingDoorbell()
 				if err := s.RunUntilIdle(); err != nil {
-					return benchio.Result{}, err
+					return RdmaRow{}, err
 				}
 			}
 		}
 		if firstErr != nil {
-			return benchio.Result{}, fmt.Errorf("rdmabench: %s: %w", name, firstErr)
+			return RdmaRow{}, fmt.Errorf("rdmabench: %s: %w", name, firstErr)
 		}
 		lat.AddDuration(s.Now() - t0)
 	}
 	elapsed := (s.Now() - start).Seconds()
-	row := benchio.Result{
-		Name:        name,
-		Transport:   "nicsim",
-		Mode:        "closed",
-		Concurrency: 1,
-		Requests:    rb.Transfers,
-		P50Ns:       int64(lat.Quantile(0.50) * 1e9),
-		P90Ns:       int64(lat.Quantile(0.90) * 1e9),
-		P99Ns:       int64(lat.Quantile(0.99) * 1e9),
+	row := RdmaRow{
+		Name:     name,
+		Requests: rb.Transfers,
+		P50:      time.Duration(lat.Quantile(0.50) * 1e9),
+		P99:      time.Duration(lat.Quantile(0.99) * 1e9),
 	}
 	if elapsed > 0 {
 		row.ReqPerSec = float64(rb.Transfers) / elapsed
@@ -252,24 +244,24 @@ func runLargeRow(cfg Config, rb RdmaBenchConfig, name string, batched bool) (ben
 	return row, nil
 }
 
-// runRdmaSuite produces the full report under one kernel.
-func runRdmaSuite(cfg Config, rb RdmaBenchConfig, kind sim.KernelKind) (benchio.Report, error) {
-	cfg.Kernel = kind
-	var results []benchio.Result
+// RdmaBench runs every kvget and large-transfer scenario in order and
+// returns one row per scenario.
+func RdmaBench(cfg Config, rb RdmaBenchConfig) ([]RdmaRow, error) {
+	var rows []RdmaRow
 	for _, c := range rb.Clients {
 		row, err := runKVGetRow(cfg, rb, fmt.Sprintf("kvget/lambda/c%d", c), c, -1)
 		if err != nil {
-			return benchio.Report{}, err
+			return nil, err
 		}
-		results = append(results, row)
+		rows = append(rows, row)
 	}
 	for _, w := range rb.Windows {
 		for _, c := range rb.Clients {
 			row, err := runKVGetRow(cfg, rb, fmt.Sprintf("kvget/bypass/w%d/c%d", w, c), c, w)
 			if err != nil {
-				return benchio.Report{}, err
+				return nil, err
 			}
-			results = append(results, row)
+			rows = append(rows, row)
 		}
 	}
 	sizeKiB := rb.LargeOps * workloads.MTU / 1024
@@ -282,77 +274,31 @@ func runRdmaSuite(cfg Config, rb RdmaBenchConfig, kind sim.KernelKind) (benchio.
 	} {
 		row, err := runLargeRow(cfg, rb, mode.name, mode.batched)
 		if err != nil {
-			return benchio.Report{}, err
+			return nil, err
 		}
-		results = append(results, row)
+		rows = append(rows, row)
 	}
-	return benchio.Report{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Results:    results,
-	}, nil
+	return rows, nil
 }
 
-// RdmaBench runs the suite under the ladder and heap kernels, fails if
-// the two reports differ (the determinism contract every experiment in
-// this repo carries), and returns the report written to
-// BENCH_rdma.json.
-func RdmaBench(cfg Config, rb RdmaBenchConfig) (benchio.Report, error) {
-	ladder, err := runRdmaSuite(cfg, rb, sim.KernelLadder)
-	if err != nil {
-		return benchio.Report{}, err
-	}
-	heap, err := runRdmaSuite(cfg, rb, sim.KernelHeap)
-	if err != nil {
-		return benchio.Report{}, err
-	}
-	if err := sameRdmaResults(ladder.Results, heap.Results); err != nil {
-		return benchio.Report{}, fmt.Errorf("rdmabench: ladder/heap kernels diverged: %w", err)
-	}
-	return ladder, nil
-}
-
-// sameRdmaResults checks bit-identity of the measured quantities across
-// the two kernel runs.
-func sameRdmaResults(a, b []benchio.Result) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("%d vs %d rows", len(a), len(b))
-	}
-	for i := range a {
-		x, y := a[i], b[i]
-		if x.Name != y.Name || x.Requests != y.Requests || x.Errors != y.Errors ||
-			x.ReqPerSec != y.ReqPerSec || x.P50Ns != y.P50Ns || x.P90Ns != y.P90Ns || x.P99Ns != y.P99Ns {
-			return fmt.Errorf("row %s: ladder %+v, heap %+v", x.Name, x, y)
-		}
-	}
-	return nil
-}
-
-// RenderRdmaBench prints the report: the bypass-vs-lambda headline, the
-// throughput-vs-window curve per client count, and the doorbell
-// amortization ratio.
-func RenderRdmaBench(rep benchio.Report) string {
+// RenderRdmaBench prints the rows, the bypass-vs-lambda headline per
+// client count, and the doorbell amortization ratio.
+func RenderRdmaBench(rows []RdmaRow) string {
 	var b strings.Builder
-	byName := make(map[string]benchio.Result, len(rep.Results))
-	for _, r := range rep.Results {
-		byName[r.Name] = r
-	}
 	fmt.Fprintf(&b, "One-sided RDMA fast path (virtual time)\n")
 	fmt.Fprintf(&b, "  %-24s %8s %12s %10s %10s\n", "scenario", "requests", "req/s", "p50", "p99")
-	for _, r := range rep.Results {
-		fmt.Fprintf(&b, "  %-24s %8d %12.0f %10v %10v\n",
-			r.Name, r.Requests, r.ReqPerSec,
-			time.Duration(r.P50Ns), time.Duration(r.P99Ns))
+	for _, r := range rows {
+		fmt.Fprintf(&b, "  %-24s %8d %12.0f %10v %10v\n", r.Name, r.Requests, r.ReqPerSec, r.P50, r.P99)
 	}
 	// Headline: best bypass row vs the lambda baseline at the same
 	// client count.
-	for _, r := range rep.Results {
+	for _, r := range rows {
 		var c int
 		if _, err := fmt.Sscanf(r.Name, "kvget/lambda/c%d", &c); err != nil {
 			continue
 		}
 		best := math.Inf(-1)
-		for _, s := range rep.Results {
+		for _, s := range rows {
 			var w, sc int
 			if _, err := fmt.Sscanf(s.Name, "kvget/bypass/w%d/c%d", &w, &sc); err == nil && sc == c {
 				if s.ReqPerSec > best {
@@ -364,8 +310,8 @@ func RenderRdmaBench(rep benchio.Report) string {
 			fmt.Fprintf(&b, "  c=%d bypass speedup over lambda path: %.2fx\n", c, best/r.ReqPerSec)
 		}
 	}
-	if db, ok1 := firstWithPrefix(rep.Results, "large/doorbell/"); ok1 {
-		if pf, ok2 := firstWithPrefix(rep.Results, "large/perfrag/"); ok2 && pf.ReqPerSec > 0 {
+	if db, ok1 := firstWithPrefix(rows, "large/doorbell/"); ok1 {
+		if pf, ok2 := firstWithPrefix(rows, "large/perfrag/"); ok2 && pf.ReqPerSec > 0 {
 			fmt.Fprintf(&b, "  doorbell batching speedup over per-fragment: %.2fx\n",
 				db.ReqPerSec/pf.ReqPerSec)
 		}
@@ -373,11 +319,11 @@ func RenderRdmaBench(rep benchio.Report) string {
 	return b.String()
 }
 
-func firstWithPrefix(results []benchio.Result, prefix string) (benchio.Result, bool) {
-	for _, r := range results {
+func firstWithPrefix(rows []RdmaRow, prefix string) (RdmaRow, bool) {
+	for _, r := range rows {
 		if strings.HasPrefix(r.Name, prefix) {
 			return r, true
 		}
 	}
-	return benchio.Result{}, false
+	return RdmaRow{}, false
 }

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"lambdanic/internal/sim"
 )
 
 // testRdmaBench is a small-but-meaningful configuration: enough
@@ -27,25 +30,17 @@ func testRdmaBench() RdmaBenchConfig {
 func TestRdmaBenchAcceptance(t *testing.T) {
 	cfg := Quick()
 	rb := testRdmaBench()
-	rep, err := RdmaBench(cfg, rb) // also asserts ladder ≡ heap internally
+	rows, err := RdmaBench(cfg, rb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := make(map[string]struct {
-		rps  float64
-		p50  int64
-		reqs int
-	})
-	for _, r := range rep.Results {
-		byName[r.Name] = struct {
-			rps  float64
-			p50  int64
-			reqs int
-		}{r.ReqPerSec, r.P50Ns, r.Requests}
+	byName := make(map[string]RdmaRow)
+	for _, r := range rows {
+		byName[r.Name] = r
 	}
 	wantRows := 2 + len(rb.Windows)*len(rb.Clients) + 2
-	if len(rep.Results) != wantRows {
-		t.Fatalf("got %d rows, want %d", len(rep.Results), wantRows)
+	if len(rows) != wantRows {
+		t.Fatalf("got %d rows, want %d", len(rows), wantRows)
 	}
 
 	// The one-sided path beats the lambda path on p50 and throughput at
@@ -53,11 +48,11 @@ func TestRdmaBenchAcceptance(t *testing.T) {
 	for _, c := range rb.Clients {
 		lambda := byName[fmt.Sprintf("kvget/lambda/c%d", c)]
 		bypass := byName[fmt.Sprintf("kvget/bypass/w%d/c%d", rb.Windows[len(rb.Windows)-1], c)]
-		if bypass.rps <= lambda.rps {
-			t.Errorf("c=%d: bypass %.0f req/s not above lambda %.0f", c, bypass.rps, lambda.rps)
+		if bypass.ReqPerSec <= lambda.ReqPerSec {
+			t.Errorf("c=%d: bypass %.0f req/s not above lambda %.0f", c, bypass.ReqPerSec, lambda.ReqPerSec)
 		}
-		if bypass.p50 >= lambda.p50 {
-			t.Errorf("c=%d: bypass p50 %dns not below lambda %dns", c, bypass.p50, lambda.p50)
+		if bypass.P50 >= lambda.P50 {
+			t.Errorf("c=%d: bypass p50 %v not below lambda %v", c, bypass.P50, lambda.P50)
 		}
 	}
 
@@ -67,22 +62,22 @@ func TestRdmaBenchAcceptance(t *testing.T) {
 	w1 := byName[fmt.Sprintf("kvget/bypass/w1/c%d", cMax)]
 	w4 := byName[fmt.Sprintf("kvget/bypass/w4/c%d", cMax)]
 	wTop := byName[fmt.Sprintf("kvget/bypass/w%d/c%d", rb.Windows[len(rb.Windows)-1], cMax)]
-	if w4.rps <= w1.rps {
-		t.Errorf("c=%d: w4 %.0f req/s not above w1 %.0f", cMax, w4.rps, w1.rps)
+	if w4.ReqPerSec <= w1.ReqPerSec {
+		t.Errorf("c=%d: w4 %.0f req/s not above w1 %.0f", cMax, w4.ReqPerSec, w1.ReqPerSec)
 	}
-	if wTop.rps < w4.rps*0.99 {
-		t.Errorf("c=%d: throughput regressed past the knee: w4 %.0f, wTop %.0f", cMax, w4.rps, wTop.rps)
+	if wTop.ReqPerSec < w4.ReqPerSec*0.99 {
+		t.Errorf("c=%d: throughput regressed past the knee: w4 %.0f, wTop %.0f", cMax, w4.ReqPerSec, wTop.ReqPerSec)
 	}
 
 	// Doorbell-batched large transfers beat the per-fragment path.
 	sizeKiB := rb.LargeOps * 1400 / 1024
 	db := byName[fmt.Sprintf("large/doorbell/%dKiB", sizeKiB)]
 	pf := byName[fmt.Sprintf("large/perfrag/%dKiB", sizeKiB)]
-	if db.rps <= pf.rps {
-		t.Errorf("doorbell %.1f transfers/s not above per-fragment %.1f", db.rps, pf.rps)
+	if db.ReqPerSec <= pf.ReqPerSec {
+		t.Errorf("doorbell %.1f transfers/s not above per-fragment %.1f", db.ReqPerSec, pf.ReqPerSec)
 	}
 
-	out := RenderRdmaBench(rep)
+	out := RenderRdmaBench(rows)
 	for _, want := range []string{"bypass speedup over lambda path", "doorbell batching speedup"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
@@ -90,19 +85,23 @@ func TestRdmaBenchAcceptance(t *testing.T) {
 	}
 }
 
+// TestRdmaBenchDeterministic holds the heap kernel's rows to the
+// ladder's, bit for bit.
 func TestRdmaBenchDeterministic(t *testing.T) {
-	cfg := Quick()
 	rb := testRdmaBench()
 	rb.Requests, rb.Warmup, rb.Transfers = 100, 10, 2
-	a, err := RdmaBench(cfg, rb)
-	if err != nil {
-		t.Fatal(err)
+	rows := map[sim.KernelKind][]RdmaRow{}
+	for _, kind := range []sim.KernelKind{sim.KernelLadder, sim.KernelHeap} {
+		cfg := Quick()
+		cfg.Kernel = kind
+		r, err := RdmaBench(cfg, rb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[kind] = r
 	}
-	b, err := RdmaBench(cfg, rb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sameRdmaResults(a.Results, b.Results); err != nil {
-		t.Fatalf("repeat run diverged: %v", err)
+	if !reflect.DeepEqual(rows[sim.KernelLadder], rows[sim.KernelHeap]) {
+		t.Fatalf("heap kernel diverged from ladder:\nladder %+v\nheap   %+v",
+			rows[sim.KernelLadder], rows[sim.KernelHeap])
 	}
 }

@@ -3,14 +3,12 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"lambdanic/internal/backend"
-	"lambdanic/internal/benchio"
 	"lambdanic/internal/cluster"
 	"lambdanic/internal/dispatch"
 	"lambdanic/internal/healthd"
@@ -268,7 +266,7 @@ type skewArrival struct {
 }
 
 // skewSchedule draws the base Zipf stream plus the flash crowd. All
-// randomness comes from benchio's seeded Zipf generator — nothing
+// randomness comes from the seeded Zipf generator (zipf.go) — nothing
 // depends on the simulator's RNG, so the schedule is one fixed function
 // of the config.
 func skewSchedule(cfg Config, sc SkewConfig) []skewArrival {
@@ -282,7 +280,7 @@ func skewSchedule(cfg Config, sc SkewConfig) []skewArrival {
 	var arrivals []skewArrival
 	// Base stream: exponential interarrivals at Rate; each arrival draws
 	// its flow rank from the Zipf; a OneShotFrac slice gets fresh keys.
-	pop, err := benchio.NewZipf(sc.Flows, sc.ZipfS, seed)
+	pop, err := newZipf(sc.Flows, sc.ZipfS, seed)
 	if err != nil {
 		panic(err) // n ≥ 1 and s > 0 by withDefaults
 	}
@@ -301,7 +299,7 @@ func skewSchedule(cfg Config, sc SkewConfig) []skewArrival {
 	}
 	// Flash crowd: an extra stream over [CrowdStart, CrowdEnd) hitting
 	// the CrowdFlows hottest ranks uniformly — the elephants.
-	crowd, err := benchio.NewZipf(sc.CrowdFlows, 0, seed^0xc0ffee)
+	crowd, err := newZipf(sc.CrowdFlows, 0, seed^0xc0ffee)
 	if err != nil {
 		panic(err)
 	}
@@ -557,33 +555,6 @@ func skewVerdict(rep *SkewReport) bool {
 		return false
 	}
 	return mig.P99 > 0 && mig.P99 < rr.P99 && mig.WarmRate > rr.WarmRate
-}
-
-// Bench converts the report to the benchmark-artifact schema
-// (BENCH_skew.json): one row per policy, with virtual-clock
-// percentiles suitable for benchio.GuardLatency.
-func (r *SkewReport) Bench() benchio.Report {
-	rep := benchio.Report{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	for _, row := range r.Rows {
-		res := benchio.Result{
-			Name:      "skew/" + row.Policy,
-			Transport: "nicsim",
-			Mode:      "open",
-			Requests:  row.Requests,
-			Errors:    row.Errors,
-			P50Ns:     row.P50.Nanoseconds(),
-			P99Ns:     row.P99.Nanoseconds(),
-			P999Ns:    row.P999.Nanoseconds(),
-		}
-		if d := row.FinalClock.Seconds(); d > 0 {
-			res.ReqPerSec = float64(row.Requests) / d
-		}
-		rep.Results = append(rep.Results, res)
-	}
-	return rep
 }
 
 // RenderSkew prints the skew report.

@@ -71,16 +71,12 @@ func TestSkewQuick(t *testing.T) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
-	bench := rep.Bench()
-	if len(bench.Results) != 3 {
-		t.Fatalf("bench rows = %d, want 3", len(bench.Results))
+	if len(rep.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(rep.Rows))
 	}
-	for _, r := range bench.Results {
-		if !strings.HasPrefix(r.Name, "skew/") {
-			t.Errorf("bench row name %q, want skew/<policy>", r.Name)
-		}
-		if r.P99Ns <= 0 || r.P999Ns < r.P99Ns {
-			t.Errorf("%s: p99=%d p999=%d", r.Name, r.P99Ns, r.P999Ns)
+	for _, r := range rep.Rows {
+		if r.P99 <= 0 || r.P999 < r.P99 {
+			t.Errorf("%s: p99=%v p999=%v", r.Policy, r.P99, r.P999)
 		}
 	}
 }

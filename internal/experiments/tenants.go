@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
 	"lambdanic/internal/backend"
-	"lambdanic/internal/benchio"
 	"lambdanic/internal/cluster"
 	"lambdanic/internal/core"
 	"lambdanic/internal/metrics"
@@ -449,32 +447,6 @@ func Tenants(cfg Config, tc TenantsConfig) (*TenantsReport, error) {
 	}
 	rep.Isolated = rep.DuringP99 > 0 && rep.DuringP99 <= tc.IsolationP99 && rep.FinalBurn == 0
 	return rep, nil
-}
-
-// Bench converts the report to the benchmark-artifact schema
-// (BENCH_tenants.json): one row per tenant × phase.
-func (r *TenantsReport) Bench() benchio.Report {
-	rep := benchio.Report{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	for _, p := range r.Phases {
-		row := benchio.Result{
-			Name:      p.Tenant + "/" + p.Phase,
-			Transport: "nicsim",
-			Mode:      "open",
-			Requests:  p.Requests,
-			Errors:    p.Errors,
-			Shed:      p.Shed,
-			P50Ns:     p.P50.Nanoseconds(),
-			P99Ns:     p.P99.Nanoseconds(),
-		}
-		if d := (p.End - p.Start).Seconds(); d > 0 {
-			row.ReqPerSec = float64(p.Requests) / d
-		}
-		rep.Results = append(rep.Results, row)
-	}
-	return rep
 }
 
 // RenderTenants prints the tenants report.

@@ -73,15 +73,8 @@ func TestTenantsIsolationQuick(t *testing.T) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
-
-	bench := rep.Bench()
-	if len(bench.Results) != 6 {
-		t.Fatalf("bench rows = %d, want 6 (2 tenants × 3 phases)", len(bench.Results))
-	}
-	for _, r := range bench.Results {
-		if !strings.Contains(r.Name, "/") {
-			t.Errorf("bench row name %q, want tenant/phase", r.Name)
-		}
+	if len(rep.Phases) != 6 {
+		t.Fatalf("phase rows = %d, want 6 (2 tenants × 3 phases)", len(rep.Phases))
 	}
 }
 

@@ -1,14 +1,15 @@
-package benchio
+package experiments
 
-// Seeded Zipf popularity generator for skewed-workload experiments.
+// Seeded Zipf popularity generator for the skew experiment.
 //
 // math/rand's Zipf is not reproducible across Go releases (its
 // rejection sampler's draw count depends on internal generator
-// details), and the skew experiment's committed BENCH_skew.json rows
-// need bit-identical arrival schedules on every toolchain. This
-// generator therefore owns everything: a splitmix64 PRNG and plain CDF inversion
-// over a precomputed table, so (seed, n, s) fully determines the i-th
-// draw forever.
+// details), and the skew experiment's output, held byte for byte by
+// cmd/lnic-bench/testdata and bench/golden.json, needs bit-identical
+// arrival schedules on every toolchain. This generator therefore owns
+// everything: a splitmix64 PRNG and plain CDF inversion over a
+// precomputed table, so (seed, n, s) fully determines the i-th draw
+// forever.
 
 import (
 	"fmt"
@@ -16,22 +17,22 @@ import (
 	"sort"
 )
 
-// Zipf draws ranks in [0, n) with probability proportional to
+// zipf draws ranks in [0, n) with probability proportional to
 // 1/(rank+1)^s. Rank 0 is the most popular. Not safe for concurrent
 // use; give each goroutine its own instance.
-type Zipf struct {
+type zipf struct {
 	cdf   []float64
 	state uint64
 }
 
-// NewZipf builds a generator over n ranks with exponent s ≥ 0 (s = 0 is
+// newZipf builds a generator over n ranks with exponent s ≥ 0 (s = 0 is
 // uniform; s ≈ 1 is the classic "90/10" web skew) seeded by seed.
-func NewZipf(n int, s float64, seed uint64) (*Zipf, error) {
+func newZipf(n int, s float64, seed uint64) (*zipf, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("benchio: zipf needs n ≥ 1, got %d", n)
+		return nil, fmt.Errorf("zipf needs n ≥ 1, got %d", n)
 	}
 	if s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-		return nil, fmt.Errorf("benchio: zipf exponent must be finite and ≥ 0, got %v", s)
+		return nil, fmt.Errorf("zipf exponent must be finite and ≥ 0, got %v", s)
 	}
 	cdf := make([]float64, n)
 	sum := 0.0
@@ -43,11 +44,11 @@ func NewZipf(n int, s float64, seed uint64) (*Zipf, error) {
 		cdf[i] /= sum
 	}
 	cdf[n-1] = 1 // guard against accumulated rounding
-	return &Zipf{cdf: cdf, state: seed}, nil
+	return &zipf{cdf: cdf, state: seed}, nil
 }
 
 // Next returns the next rank.
-func (z *Zipf) Next() int {
+func (z *zipf) Next() int {
 	u := z.uniform()
 	return sort.SearchFloat64s(z.cdf, u)
 }
@@ -55,7 +56,7 @@ func (z *Zipf) Next() int {
 // Uint64 returns the next raw PRNG output — handy for deriving
 // secondary choices (e.g. one-shot vs long-lived) from the same seeded
 // stream without a second generator.
-func (z *Zipf) Uint64() uint64 {
+func (z *zipf) Uint64() uint64 {
 	z.state += 0x9e3779b97f4a7c15
 	x := z.state
 	x ^= x >> 30
@@ -67,6 +68,6 @@ func (z *Zipf) Uint64() uint64 {
 }
 
 // uniform returns a float64 in [0, 1) from the top 53 bits.
-func (z *Zipf) uniform() float64 {
+func (z *zipf) uniform() float64 {
 	return float64(z.Uint64()>>11) / (1 << 53)
 }

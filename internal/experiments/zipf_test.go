@@ -1,22 +1,19 @@
-package benchio
+package experiments
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestZipfDeterministic(t *testing.T) {
-	a, err := NewZipf(100, 1.1, 42)
+	a, err := newZipf(100, 1.1, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := NewZipf(100, 1.1, 42)
+	b, _ := newZipf(100, 1.1, 42)
 	for i := 0; i < 1000; i++ {
 		if x, y := a.Next(), b.Next(); x != y {
 			t.Fatalf("draw %d diverged: %d vs %d", i, x, y)
 		}
 	}
-	c, _ := NewZipf(100, 1.1, 43)
+	c, _ := newZipf(100, 1.1, 43)
 	same := 0
 	for i := 0; i < 1000; i++ {
 		if a.Next() == c.Next() {
@@ -29,7 +26,7 @@ func TestZipfDeterministic(t *testing.T) {
 }
 
 func TestZipfSkew(t *testing.T) {
-	z, err := NewZipf(1000, 1.1, 7)
+	z, err := newZipf(1000, 1.1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +51,7 @@ func TestZipfSkew(t *testing.T) {
 }
 
 func TestZipfUniformWhenExponentZero(t *testing.T) {
-	z, err := NewZipf(4, 0, 11)
+	z, err := newZipf(4, 0, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +67,7 @@ func TestZipfUniformWhenExponentZero(t *testing.T) {
 }
 
 func TestZipfRange(t *testing.T) {
-	z, err := NewZipf(5, 2, 3)
+	z, err := newZipf(5, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,48 +79,10 @@ func TestZipfRange(t *testing.T) {
 }
 
 func TestZipfRejectsBadParams(t *testing.T) {
-	if _, err := NewZipf(0, 1, 1); err == nil {
+	if _, err := newZipf(0, 1, 1); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if _, err := NewZipf(10, -1, 1); err == nil {
+	if _, err := newZipf(10, -1, 1); err == nil {
 		t.Error("negative exponent accepted")
-	}
-}
-
-func latReport(p99 map[string]int64) Report {
-	var rs []Result
-	for name, v := range p99 {
-		rs = append(rs, Result{Name: name, P99Ns: v})
-	}
-	return NewReport(rs)
-}
-
-func TestGuardLatency(t *testing.T) {
-	baseline := latReport(map[string]int64{
-		"skew/rr": 1000, "skew/pinned": 500, "other/x": 100,
-	})
-
-	// Within tolerance: passes.
-	ok := latReport(map[string]int64{
-		"skew/rr": 1100, "skew/pinned": 550, "other/x": 900,
-	})
-	if err := GuardLatency(baseline, ok, 0.20, "skew/"); err != nil {
-		t.Errorf("10%% growth failed a 20%% guard: %v", err)
-	}
-
-	// 50% p99 growth on a guarded row: fails and names the row.
-	bad := latReport(map[string]int64{"skew/rr": 1000, "skew/pinned": 750})
-	err := GuardLatency(baseline, bad, 0.20, "skew/")
-	if err == nil {
-		t.Fatal("50% p99 regression passed the guard")
-	}
-	if !strings.Contains(err.Error(), "skew/pinned") {
-		t.Errorf("violation should name skew/pinned: %v", err)
-	}
-
-	// New rows and zero-p99 rows are skipped.
-	sparse := latReport(map[string]int64{"skew/new": 999999, "skew/rr": 0})
-	if err := GuardLatency(baseline, sparse, 0.20, "skew/"); err != nil {
-		t.Errorf("new/zero rows failed the guard: %v", err)
 	}
 }

@@ -37,12 +37,12 @@ func BenchmarkNestedEventChain(b *testing.B) {
 	}
 }
 
-// benchSteady is the scheduling microbenchmark shape the simbench
-// experiment also uses: a large steady-state population of outstanding
-// events, each firing and rescheduling itself with a NIC-like delay
-// mixture (mostly µs-scale service events, some wire/RDMA delays, a
-// trickle of far-band control timers) — the regime where heap O(log n)
-// and per-event allocation hurt most.
+// benchSteady is the scheduling microbenchmark shape bench/'s
+// sim.sched_events_per_s probe also uses: a large steady-state
+// population of outstanding events, each firing and rescheduling itself
+// with a NIC-like delay mixture (mostly µs-scale service events, some
+// wire/RDMA delays, a trickle of far-band control timers) — the regime
+// where heap O(log n) and per-event allocation hurt most.
 func benchSteady(b *testing.B, kind KernelKind, pooled bool, outstanding int) {
 	b.ReportAllocs()
 	s := NewWithKernel(1, kind)
@@ -105,3 +105,39 @@ func BenchmarkSteadyHeap(b *testing.B)         { benchSteady(b, KernelHeap, fals
 func BenchmarkSteadyLadder(b *testing.B)       { benchSteady(b, KernelLadder, false, 32768) }
 func BenchmarkSteadyLadderPooled(b *testing.B) { benchSteady(b, KernelLadder, true, 32768) }
 func BenchmarkSteadyHeapPooled(b *testing.B)   { benchSteady(b, KernelHeap, true, 32768) }
+
+// benchTimerChurn is RPC timeout churn: a ring of 32 768 timeouts and a
+// driver event every microsecond that re-arms the oldest with
+// Reschedule, as the next request on a connection re-arms its timeout.
+// The ring turns over every 32.8 ms and a timeout is 500 µs, so each
+// re-arm takes Reschedule's fired-event path. One op is one driver tick.
+func benchTimerChurn(b *testing.B, kind KernelKind) {
+	const (
+		outstanding = 32768
+		timeout     = 500 * time.Microsecond
+	)
+	b.ReportAllocs()
+	s := NewWithKernel(1, kind)
+	noop := func() {}
+	ring := make([]*Event, outstanding)
+	for i := range ring {
+		ring[i] = s.Schedule(timeout+Time(i)*time.Nanosecond, noop)
+	}
+	ops := 0
+	var drive func()
+	drive = func() {
+		ring[ops%outstanding] = s.Reschedule(ring[ops%outstanding], timeout)
+		ops++
+		s.After(time.Microsecond, drive)
+	}
+	s.After(time.Microsecond, drive)
+	b.ResetTimer()
+	for ops < b.N {
+		if !s.Step() {
+			b.Fatal("queue drained")
+		}
+	}
+}
+
+func BenchmarkTimerChurnHeap(b *testing.B)   { benchTimerChurn(b, KernelHeap) }
+func BenchmarkTimerChurnLadder(b *testing.B) { benchTimerChurn(b, KernelLadder) }
