@@ -5,7 +5,6 @@
 // Usage:
 //
 //	lnic-bench [-experiment NAME] [-quick] [-short] [-seed N]
-//	           [-kernel ladder|heap] [-parallel]
 //	           [-trace-out FILE] [-slo-out FILE]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -28,7 +27,6 @@ import (
 
 	"lambdanic/internal/experiments"
 	"lambdanic/internal/obs"
-	"lambdanic/internal/sim"
 	"lambdanic/internal/telemetry"
 )
 
@@ -44,8 +42,7 @@ type options struct {
 	cfg experiments.Config
 	// smoke selects the reduced configuration of the experiments that
 	// have one of their own (-short or -quick).
-	smoke    bool
-	parallel bool
+	smoke bool
 	// out receives every report.
 	out io.Writer
 
@@ -57,9 +54,7 @@ type experiment struct {
 	name string
 	// inAll marks the experiments "-experiment all" runs, in table order.
 	inAll bool
-	// parallel marks the experiments that honour -parallel.
-	parallel bool
-	run      func(o *options) error
+	run   func(o *options) error
 }
 
 // experimentTable is every experiment the command knows; the flag help
@@ -76,19 +71,9 @@ var experimentTable = []experiment{
 	{name: "table3", inAll: true, run: show(experiments.Table3, experiments.RenderTable3)},
 	{name: "table4", inAll: true, run: show(experiments.Table4, experiments.RenderTable4)},
 	{name: "fig9", inAll: true, run: show(experiments.Figure9, experiments.RenderFigure9)},
-	{name: "scaleout", inAll: true, parallel: true, run: func(o *options) error {
-		if o.parallel {
-			return show(experiments.ParallelScaleOut, experiments.RenderScaleOut)(o)
-		}
-		return show(experiments.ScaleOut, experiments.RenderScaleOut)(o)
-	}},
+	{name: "scaleout", inAll: true, run: show(experiments.ScaleOut, experiments.RenderScaleOut)},
 	{name: "optimizer", inAll: true, run: show(experiments.MeasureOptimizerImpact, experiments.RenderOptimizerImpact)},
-	{name: "loadcurve", inAll: true, parallel: true, run: func(o *options) error {
-		if o.parallel {
-			return show(experiments.LoadLatencyCurveParallel, experiments.RenderLoadCurve)(o)
-		}
-		return show(experiments.LoadLatencyCurve, experiments.RenderLoadCurve)(o)
-	}},
+	{name: "loadcurve", inAll: true, run: show(experiments.LoadLatencyCurve, experiments.RenderLoadCurve)},
 	{name: "nicclasses", inAll: true, run: show(experiments.SmartNICClasses, experiments.RenderNICClasses)},
 	{name: "ablations", inAll: true, run: show(experiments.Ablations, experiments.RenderAblations)},
 	{name: "breakdown", inAll: true, run: func(o *options) error {
@@ -221,7 +206,6 @@ func experimentNames(keep func(experiment) bool) string {
 // reports to stdout.
 func run(args []string, stdout io.Writer) error {
 	allNames := experimentNames(func(experiment) bool { return true })
-	parallelNames := experimentNames(func(e experiment) bool { return e.parallel })
 
 	fs := flag.NewFlagSet("lnic-bench", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "reduced sample counts and image size (implies -short)")
@@ -231,10 +215,6 @@ func run(args []string, stdout io.Writer) error {
 	name := fs.String("experiment", "all",
 		"which experiment to run: all ("+
 			experimentNames(func(e experiment) bool { return e.inAll })+") or one of "+allNames)
-	kernel := fs.String("kernel", "ladder",
-		"simulation event-queue kernel: ladder or heap (bit-identical results)")
-	parallel := fs.Bool("parallel", false,
-		"run the independent sweep points of "+parallelNames+" concurrently (bit-identical results)")
 	traceOut := fs.String("trace-out", "",
 		"write the breakdown or chaos experiment's Chrome trace-event JSON to this file")
 	sloOut := fs.String("slo-out", "",
@@ -248,7 +228,6 @@ func run(args []string, stdout io.Writer) error {
 	o := &options{
 		cfg:      experiments.Default(),
 		smoke:    *short || *quick,
-		parallel: *parallel,
 		out:      stdout,
 		traceOut: *traceOut,
 		sloOut:   *sloOut,
@@ -257,14 +236,6 @@ func run(args []string, stdout io.Writer) error {
 		o.cfg = experiments.Quick()
 	}
 	o.cfg.Seed = *seed
-	switch strings.ToLower(*kernel) {
-	case "", "ladder":
-		o.cfg.Kernel = sim.KernelLadder
-	case "heap":
-		o.cfg.Kernel = sim.KernelHeap
-	default:
-		return fmt.Errorf("unknown -kernel %q (want ladder or heap)", *kernel)
-	}
 
 	want := strings.ToLower(*name)
 	var selected []experiment
@@ -275,9 +246,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if len(selected) == 0 {
 		return fmt.Errorf("unknown experiment %q (want all or one of %s)", *name, allNames)
-	}
-	if o.parallel && !(len(selected) == 1 && selected[0].parallel) {
-		return fmt.Errorf("-parallel applies only to -experiment %s", parallelNames)
 	}
 
 	if *cpuProfile != "" {

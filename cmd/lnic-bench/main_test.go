@@ -9,6 +9,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"lambdanic/internal/experiments"
+	"lambdanic/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden")
@@ -18,6 +21,8 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden")
 type goldenCase struct {
 	name string
 	args []string
+	// call, when set, produces the output in place of run(args).
+	call func(io.Writer) error
 	// golden names another case's file when this one must print the
 	// same text; empty means the case's own name.
 	golden string
@@ -26,7 +31,8 @@ type goldenCase struct {
 }
 
 // goldenCases is every experiment at smoke size, plus the smoke and
-// full-size runs README.md and DESIGN.md quote. The heap-kernel case
+// full-size runs README.md and DESIGN.md quote. The heap kernel case
+// runs the reference event queue, which no command line selects, and
 // shares the ladder run's file: the two kernels are bit-identical.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
@@ -39,9 +45,21 @@ func goldenCases() []goldenCase {
 		goldenCase{name: "skew-full", args: []string{"-experiment", "skew"}, full: true},
 		goldenCase{name: "boundary-full", args: []string{"-experiment", "boundary"}, full: true},
 		goldenCase{name: "rdmabench-full", args: []string{"-experiment", "rdmabench"}, full: true},
-		goldenCase{name: "rdmabench-full-heap", args: []string{"-kernel", "heap", "-experiment", "rdmabench"},
-			golden: "rdmabench-full", full: true},
+		goldenCase{name: "rdmabench-full-heap", call: rdmaBenchHeap, golden: "rdmabench-full", full: true},
 	)
+}
+
+// rdmaBenchHeap prints what "-experiment rdmabench" prints, run on the
+// heap kernel.
+func rdmaBenchHeap(w io.Writer) error {
+	cfg := experiments.Default()
+	cfg.Kernel = sim.KernelHeap
+	rows, err := experiments.RdmaBench(cfg, experiments.DefaultRdmaBench())
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintln(w, experiments.RenderRdmaBench(rows))
+	return err
 }
 
 // TestRunSingleExperiments runs each golden case through the CLI entry
@@ -61,15 +79,19 @@ func TestRunSingleExperiments(t *testing.T) {
 			dir := t.TempDir()
 			t.Chdir(dir)
 			var out bytes.Buffer
-			if err := run(c.args, &out); err != nil {
-				t.Fatalf("run(%s): %v", strings.Join(c.args, " "), err)
+			call := c.call
+			if call == nil {
+				call = func(w io.Writer) error { return run(c.args, w) }
+			}
+			if err := call(&out); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
 			}
 			left, err := os.ReadDir(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, f := range left {
-				t.Errorf("run(%s) left %s behind", strings.Join(c.args, " "), f.Name())
+				t.Errorf("%s left %s behind", c.name, f.Name())
 			}
 
 			golden := c.golden
@@ -87,8 +109,8 @@ func TestRunSingleExperiments(t *testing.T) {
 				t.Fatalf("read golden (run with -update to regenerate): %v", err)
 			}
 			if !bytes.Equal(out.Bytes(), want) {
-				t.Errorf("lnic-bench %s differs from %s:\n%s",
-					strings.Join(c.args, " "), path, firstDiff(string(want), out.String()))
+				t.Errorf("%s differs from %s:\n%s",
+					c.name, path, firstDiff(string(want), out.String()))
 			}
 		})
 	}
@@ -130,17 +152,6 @@ func TestRunWritesRequestedArtefacts(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-experiment", "bogus"}, io.Discard); err == nil {
 		t.Error("unknown experiment accepted")
-	}
-}
-
-func TestRunParallelOnlyWhereItApplies(t *testing.T) {
-	for _, exp := range []string{"all", "chaos", "table1"} {
-		if err := run([]string{"-quick", "-parallel", "-experiment", exp}, io.Discard); err == nil {
-			t.Errorf("-parallel accepted for %s", exp)
-		}
-	}
-	if err := run([]string{"-quick", "-parallel", "-experiment", "loadcurve"}, io.Discard); err != nil {
-		t.Errorf("-parallel loadcurve: %v", err)
 	}
 }
 

@@ -35,10 +35,7 @@
 //	         errors, sheds, one-sided fast-path GET rates (1SIDED/S,
 //	         from lnic_worker_bypass_total), and latency percentiles
 //	         computed from the deltas; -tenant narrows the view to one
-//	         tenant's rows including its gateway admission sheds. A
-//	         gateway's per-workload failover count (FailoversFor) runs
-//	         from the moment the workload's route was installed, so a
-//	         redeploy starts it again at zero
+//	         tenant's rows including its gateway admission sheds
 //	slo      -targets ... [-interval D] [-availability T] [-p99 D]
 //	         [-p99-target T] [-tenant T]
 //	         scrape the fleet twice and grade the interval against
@@ -307,8 +304,7 @@ func scrapeTwice(spec string, interval time.Duration) (prev, cur telemetry.Fleet
 func top(args []string) error {
 	fs := flag.NewFlagSet("top", flag.ContinueOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: lnicctl top -targets nic=host:port,... [-interval D] [-tenant T]\n"+
-			"Per-workload gateway failover counts (FailoversFor) run from when the workload's route was installed.")
+		fmt.Fprintln(fs.Output(), "usage: lnicctl top -targets nic=host:port,... [-interval D] [-tenant T]")
 		fs.PrintDefaults()
 	}
 	targets := fs.String("targets", "", "comma-separated nic=host:port scrape targets (-metrics endpoints)")

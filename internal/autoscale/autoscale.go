@@ -57,19 +57,6 @@ func (p Policy) Validate() error {
 	}
 }
 
-// DefaultPolicy returns a conservative policy.
-func DefaultPolicy() Policy {
-	return Policy{
-		TargetPerReplica: 500,
-		MinReplicas:      1,
-		MaxReplicas:      8,
-		UpThreshold:      1.2,
-		DownThreshold:    0.5,
-		Cooldown:         30 * time.Second,
-		Smoothing:        0.5,
-	}
-}
-
 // Decision is one scaling action.
 type Decision struct {
 	Workload string

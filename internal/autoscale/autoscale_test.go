@@ -44,9 +44,6 @@ func TestPolicyValidation(t *testing.T) {
 			t.Errorf("case %d: invalid policy accepted", i)
 		}
 	}
-	if err := DefaultPolicy().Validate(); err != nil {
-		t.Errorf("DefaultPolicy invalid: %v", err)
-	}
 	zero := testPolicy()
 	zero.MinReplicas = 0
 	if err := zero.Validate(); err != nil {

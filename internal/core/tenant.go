@@ -3,10 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
-	"lambdanic/internal/drf"
-	"lambdanic/internal/nicsim"
 	"lambdanic/internal/tenant"
 	"lambdanic/internal/workloads"
 )
@@ -64,123 +61,4 @@ func (m *Manager) RegisterFor(tenantName string, w *workloads.Workload) (uint32,
 		return 0, err
 	}
 	return id, nil
-}
-
-// PlanTenantPlacements allocates replicas with DRF keyed by tenant
-// instead of by lambda: each grant is one replica set — one replica of
-// every lambda the tenant owns — so a tenant fanning out over many
-// lambdas competes as a single DRF user. Tenant quota vectors
-// (NPU threads, instruction-store bytes, IMEM/EMEM budgets) compile to
-// task caps via drf.SetLimit, enforcing isolation at placement time.
-// Workloads are grouped by their Tenant field ("" = default tenant);
-// every named tenant must exist in reg.
-func PlanTenantPlacements(fleet FleetCapacity, reg *tenant.Registry, demands []WorkloadDemand) ([]PlannedPlacement, error) {
-	if len(fleet.Workers) == 0 {
-		return nil, fmt.Errorf("core: fleet has no workers")
-	}
-	if len(demands) == 0 {
-		return nil, fmt.Errorf("core: no workload demands")
-	}
-	if reg == nil {
-		reg = tenant.NewRegistry()
-	}
-	capacity := drf.Resources{}
-	addCap := func(key string, v float64) {
-		if v > 0 {
-			capacity[key] = v
-		}
-	}
-	addCap(nicsim.ResThreads, fleet.Threads)
-	addCap(nicsim.ResMemMB, fleet.MemoryMB)
-	addCap(nicsim.ResInstr, fleet.InstrStore)
-	addCap(nicsim.ResIMEM, fleet.IMEMBytes)
-	addCap(nicsim.ResEMEM, fleet.EMEMBytes)
-	alloc, err := drf.New(capacity)
-	if err != nil {
-		return nil, err
-	}
-
-	// Group demands by owning tenant, preserving first-seen order for
-	// deterministic output (the DRF grant order itself is name-sorted
-	// inside the allocator).
-	type group struct {
-		ten     *tenant.Tenant
-		ds      []WorkloadDemand
-		perTask drf.Resources
-	}
-	groups := map[string]*group{}
-	var order []string
-	for _, d := range demands {
-		if d.Workload == nil {
-			return nil, fmt.Errorf("core: demand without workload")
-		}
-		name := d.Workload.Tenant
-		if name == "" {
-			name = tenant.DefaultTenantName
-		}
-		g, ok := groups[name]
-		if !ok {
-			ten, found := reg.Get(name)
-			if !found {
-				return nil, fmt.Errorf("%w: %s (workload %s)", tenant.ErrUnknownTenant, name, d.Workload.Name)
-			}
-			g = &group{ten: ten, perTask: drf.Resources{}}
-			groups[name] = g
-			order = append(order, name)
-		}
-		g.ds = append(g.ds, d)
-		addDemand := func(key string, v float64) {
-			if v > 0 {
-				g.perTask[key] += v
-			}
-		}
-		addDemand(nicsim.ResThreads, d.ThreadsPerReplica)
-		addDemand(nicsim.ResMemMB, d.MemoryMBPerReplica)
-		addDemand(nicsim.ResInstr, d.InstrPerReplica)
-		addDemand(nicsim.ResIMEM, d.IMEMBytesPerReplica)
-		addDemand(nicsim.ResEMEM, d.EMEMBytesPerReplica)
-	}
-
-	for _, name := range order {
-		g := groups[name]
-		if err := alloc.AddUser(name, g.perTask); err != nil {
-			return nil, fmt.Errorf("core: tenant %s demand: %w", name, err)
-		}
-		if lim := nicsim.MaxTasks(nicsim.QuotaVector(g.ten.Quota), g.perTask); lim > 0 {
-			if err := alloc.SetLimit(name, lim); err != nil {
-				return nil, err
-			}
-		}
-	}
-	alloc.AllocateAll()
-
-	var out []PlannedPlacement
-	next := 0
-	for _, name := range order {
-		g := groups[name]
-		replicas := alloc.Tasks(name)
-		if replicas == 0 {
-			return nil, fmt.Errorf("core: tenant %s starved (demand exceeds fleet share or quota)", name)
-		}
-		for _, d := range g.ds {
-			workers := make([]string, 0, replicas)
-			seen := make(map[string]bool)
-			for r := 0; r < replicas; r++ {
-				w := fleet.Workers[next%len(fleet.Workers)]
-				next++
-				if !seen[w] {
-					seen[w] = true
-					workers = append(workers, w)
-				}
-			}
-			sort.Strings(workers)
-			out = append(out, PlannedPlacement{
-				Workload: d.Workload.Name,
-				Tenant:   name,
-				Replicas: replicas,
-				Workers:  workers,
-			})
-		}
-	}
-	return out, nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"errors"
-	"strings"
 	"testing"
 
 	"lambdanic/internal/tenant"
@@ -70,122 +69,5 @@ func TestRegisterTenantPublishesToControlStore(t *testing.T) {
 	}
 	if got.ID != stored.ID || got.Quota.NPUThreads != 64 || got.Quota.RatePerSec != 100 {
 		t.Errorf("control-store tenant = %+v, want %+v", got, *stored)
-	}
-}
-
-func tenantFleet(workers ...string) FleetCapacity {
-	return FleetCapacity{Threads: 64, MemoryMB: 1024, Workers: workers}
-}
-
-func TestPlanTenantPlacementsQuotaCapsReplicas(t *testing.T) {
-	reg := tenant.NewRegistry()
-	// The batch tenant's thread quota allows only 2 replica sets.
-	if _, err := reg.Add(tenant.Tenant{Name: "bulk", Class: tenant.ClassBatch,
-		Quota: tenant.Quota{NPUThreads: 8}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Add(tenant.Tenant{Name: "vip", Class: tenant.ClassInteractive}); err != nil {
-		t.Fatal(err)
-	}
-	web := workloads.WebServer()
-	web.Tenant = "vip"
-	batch := workloads.BatchSweeper()
-	batch.Tenant = "bulk"
-
-	plan, err := PlanTenantPlacements(tenantFleet("m2", "m3"), reg, []WorkloadDemand{
-		{Workload: web, ThreadsPerReplica: 4, MemoryMBPerReplica: 16},
-		{Workload: batch, ThreadsPerReplica: 4, MemoryMBPerReplica: 16},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]PlannedPlacement{}
-	for _, p := range plan {
-		byName[p.Workload] = p
-	}
-	if got := byName[batch.Name]; got.Replicas != 2 || got.Tenant != "bulk" {
-		t.Errorf("batch placement = %+v, want 2 replicas (8-thread quota / 4 per replica)", got)
-	}
-	// The interactive tenant absorbs the rest: 64 threads total, batch
-	// holds 8, so vip gets floor(56/4) = 14 replica sets.
-	if got := byName[web.Name]; got.Replicas != 14 || got.Tenant != "vip" {
-		t.Errorf("web placement = %+v, want 14 replicas", got)
-	}
-}
-
-// DRF is keyed by tenant: a tenant fanning out over two lambdas
-// competes as ONE user, so its pair of lambdas together receives the
-// same share a single-lambda tenant gets.
-func TestPlanTenantPlacementsKeysByTenant(t *testing.T) {
-	reg := tenant.NewRegistry()
-	for _, n := range []string{"fan", "solo"} {
-		if _, err := reg.Add(tenant.Tenant{Name: n}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a := workloads.WebServerVariant("fan_a", 11)
-	a.Tenant = "fan"
-	b := workloads.WebServerVariant("fan_b", 12)
-	b.Tenant = "fan"
-	c := workloads.WebServerVariant("solo_c", 13)
-	c.Tenant = "solo"
-
-	plan, err := PlanTenantPlacements(tenantFleet("m2"), reg, []WorkloadDemand{
-		{Workload: a, ThreadsPerReplica: 2},
-		{Workload: b, ThreadsPerReplica: 2},
-		{Workload: c, ThreadsPerReplica: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]int{}
-	for _, p := range plan {
-		got[p.Workload] = p.Replicas
-	}
-	// 64 threads; fan's replica set costs 4 (both lambdas), solo's 2.
-	// Equal dominant shares: fan ~10 sets (40 threads), solo ~12
-	// replicas (24 threads) — NOT equal per-lambda replica counts.
-	if got["fan_a"] != got["fan_b"] {
-		t.Fatalf("fan lambdas unequal: %v", got)
-	}
-	fanThreads := float64(got["fan_a"]+got["fan_b"]) * 2
-	soloThreads := float64(got["solo_c"]) * 2
-	ratio := fanThreads / soloThreads
-	if ratio < 0.7 || ratio > 1.5 {
-		t.Errorf("tenant thread shares: fan=%v solo=%v (ratio %v), want near-equal", fanThreads, soloThreads, ratio)
-	}
-	// The zero-demand keys (memMB etc.) were omitted, not zero-valued:
-	// memory stays untouched.
-	if got["solo_c"] == 0 {
-		t.Error("solo starved")
-	}
-}
-
-func TestPlanTenantPlacementsUnknownTenant(t *testing.T) {
-	w := workloads.WebServer()
-	w.Tenant = "ghost"
-	_, err := PlanTenantPlacements(tenantFleet("m2"), tenant.NewRegistry(), []WorkloadDemand{
-		{Workload: w, ThreadsPerReplica: 1},
-	})
-	if !errors.Is(err, tenant.ErrUnknownTenant) {
-		t.Fatalf("err = %v, want ErrUnknownTenant", err)
-	}
-}
-
-func TestPlanTenantPlacementsDefaultTenant(t *testing.T) {
-	// Workloads with no Tenant fall to the default tenant and plan
-	// exactly like the single-tenant path.
-	w := workloads.WebServer()
-	plan, err := PlanTenantPlacements(tenantFleet("m2", "m3"), nil, []WorkloadDemand{
-		{Workload: w, ThreadsPerReplica: 16, MemoryMBPerReplica: 64},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan) != 1 || plan[0].Tenant != tenant.DefaultTenantName || plan[0].Replicas != 4 {
-		t.Fatalf("plan = %+v, want default-tenant 4 replicas", plan)
-	}
-	if strings.Join(plan[0].Workers, ",") != "m2,m3" {
-		t.Errorf("workers = %v", plan[0].Workers)
 	}
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // The simulation kernel is swappable (ladder queue vs binary heap), and
-// independent sweep points can run concurrently. Both must be
-// implementation details: same seed, same experiment, bit-identical
-// results. These tests are the differential that pins that down.
+// the swap must be an implementation detail: same seed, same
+// experiment, bit-identical results. These tests are the differential
+// that pins that down.
 
 func withKernel(cfg Config, k sim.KernelKind) Config {
 	cfg.Kernel = k
@@ -73,42 +73,5 @@ func TestChaosDifferential(t *testing.T) {
 	}
 	if got, want := fingerprint(heap), fingerprint(ladder); !reflect.DeepEqual(got, want) {
 		t.Errorf("heap chaos run diverged:\n got=%+v\nwant=%+v", got, want)
-	}
-}
-
-func TestLoadCurveParallelMatchesSerial(t *testing.T) {
-	cfg := Quick()
-	serial, err := LoadLatencyCurve(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := LoadLatencyCurveParallel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Fatalf("parallel load curve diverged:\nserial=%+v\nparallel=%+v", serial, par)
-	}
-}
-
-func TestParallelScaleOutScales(t *testing.T) {
-	points, err := ParallelScaleOut(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("got %d points, want 3", len(points))
-	}
-	for _, p := range points {
-		if p.PerSecond <= 0 {
-			t.Errorf("%d workers: non-positive throughput %f", p.Workers, p.PerSecond)
-		}
-	}
-	// Independent identical domains: aggregate throughput is exactly
-	// workers x the single-worker rate, so efficiency is exactly 1.
-	for _, p := range points {
-		if p.Efficiency < 0.999 || p.Efficiency > 1.001 {
-			t.Errorf("%d workers: efficiency %f, want ~1", p.Workers, p.Efficiency)
-		}
 	}
 }

@@ -45,7 +45,8 @@ type Config struct {
 	Testbed cluster.Testbed
 	// Kernel selects the sim event-queue implementation. Both kernels
 	// fire in the identical order, so results are bit-identical; the
-	// zero value is the (faster) ladder queue.
+	// zero value is the (faster) ladder queue, and only the
+	// differential tests set the heap.
 	Kernel sim.KernelKind
 	// Image dimensions for the image-transformer workload.
 	ImageWidth, ImageHeight int
@@ -109,17 +110,6 @@ func (c Config) newSim() *sim.Sim {
 // newBackend builds a fresh simulation plus backend and deploys ws.
 func (c Config) newBackend(id BackendID, ws []*workloads.Workload) (*sim.Sim, backend.Backend, error) {
 	s := c.newSim()
-	b, err := c.newBackendOn(s, id, ws)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, b, nil
-}
-
-// newBackendOn builds and deploys a backend on an existing simulation —
-// the entry point parallel experiments use to place a backend inside a
-// sim.Parallel domain.
-func (c Config) newBackendOn(s *sim.Sim, id BackendID, ws []*workloads.Workload) (backend.Backend, error) {
 	var (
 		b   backend.Backend
 		err error
@@ -134,15 +124,15 @@ func (c Config) newBackendOn(s *sim.Sim, id BackendID, ws []*workloads.Workload)
 	case BackendContainer:
 		b, err = backend.NewContainer(s, c.Testbed)
 	default:
-		return nil, fmt.Errorf("experiments: unknown backend %q", id)
+		return nil, nil, fmt.Errorf("experiments: unknown backend %q", id)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := b.Deploy(ws); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return b, nil
+	return s, b, nil
 }
 
 // requests is w's request generator. Every image request of a run

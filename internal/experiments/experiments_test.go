@@ -273,9 +273,6 @@ func TestRenderers(t *testing.T) {
 	if out := RenderFigure6(f6); !strings.Contains(out, "web-server") || !strings.Contains(out, "lambda-nic") {
 		t.Errorf("RenderFigure6 incomplete:\n%s", out)
 	}
-	if out := RenderECDF("test", f6[0].ECDF); !strings.Contains(out, "ECDF") {
-		t.Error("RenderECDF wrong")
-	}
 	f7, err := Figure7(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"lambdanic/internal/metrics"
-	"lambdanic/internal/sim"
 	"lambdanic/internal/telemetry"
 	"lambdanic/internal/trace"
 	"lambdanic/internal/workloads"
@@ -84,55 +83,6 @@ func LoadLatencyCurve(cfg Config) ([]LoadPoint, error) {
 			pt.gradeLoadPoint(&res.Latency)
 			out = append(out, pt)
 		}
-	}
-	return out, nil
-}
-
-// LoadLatencyCurveParallel computes the same sweep with every
-// (backend, rate) point in its own simulation domain, run concurrently
-// by a sim.Parallel group. Each point's simulation is
-// seeded and driven exactly as in LoadLatencyCurve, so the output is
-// bitwise identical to the serial sweep — the points were always
-// independent simulations; this just stops running them one at a time.
-func LoadLatencyCurveParallel(cfg Config) ([]LoadPoint, error) {
-	web := workloads.WebServer()
-	rates := []float64{200, 500, 1000, 1500, 1800, 2500}
-	requests := cfg.Fig7Requests / 2
-	if requests < 200 {
-		requests = 200
-	}
-	backends := []BackendID{BackendLambdaNIC, BackendBareMetal}
-	p := sim.NewParallel()
-	out := make([]LoadPoint, 0, len(backends)*len(rates))
-	results := make([]*trace.Result, 0, len(backends)*len(rates))
-	for _, bid := range backends {
-		for _, rate := range rates {
-			d := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-			b, err := cfg.newBackendOn(d, bid, cfg.set())
-			if err != nil {
-				return nil, err
-			}
-			res, err := trace.OpenLoop{
-				RatePerSec: rate,
-				Requests:   requests,
-				Warmup:     cfg.Warmup,
-				Gen:        trace.Fixed(web.ID, web.MakeRequest),
-			}.Start(d, b)
-			if err != nil {
-				return nil, fmt.Errorf("loadcurve %s@%.0f: %w", bid, rate, err)
-			}
-			results = append(results, res)
-			out = append(out, LoadPoint{Backend: bid, OfferedRPS: rate})
-		}
-	}
-	if err := p.RunUntilIdle(); err != nil {
-		return nil, err
-	}
-	for i, res := range results {
-		out[i].P50 = res.Latency.Quantile(0.50)
-		out[i].P99 = res.Latency.Quantile(0.99)
-		out[i].Errors = res.Errors
-		out[i].gradeLoadPoint(&res.Latency)
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"lambdanic/internal/mcc"
@@ -83,39 +84,50 @@ func MeasureOptimizerImpact(cfg Config) (*OptimizerImpact, error) {
 	}, nil
 }
 
-// marginalFit counts how many extra web-server lambdas fit beside the
-// padded benchmark image in the 16 K instruction store. Each extra
-// lambda adds its true naive cost on top of the paper-scale 8,902-
-// instruction base.
+// maxExtraLambdas caps marginalFit's count.
+const maxExtraLambdas = 64
+
+// marginalFit counts how many extra web-server lambdas, up to
+// maxExtraLambdas, fit beside the padded benchmark image in the 16 K
+// instruction store. Each extra lambda adds its true naive cost on top
+// of the paper-scale 8,902-instruction base, so the image only grows
+// with the count and a binary search finds the first count that
+// overflows.
 func marginalFit(cfg Config, set []*workloads.Workload, optimize bool) (int, error) {
-	build := func(extra int) (int, error) {
-		ws := append([]*workloads.Workload{}, set...)
-		for i := 0; i < extra; i++ {
-			ws = append(ws, workloads.WebServerVariant(fmt.Sprintf("web_extra_%d", i), uint32(100+i)))
+	var err error
+	n := sort.Search(maxExtraLambdas, func(extra int) bool {
+		if err != nil {
+			return true
 		}
-		target := workloads.NaiveProgramTarget + marginalNaiveCost(ws, set)
-		p, err := workloads.BuildNaiveProgram(ws, target)
+		var size int
+		size, err = marginalSize(set, extra+1, optimize)
+		return err != nil || size > cfg.Testbed.NIC.InstrStorePerCore
+	})
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+// marginalSize is the static instruction count of the benchmark image
+// plus extra web-server lambdas, optimized or naive.
+func marginalSize(set []*workloads.Workload, extra int, optimize bool) (int, error) {
+	ws := append([]*workloads.Workload{}, set...)
+	for i := 0; i < extra; i++ {
+		ws = append(ws, workloads.WebServerVariant(fmt.Sprintf("web_extra_%d", i), uint32(100+i)))
+	}
+	target := workloads.NaiveProgramTarget + marginalNaiveCost(ws, set)
+	p, err := workloads.BuildNaiveProgram(ws, target)
+	if err != nil {
+		return 0, err
+	}
+	if optimize {
+		p, _, err = mcc.Optimize(p, mcc.AllPasses())
 		if err != nil {
 			return 0, err
 		}
-		if optimize {
-			p, _, err = mcc.Optimize(p, mcc.AllPasses())
-			if err != nil {
-				return 0, err
-			}
-		}
-		return p.StaticInstructions(), nil
 	}
-	for extra := 0; extra <= 64; extra++ {
-		size, err := build(extra + 1)
-		if err != nil {
-			return 0, err
-		}
-		if size > cfg.Testbed.NIC.InstrStorePerCore {
-			return extra, nil
-		}
-	}
-	return 64, nil
+	return p.StaticInstructions(), nil
 }
 
 // marginalNaiveCost is the naive code size the extra lambdas bring:

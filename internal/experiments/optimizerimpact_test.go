@@ -29,3 +29,31 @@ func TestOptimizerImpact(t *testing.T) {
 		t.Error("render broken")
 	}
 }
+
+// TestMarginalFitMatchesLinearScan holds the binary search to the
+// linear scan it replaced: the first count whose image overflows the
+// store, or the cap when none does.
+func TestMarginalFitMatchesLinearScan(t *testing.T) {
+	cfg := Quick()
+	set := cfg.set()
+	for _, optimize := range []bool{false, true} {
+		want := maxExtraLambdas
+		for extra := 0; extra <= maxExtraLambdas; extra++ {
+			size, err := marginalSize(set, extra+1, optimize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if size > cfg.Testbed.NIC.InstrStorePerCore {
+				want = extra
+				break
+			}
+		}
+		got, err := marginalFit(cfg, set, optimize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("optimize=%v: marginalFit = %d, linear scan = %d", optimize, got, want)
+		}
+	}
+}

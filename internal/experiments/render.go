@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"lambdanic/internal/mcc"
 	"lambdanic/internal/metrics"
@@ -55,16 +54,6 @@ func RenderFigure6(series []LatencySeries) string {
 			fmt.Fprintf(&b, "    %-18s mean=%-10s p50=%-10s p99=%-10s%s\n",
 				s.Backend, dur(s.Summary.Mean), dur(s.Summary.P50), dur(s.Summary.P99), speedup)
 		}
-	}
-	return b.String()
-}
-
-// RenderECDF prints an ECDF as value/fraction pairs (one series).
-func RenderECDF(name string, pts []metrics.Point) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "  ECDF %s:\n", name)
-	for _, p := range pts {
-		fmt.Fprintf(&b, "    %-12s %.3f\n", dur(p.Value), p.Frac)
 	}
 	return b.String()
 }
@@ -155,6 +144,3 @@ func RenderFigure9(results []mcc.PassResult) string {
 	}
 	return b.String()
 }
-
-// FormatDuration renders a duration for reports.
-func FormatDuration(d time.Duration) string { return d.Round(time.Microsecond).String() }

@@ -6,7 +6,6 @@ import (
 
 	"lambdanic/internal/backend"
 	"lambdanic/internal/nicsim"
-	"lambdanic/internal/sim"
 	"lambdanic/internal/trace"
 	"lambdanic/internal/workloads"
 )
@@ -82,77 +81,6 @@ func ScaleOut(cfg Config) ([]ScaleOutPoint, error) {
 		tput, err := run(workers)
 		if err != nil {
 			return nil, fmt.Errorf("scaleout %d workers: %w", workers, err)
-		}
-		if workers == 1 {
-			single = tput
-		}
-		eff := 1.0
-		if single > 0 {
-			eff = tput / (single * float64(workers))
-		}
-		out = append(out, ScaleOutPoint{Workers: workers, PerSecond: tput, Efficiency: eff})
-	}
-	return out, nil
-}
-
-// ParallelScaleOut is ScaleOut's multi-core path: each worker NIC
-// becomes its own simulation domain, with its own kernel, clock, and
-// closed-loop driver, and sim.Parallel runs the domains concurrently.
-// The scale-out workload has no cross-worker traffic — the shared-clock
-// version's round-robin driver is the only coupling — so the domains
-// are independent and each worker carries the same per-worker load as
-// in the merged run (Concurrency callers, requests/worker). Every
-// domain is seeded identically, so per-worker results are bit-identical
-// to a one-worker run and across repetitions, regardless of core count.
-func ParallelScaleOut(cfg Config) ([]ScaleOutPoint, error) {
-	img := workloads.ImageTransformer(128, 128)
-	set := []*workloads.Workload{
-		workloads.WebServer(), workloads.KVGetClient(), workloads.KVSetClient(),
-		workloads.ImageTransformer(128, 128),
-	}
-	requests := cfg.Fig7Requests / 4
-	if requests < 100 {
-		requests = 100
-	}
-	run := func(workers int) (float64, error) {
-		p := sim.NewParallel()
-		results := make([]*trace.Result, workers)
-		for i := 0; i < workers; i++ {
-			d := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-			b, err := backend.NewLambdaNIC(d, cfg.Testbed, nicsim.DispatchUniform)
-			if err != nil {
-				return 0, err
-			}
-			if err := b.Deploy(set); err != nil {
-				return 0, err
-			}
-			res, err := trace.ClosedLoop{
-				Concurrency: cfg.Concurrency,
-				Requests:    requests,
-				Warmup:      cfg.Warmup,
-				Gen:         cfg.requests(img),
-			}.Start(d, b)
-			if err != nil {
-				return 0, err
-			}
-			results[i] = res
-		}
-		if err := p.RunUntilIdle(); err != nil {
-			return 0, err
-		}
-		total := 0.0
-		for _, r := range results {
-			total += r.Throughput.PerSecond()
-		}
-		return total, nil
-	}
-
-	var out []ScaleOutPoint
-	var single float64
-	for _, workers := range []int{1, 2, 4} {
-		tput, err := run(workers)
-		if err != nil {
-			return nil, fmt.Errorf("parallel scaleout %d workers: %w", workers, err)
 		}
 		if workers == 1 {
 			single = tput

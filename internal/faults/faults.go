@@ -2,9 +2,8 @@
 // seeded injector that drives failure scenarios through both of the
 // repository's layers. On the functional layer it wraps transport links
 // (any net.PacketConn — the in-memory network or real UDP) with
-// scriptable per-link rules — packet loss, delay, duplication,
-// reordering, and one-way partitions — and kills, restarts, or slows
-// worker daemons through the Proc interface (script.go). On the timing
+// per-link rules — packet loss, delay, duplication, reordering, and
+// one-way partitions — and takes endpoints down or slows them. On the timing
 // layer it schedules hardware fault events (NIC crash, island
 // degradation, firmware-swap downtime, §7) into the discrete-event
 // simulation (sim.go).
@@ -77,11 +76,6 @@ type Verdict struct {
 	Delay   time.Duration
 }
 
-// Clean reports whether the packet passes untouched.
-func (v Verdict) Clean() bool {
-	return !v.Drop && !v.Dup && !v.Reorder && v.Delay == 0
-}
-
 // Injector evaluates fault rules over links. Safe for concurrent use.
 // A nil *Injector is the disabled injector: it judges every packet
 // clean and wraps connections as pass-throughs.
@@ -105,26 +99,6 @@ func NewInjector(seed int64, rules ...Rule) *Injector {
 		down:   make(map[string]bool),
 		slow:   make(map[string]time.Duration),
 	}
-}
-
-// AddRule appends a rule at runtime.
-func (inj *Injector) AddRule(r Rule) {
-	if inj == nil {
-		return
-	}
-	inj.mu.Lock()
-	inj.rules = append(inj.rules, r)
-	inj.mu.Unlock()
-}
-
-// Rules returns a copy of the installed rule set.
-func (inj *Injector) Rules() []Rule {
-	if inj == nil {
-		return nil
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return append([]Rule(nil), inj.rules...)
 }
 
 // SetDown marks an endpoint as crashed: every packet to or from it is

@@ -78,18 +78,3 @@ func (t *Timeline) Sorted() []SimFault {
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
 }
-
-// Schedule enqueues every fault into the simulation, invoking apply
-// when each fires. The apply callback maps the fault onto concrete
-// devices (nicsim crash/recover/slowdown, cpusim fail/recover,
-// firmware reload) — the timeline itself stays device-agnostic. A nil
-// timeline schedules nothing.
-func (t *Timeline) Schedule(s *sim.Sim, apply func(SimFault)) {
-	if t == nil || s == nil || apply == nil {
-		return
-	}
-	for _, f := range t.Sorted() {
-		f := f
-		s.At(f.At, func() { apply(f) })
-	}
-}

@@ -10,14 +10,9 @@ import (
 // Tenant admission control: before routing, the gateway classifies the
 // request's workload ID to its owning tenant and charges the tenant's
 // token bucket. Over-quota requests are shed at the edge with
-// ErrTenantThrottled — a distinct signal from overload or failure, so
+// tenant.ErrThrottled — a distinct signal from overload or failure, so
 // clients back off instead of retrying hot and telemetry can separate
 // "throttled by quota" from "broken".
-
-// ErrTenantThrottled is the gateway's quota-shed sentinel. It is the
-// tenant package's ErrThrottled re-exported, so errors.Is matches
-// whichever package the caller imports.
-var ErrTenantThrottled = tenant.ErrThrottled
 
 // admission is the copy-on-write admission snapshot.
 type admission struct {

@@ -82,8 +82,8 @@ func TestAdmissionErrorIsDistinctSentinel(t *testing.T) {
 	gw, _, _ := throttleGateway(t)
 	gw.admit(1)
 	gw.admit(1)
-	if err := gw.admit(1); !errors.Is(err, ErrTenantThrottled) {
-		t.Fatalf("admit err = %v, want ErrTenantThrottled", err)
+	if err := gw.admit(1); !errors.Is(err, tenant.ErrThrottled) {
+		t.Fatalf("admit err = %v, want tenant.ErrThrottled", err)
 	}
 }
 

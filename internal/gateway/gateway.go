@@ -58,8 +58,8 @@ type Gateway struct {
 
 	// The gateway's instruments exist from construction and are counted
 	// once per event; EnableMetrics only registers views over them.
-	// Per-workload failovers and per-worker in-flight counts live in the
-	// route snapshot (routing.go).
+	// Per-worker in-flight counts live in the route snapshot
+	// (routing.go).
 	forwarded    atomic.Uint64
 	unrouted     atomic.Uint64
 	upstreamErrs atomic.Uint64
@@ -128,7 +128,7 @@ func (g *Gateway) Forwarded() uint64 { return g.forwarded.Load() }
 func (g *Gateway) Unrouted() uint64 { return g.unrouted.Load() }
 
 // Failovers returns the node-wide number of per-request worker
-// failovers; FailoversFor breaks the count down by workload.
+// failovers.
 func (g *Gateway) Failovers() uint64 { return g.failovers.Load() }
 
 // UpstreamTimeouts returns the number of upstream calls that timed out
@@ -392,7 +392,6 @@ func (p *proxy) upstream(resp []byte, err error) {
 		return
 	}
 	g.failovers.Add(1)
-	wr.failovers.Add(1)
 	if p.order == nil {
 		p.order = wr.failoverOrder(p.flow, p.wi)
 	}

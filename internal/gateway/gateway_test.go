@@ -11,6 +11,7 @@ import (
 
 	"lambdanic/internal/dispatch"
 	"lambdanic/internal/faults"
+	"lambdanic/internal/monitor"
 	"lambdanic/internal/transport"
 )
 
@@ -407,40 +408,42 @@ func TestGatewayFailoverDeterministicSuccessor(t *testing.T) {
 	}
 }
 
-// TestGatewayPerWorkloadFailoverCounters: failovers are attributed to
-// the workload that suffered them.
+// TestGatewayPerWorkloadFailoverCounters: a workload whose route has
+// only live workers adds no failover; one whose flows reach a dead
+// worker adds to Failovers() and to lnic_gateway_failovers_total.
 func TestGatewayPerWorkloadFailoverCounters(t *testing.T) {
 	n := transport.NewMemNetwork(31)
 	echoWorker(t, n, "alive")
 	gw := newGateway(t, n, WithUpstreamTimeout(60*time.Millisecond))
+	reg := monitor.NewRegistry()
+	if err := gw.EnableMetrics(reg); err != nil {
+		t.Fatal(err)
+	}
 	gw.SetRoute(1, []net.Addr{transport.MemAddr("dead"), transport.MemAddr("alive")})
 	gw.SetRoute(2, []net.Addr{transport.MemAddr("alive")})
 	cli := testClient(t, n, transport.WithTimeout(400*time.Millisecond), transport.WithRetries(1))
 
-	// Workload 2 never fails over.
+	// Workload 2 has no dead worker: it never fails over.
 	if _, err := cli.Call(context.Background(), transport.MemAddr("gw"), 2, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	// Drive workload 1 until its flow hits the dead worker's failover
+	if got := gw.Failovers(); got != 0 {
+		t.Fatalf("failovers = %d after a call to a live worker", got)
+	}
+	// Drive workload 1 until a flow hits the dead worker's failover
 	// path at least once (the client's flow may already own "alive", so
 	// use several distinct client flows).
-	for c := 0; c < 8 && gw.FailoversFor(1) == 0; c++ {
+	for c := 0; c < 8 && gw.Failovers() == 0; c++ {
 		cc := namedClient(t, n, fmt.Sprintf("fc%d", c), transport.WithTimeout(400*time.Millisecond), transport.WithRetries(1))
 		if _, err := cc.Call(context.Background(), transport.MemAddr("gw"), 1, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if gw.FailoversFor(1) == 0 {
-		t.Fatal("no failover attributed to workload 1")
+	got := gw.Failovers()
+	if got == 0 {
+		t.Fatal("no failover counted for workload 1")
 	}
-	if gw.FailoversFor(2) != 0 {
-		t.Fatalf("workload 2 charged %d failovers", gw.FailoversFor(2))
-	}
-	by := gw.FailoversByWorkload()
-	if by[1] != gw.FailoversFor(1) {
-		t.Fatalf("FailoversByWorkload mismatch: %v", by)
-	}
-	if gw.Failovers() < gw.FailoversFor(1) {
-		t.Fatal("node-wide failovers below per-workload count")
+	if want := fmt.Sprintf("lnic_gateway_failovers_total %d\n", got); !strings.Contains(reg.Render(), want) {
+		t.Errorf("metrics page lacks %q:\n%s", want, reg.Render())
 	}
 }

@@ -41,21 +41,20 @@ func newRouteTable(m map[uint32]*workloadRoute) *routeTable {
 // parallel slices), the seeded consistent-hash ring pinning flows to
 // workers, and the standing elephant migrations (flow -> worker index)
 // layered on top of the ring. What the entries point at is mutable and
-// outlives the snapshot: the in-flight counters, the workload's
-// failover counter, and stats, a lock-free lossy flow-rate table.
+// outlives the snapshot: the in-flight counters and stats, a lock-free
+// lossy flow-rate table.
 type workloadRoute struct {
-	workers   []net.Addr
-	names     []string
-	inflight  []*atomic.Int64
-	ring      *dispatch.Ring
-	pins      map[uint64]int
-	stats     *flowStats
-	failovers *atomic.Uint64
+	workers  []net.Addr
+	names    []string
+	inflight []*atomic.Int64
+	ring     *dispatch.Ring
+	pins     map[uint64]int
+	stats    *flowStats
 }
 
 // newRoute builds a workload's next route entry over workers. prev is
-// the workload's entry in rt, if it has one: its flow-rate window and
-// failover counter carry over. A worker some route in rt already names
+// the workload's entry in rt, if it has one: its flow-rate window
+// carries over. A worker some route in rt already names
 // keeps its in-flight counter.
 func (rt *routeTable) newRoute(workers []net.Addr, pins map[uint64]int, prev *workloadRoute) *workloadRoute {
 	wr := &workloadRoute{
@@ -72,9 +71,9 @@ func (rt *routeTable) newRoute(workers []net.Addr, pins map[uint64]int, prev *wo
 	}
 	wr.ring = dispatch.NewRing(wr.names, DefaultRingSeed, 0)
 	if prev != nil {
-		wr.stats, wr.failovers = prev.stats, prev.failovers
+		wr.stats = prev.stats
 	} else {
-		wr.stats, wr.failovers = newFlowStats(), new(atomic.Uint64)
+		wr.stats = newFlowStats()
 	}
 	return wr
 }
@@ -383,22 +382,4 @@ func (g *Gateway) PinnedFlows() int {
 		n += wr.pinnedFlows()
 	}
 	return n
-}
-
-// FailoversFor returns the failovers counted for one workload since its
-// route was installed; the count lives and dies with the route.
-func (g *Gateway) FailoversFor(id uint32) uint64 {
-	if wr := g.routes.Load().m[id]; wr != nil {
-		return wr.failovers.Load()
-	}
-	return 0
-}
-
-// FailoversByWorkload snapshots the per-workload failover counters.
-func (g *Gateway) FailoversByWorkload() map[uint32]uint64 {
-	out := make(map[uint32]uint64)
-	for id, wr := range g.routes.Load().m {
-		out[id] = wr.failovers.Load()
-	}
-	return out
 }

@@ -57,9 +57,6 @@ func NewTable(n int) *Table {
 	return &Table{buf: make([]byte, slots*SlotSize), slots: slots}
 }
 
-// Slots returns the table's slot count.
-func (t *Table) Slots() int { return t.slots }
-
 // Bytes exposes the table's backing store — the buffer to register as
 // an RDMA region. One-sided readers observe whatever bytes are present
 // at read-completion time, exactly like hardware.

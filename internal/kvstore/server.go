@@ -30,9 +30,6 @@ func NewServer(store *Store, conn net.PacketConn) *Server {
 	return s
 }
 
-// Store returns the underlying store.
-func (s *Server) Store() *Store { return s.store }
-
 // Addr returns the server's listen address.
 func (s *Server) Addr() net.Addr { return s.conn.LocalAddr() }
 

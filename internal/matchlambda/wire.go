@@ -39,9 +39,7 @@ const Version1 = 1
 const (
 	// FlagResponse marks a lambda's reply.
 	FlagResponse uint8 = 1 << iota
-	// FlagRDMA marks a fragment carried over the RDMA path into NIC
-	// memory rather than through parse+match.
-	FlagRDMA
+	_                  // bit 1 is unassigned
 	// FlagError marks a response conveying an execution error.
 	FlagError
 )

@@ -14,9 +14,9 @@ import (
 const (
 	FieldWorkloadID = iota
 	FieldRequestID
-	FieldFlags
-	FieldSeq
-	FieldTotal
+	_ // flags, seq and total: reserved, the parse stage leaves them 0
+	_
+	_
 	FieldPayloadLen
 	FieldSrcNode
 	FieldArg0

@@ -382,9 +382,9 @@ func (e *Executable) executeInterp(req *nicsim.Request, rec *recorder) (nicsim.R
 	return nicsim.Response{Payload: env.resp, Size: len(env.resp), Stats: env.stats}, nil
 }
 
-// RunStandalone executes a single named function outside the NIC (used
-// by tests and the compiler's constant-effect checks). It returns the
-// status, response bytes, and statistics.
+// RunStandalone executes a single named function outside the NIC; the
+// tests drive both engines through it. It returns the status, response
+// bytes, and statistics.
 func (e *Executable) RunStandalone(fn string, payload []byte, headers map[int]int64) (int64, []byte, nicsim.ExecStats, error) {
 	if e.engine == EngineInterp {
 		f := e.prog.Func(fn)

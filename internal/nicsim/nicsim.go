@@ -250,10 +250,6 @@ type NIC struct {
 	// isolation experiments read these; nil until first completion).
 	tenantDone map[uint32]uint64
 
-	// hostPath receives requests with no matching lambda ID (§4.1:
-	// "sends the packet to the host OS"). Nil drops them.
-	hostPath func(*Request)
-
 	// warm is the per-core warm-flow LRU (WarmFlows > 0 only), indexed
 	// by core = thread / ThreadsPerCore. Built lazily on first lookup;
 	// flushed on crash and firmware swap (SRAM state does not survive
@@ -417,9 +413,6 @@ func (n *NIC) warmTouch(thread int, flow uint64) bool {
 // on-NIC SRAM does not survive either).
 func (n *NIC) flushWarm() { n.warm = nil }
 
-// SetHostPath installs the handler for unmatched requests.
-func (n *NIC) SetHostPath(fn func(*Request)) { n.hostPath = fn }
-
 // Stats returns a copy of the NIC counters.
 func (n *NIC) Stats() Stats { return n.stats }
 
@@ -488,9 +481,6 @@ func (n *NIC) Crash() {
 // Recover brings a crashed NIC back with its loaded firmware intact.
 func (n *NIC) Recover() { n.crashed = false }
 
-// Crashed reports the fail-stop state.
-func (n *NIC) Crashed() bool { return n.crashed }
-
 // SetSlowdown degrades the NIC's service rate: service times are
 // stretched by factor (island degradation, thermal throttling).
 // Factors <= 1 restore full speed. Trace spans keep nominal cycle
@@ -536,9 +526,6 @@ func (n *NIC) Inject(req *Request, done func(Response, error)) {
 		// path, marked on the same placement stage that traces engine-
 		// driven migrations (placement.migrate).
 		req.Trace.Mark(obs.StagePlacement, "placement", "host-fallback", n.sim.Now())
-		if n.hostPath != nil {
-			n.hostPath(req)
-		}
 		if done != nil {
 			done(Response{}, fmt.Errorf("nicsim: no lambda %d: sent to host", req.LambdaID))
 		}

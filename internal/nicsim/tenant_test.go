@@ -3,10 +3,7 @@ package nicsim
 import (
 	"testing"
 
-	"lambdanic/internal/cluster"
-	"lambdanic/internal/drf"
 	"lambdanic/internal/sim"
-	"lambdanic/internal/tenant"
 )
 
 // A batch tenant fanning out over two lambdas must not squeeze the
@@ -119,45 +116,5 @@ func TestTenantWFQRejectsBadWeight(t *testing.T) {
 	cfg.TenantWeights = map[uint32]float64{1: -2}
 	if _, err := New(sim.New(1), cfg); err == nil {
 		t.Fatal("negative tenant weight accepted")
-	}
-}
-
-func TestFleetResources(t *testing.T) {
-	nic := cluster.Default().NIC
-	cap := FleetResources(nic, 4)
-	if cap[ResThreads] != float64(4*nic.NPUThreads()) {
-		t.Errorf("threads = %v, want %d", cap[ResThreads], 4*nic.NPUThreads())
-	}
-	if cap[ResInstr] != float64(4*nic.InstrStorePerCore) {
-		t.Errorf("instr = %v", cap[ResInstr])
-	}
-	if cap[ResIMEM] != float64(4*nic.IMEMBytes) || cap[ResEMEM] != float64(4*nic.EMEMBytes) {
-		t.Errorf("imem/emem = %v/%v", cap[ResIMEM], cap[ResEMEM])
-	}
-}
-
-func TestQuotaVectorOmitsUnlimited(t *testing.T) {
-	v := QuotaVector(tenant.Quota{NPUThreads: 16, EMEMBytes: 1 << 20})
-	if len(v) != 2 || v[ResThreads] != 16 || v[ResEMEM] != float64(1<<20) {
-		t.Fatalf("QuotaVector = %v", v)
-	}
-	if len(QuotaVector(tenant.Quota{})) != 0 {
-		t.Fatal("empty quota produced caps")
-	}
-}
-
-func TestMaxTasks(t *testing.T) {
-	quota := drf.Resources{ResThreads: 10, ResEMEM: 1000}
-	demand := drf.Resources{ResThreads: 4, ResEMEM: 100}
-	// threads bind first: floor(10/4)=2 < floor(1000/100)=10.
-	if got := MaxTasks(quota, demand); got != 2 {
-		t.Errorf("MaxTasks = %d, want 2", got)
-	}
-	// A quota on a resource the demand does not consume never binds.
-	if got := MaxTasks(drf.Resources{ResIMEM: 5}, demand); got != 0 {
-		t.Errorf("non-binding quota gave limit %d, want 0 (unlimited)", got)
-	}
-	if got := MaxTasks(nil, demand); got != 0 {
-		t.Errorf("nil quota gave %d, want 0", got)
 	}
 }

@@ -72,9 +72,6 @@ func (kv *KV) Get(key string) (string, bool) {
 	return v, ok
 }
 
-// Len returns the number of keys.
-func (kv *KV) Len() int { return len(kv.data) }
-
 // Snapshot copies the state (for tests and observers).
 func (kv *KV) Snapshot() map[string]string {
 	out := make(map[string]string, len(kv.data))

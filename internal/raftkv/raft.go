@@ -152,9 +152,6 @@ func NewNode(id NodeID, peers []NodeID, seed int64) *Node {
 	return n
 }
 
-// ID returns the node's identity.
-func (n *Node) ID() NodeID { return n.id }
-
 // State returns the node's current role.
 func (n *Node) State() State { return n.state }
 

@@ -42,9 +42,6 @@ func (e *Engine) NewQP(window int) *QP {
 	return &QP{e: e, window: window}
 }
 
-// Window returns the QP's outstanding-request window (0 = unlimited).
-func (q *QP) Window() int { return q.window }
-
 // Posted returns the number of work requests in the submission ring
 // waiting for a doorbell.
 func (q *QP) Posted() int { return len(q.ring) }

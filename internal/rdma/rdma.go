@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 
 	"lambdanic/internal/cluster"
-	"lambdanic/internal/monitor"
 	"lambdanic/internal/sim"
 )
 
@@ -89,9 +88,6 @@ func (r *Region) read(dst []byte, offset int) {
 	}
 	clear(dst[n:])
 }
-
-// Name returns the region's label.
-func (r *Region) Name() string { return r.name }
 
 // Key returns the region's remote key.
 func (r *Region) Key() RKey { return r.key }
@@ -385,28 +381,4 @@ func (e *Engine) Counters() Counters {
 		BatchedOps:   e.batchedOps.Load(),
 		WindowStalls: e.windowStalls.Load(),
 	}
-}
-
-// Describe registers the engine's counters with a monitor registry as
-// scrape-time counter funcs, consistent with the rest of the fleet's
-// exposition (lnic_rdma_* families).
-func (e *Engine) Describe(reg *monitor.Registry, labels map[string]string) error {
-	for _, m := range []struct {
-		name, help string
-		fn         func() uint64
-	}{
-		{"lnic_rdma_writes_total", "One-sided RDMA write verbs issued.", e.writes.Load},
-		{"lnic_rdma_reads_total", "One-sided RDMA read verbs issued.", e.reads.Load},
-		{"lnic_rdma_bytes_written_total", "Bytes committed by RDMA writes.", e.bytesWritten.Load},
-		{"lnic_rdma_bytes_read_total", "Bytes fetched by RDMA reads.", e.bytesRead.Load},
-		{"lnic_rdma_violations_total", "Bad-rkey or out-of-bounds RDMA accesses.", e.violations.Load},
-		{"lnic_rdma_doorbells_total", "Doorbell rings (batched and unbatched).", e.doorbells.Load},
-		{"lnic_rdma_batched_ops_total", "Operations flushed through QP doorbell batches.", e.batchedOps.Load},
-		{"lnic_rdma_window_stalls_total", "Operations deferred by a full QP outstanding window.", e.windowStalls.Load},
-	} {
-		if err := reg.CounterFunc(m.name, m.help, labels, m.fn); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"lambdanic/internal/cluster"
-	"lambdanic/internal/monitor"
 	"lambdanic/internal/sim"
 )
 
@@ -489,35 +487,6 @@ func TestQPErrorsSkipWindow(t *testing.T) {
 	}
 	if !goodDone {
 		t.Error("valid op behind a faulted one never completed")
-	}
-}
-
-func TestDescribeExposesCounters(t *testing.T) {
-	s, e := testEngine(t)
-	reg := monitor.NewRegistry()
-	if err := e.Describe(reg, map[string]string{"nic": "n0"}); err != nil {
-		t.Fatal(err)
-	}
-	r, err := e.Register("m", 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Write(r.Key(), 0, make([]byte, 1000), nil)
-	e.Read(r.Key(), 0, 100, nil)
-	if err := s.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	out := reg.Render()
-	for _, want := range []string{
-		`lnic_rdma_writes_total{nic="n0"} 1`,
-		`lnic_rdma_reads_total{nic="n0"} 1`,
-		`lnic_rdma_bytes_written_total{nic="n0"} 1000`,
-		`lnic_rdma_bytes_read_total{nic="n0"} 100`,
-		`lnic_rdma_doorbells_total{nic="n0"} 2`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q\n%s", want, out)
-		}
 	}
 }
 

@@ -449,7 +449,7 @@ func TestLadderInsertIntoDrainingBucket(t *testing.T) {
 	}
 }
 
-// TestKernelKindString pins the names used in benchmark rows and flags.
+// TestKernelKindString pins the names used in benchmark rows.
 func TestKernelKindString(t *testing.T) {
 	if KernelLadder.String() != "ladder" || KernelHeap.String() != "heap" {
 		t.Fatalf("kernel names changed: %v %v", KernelLadder, KernelHeap)

@@ -94,9 +94,6 @@ type Event struct {
 // Cancelled reports whether the event was cancelled before firing.
 func (e *Event) Cancelled() bool { return e.cancelled }
 
-// At returns the virtual time the event fires at.
-func (e *Event) At() Time { return e.at }
-
 // entry is one queue slot: the firing key plus the event it belongs to.
 // Entries are values — kernels store them in plain slices, so queue
 // operations never allocate. An entry is stale (skipped when reached)

@@ -21,9 +21,6 @@ type ScrapedSample struct {
 	Value  float64
 }
 
-// Label returns a label value ("" when absent).
-func (s ScrapedSample) Label(k string) string { return s.Labels[k] }
-
 // Scrape is one parsed exposition page.
 type Scrape struct {
 	// Types maps metric family name → TYPE (counter, gauge, histogram).

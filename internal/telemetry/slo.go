@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -137,9 +136,6 @@ func (t *SLOTracker) Sample(now time.Duration) SLOSample {
 	return s
 }
 
-// Samples returns the recorded history.
-func (t *SLOTracker) Samples() []SLOSample { return t.samples }
-
 // SLOReport is the tracker's full history plus per-objective summary,
 // serialized by experiments (SLO_chaos.json) and rendered by lnicctl.
 type SLOReport struct {
@@ -230,10 +226,4 @@ func (r SLOReport) Text() string {
 			s.SamplesMet, s.SamplesTotal)
 	}
 	return b.String()
-}
-
-// SortSamples orders a report's samples by time (scrape aggregation
-// can interleave sources).
-func (r *SLOReport) SortSamples() {
-	sort.Slice(r.Samples, func(i, j int) bool { return r.Samples[i].At < r.Samples[j].At })
 }

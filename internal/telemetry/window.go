@@ -77,10 +77,6 @@ func NewWindowed(cfg WindowConfig) *Windowed {
 	}
 }
 
-// Histogram exposes the underlying cumulative histogram (for
-// registry exposition).
-func (w *Windowed) Histogram() *Histogram { return w.hist }
-
 // Config returns the effective window configuration.
 func (w *Windowed) Config() WindowConfig { return w.cfg }
 
@@ -185,9 +181,4 @@ func (w *Windowed) Stats(now time.Duration) WindowStats {
 	st.Mean = time.Duration(delta.Mean())
 	st.Latency = delta
 	return st
-}
-
-// Totals returns lifetime (non-windowed) counts: successes and errors.
-func (w *Windowed) Totals() (count, errs uint64) {
-	return w.hist.Snapshot().Count, w.errs.Load()
 }

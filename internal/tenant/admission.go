@@ -52,9 +52,6 @@ func (b *TokenBucket) Allow(now time.Duration) bool {
 	return false
 }
 
-// Tokens returns the current token count (diagnostics/tests).
-func (b *TokenBucket) Tokens() float64 { return b.tokens }
-
 // Admission is the gateway-edge admission controller: one token bucket
 // per rate-limited tenant. Tenants without a rate quota are always
 // admitted. Safe for concurrent use.

@@ -159,17 +159,6 @@ func (r *Registry) Get(name string) (*Tenant, bool) {
 	return t, ok
 }
 
-// ByID returns a tenant by numeric ID.
-func (r *Registry) ByID(id uint32) (*Tenant, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	t, ok := r.byID[id]
-	return t, ok
-}
-
-// Default returns the pre-seeded default tenant.
-func (r *Registry) Default() *Tenant { return r.defaults }
-
 // Bind records that a workload belongs to the named tenant.
 func (r *Registry) Bind(workloadID uint32, tenantName string) error {
 	r.mu.Lock()

@@ -8,8 +8,8 @@ import (
 
 func TestRegistrySeedsDefault(t *testing.T) {
 	r := NewRegistry()
-	def := r.Default()
-	if def.Name != DefaultTenantName || def.ID != 0 {
+	def, ok := r.Get(DefaultTenantName)
+	if !ok || def.ID != 0 {
 		t.Fatalf("default tenant = %+v, want name %q id 0", def, DefaultTenantName)
 	}
 	if got := r.Owner(999); got != def {
@@ -43,10 +43,6 @@ func TestRegistryAddAndBind(t *testing.T) {
 	}
 	if err := r.Bind(8, "nosuch"); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("bind to unknown tenant err = %v, want ErrUnknownTenant", err)
-	}
-	by, ok := r.ByID(ten.ID)
-	if !ok || by != ten {
-		t.Fatalf("ByID(%d) = %+v, %v", ten.ID, by, ok)
 	}
 }
 

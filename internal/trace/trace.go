@@ -139,23 +139,9 @@ type OpenLoop struct {
 	Tracer obs.Tracer
 }
 
-// Run drives the target, returning latency and throughput measurements.
+// Run schedules the whole arrival process on s and runs the simulation
+// to idle, returning latency and throughput measurements.
 func (o OpenLoop) Run(s *sim.Sim, target Invoker) (*Result, error) {
-	res, err := o.Start(s, target)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.RunUntilIdle(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// Start schedules the whole arrival process on s without running the
-// simulation: the result fills in as the caller drives s (or the
-// sim.Parallel domain holding it). Use Run unless the simulation is
-// executed externally.
-func (o OpenLoop) Start(s *sim.Sim, target Invoker) (*Result, error) {
 	if o.RatePerSec <= 0 {
 		return nil, errInvalidRate
 	}
@@ -199,6 +185,9 @@ func (o OpenLoop) Start(s *sim.Sim, target Invoker) (*Result, error) {
 		gap := rng.ExpFloat64() / o.RatePerSec
 		at += sim.Time(gap * float64(time.Second))
 	}
+	if err := s.RunUntilIdle(); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -224,30 +213,16 @@ type ClosedLoop struct {
 }
 
 // Run drives the target until all requests complete, returning latency
-// and throughput measurements. It runs the simulation to idle.
+// and throughput measurements: it issues the initial concurrency window,
+// chains each later request from a completion callback, and runs the
+// simulation to idle.
 func (c ClosedLoop) Run(s *sim.Sim, target Invoker) (*Result, error) {
-	res, err := c.Start(s, target)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.RunUntilIdle(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// Start issues the initial concurrency window on s without running the
-// simulation; subsequent requests chain from completion callbacks as
-// the caller drives s. Use Run unless the simulation is executed
-// externally (e.g. by a sim.Parallel coordinator).
-func (c ClosedLoop) Start(s *sim.Sim, target Invoker) (*Result, error) {
 	res := &Result{}
 	if c.Concurrency < 1 {
 		c.Concurrency = 1
 	}
 	total := c.Warmup + c.Requests
 	issued := 0
-	completed := 0
 	measuring := false
 
 	var issue func()
@@ -271,7 +246,6 @@ func (c ClosedLoop) Start(s *sim.Sim, target Invoker) (*Result, error) {
 		}
 		invoke(target, req.Workload, req.Payload, tr, func(r backend.Result) {
 			tr.Finish(s.Now(), r.Err)
-			completed++
 			if measured {
 				if r.Err != nil {
 					res.Errors++
@@ -286,6 +260,9 @@ func (c ClosedLoop) Start(s *sim.Sim, target Invoker) (*Result, error) {
 	}
 	for k := 0; k < c.Concurrency && k < total; k++ {
 		issue()
+	}
+	if err := s.RunUntilIdle(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

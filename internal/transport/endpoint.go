@@ -959,13 +959,6 @@ func (sh *shard) remember(key dedupKey, resp []byte, isErr bool) {
 	sh.ringHead = (sh.ringHead + 1) % n
 }
 
-// seenLen reports the shard's cached-response count; test hook.
-func (sh *shard) seenLen() int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return len(sh.seen)
-}
-
 func (e *Endpoint) sendResponse(reqHeader matchlambda.WireHeader, payload []byte, isErr bool, to net.Addr) {
 	h := matchlambda.WireHeader{
 		Version:    matchlambda.Version1,

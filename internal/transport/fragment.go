@@ -322,11 +322,3 @@ func (r *Reassembler) Pending() int { return len(r.partial) }
 
 // Evictions returns how many partial messages MaxPending has pushed out.
 func (r *Reassembler) Evictions() uint64 { return r.evictions }
-
-// Drop discards partial state for an anonymous-source request (sender
-// gave up).
-func (r *Reassembler) Drop(requestID uint64) {
-	if pm, ok := r.partial[messageKey{id: requestID}]; ok {
-		r.discard(pm)
-	}
-}

@@ -152,10 +152,6 @@ func TestReassemblerPendingLimit(t *testing.T) {
 	if r.Pending() != 1 || r.Evictions() != 2 {
 		t.Errorf("Pending = %d, Evictions = %d, want 1 and 2", r.Pending(), r.Evictions())
 	}
-	r.Drop(1)
-	if r.Pending() != 0 {
-		t.Errorf("Pending = %d after Drop", r.Pending())
-	}
 }
 
 func TestReassembleFragmentRoundTripProperty(t *testing.T) {

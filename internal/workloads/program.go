@@ -75,15 +75,6 @@ func DefaultSet() []*Workload {
 	}
 }
 
-// ByID indexes a workload set.
-func ByID(ws []*Workload) map[uint32]*Workload {
-	out := make(map[uint32]*Workload, len(ws))
-	for _, w := range ws {
-		out[w.ID] = w
-	}
-	return out
-}
-
 // BuildNaiveProgram composes the workloads into one naive Match+Lambda
 // program, padding the shared runtime library so the total code size
 // lands on target (0 means no padding). The result is the "Unoptimized"

@@ -281,10 +281,6 @@ func TestWorkloadSetHelpers(t *testing.T) {
 	if len(ws) != 4 {
 		t.Fatalf("DefaultSet = %d workloads", len(ws))
 	}
-	byID := ByID(ws)
-	if byID[WebServerID].Name != "web_server" || byID[ImageTransformerID].Name != "image_transformer" {
-		t.Error("ByID mapping wrong")
-	}
 	if Packets(0) != 1 || Packets(1400) != 1 || Packets(1401) != 2 {
 		t.Error("Packets wrong")
 	}
