@@ -83,29 +83,17 @@ var auditAllow = map[string]string{
 	"internal/workloads.KVStoreHeader":          "builds the header KVStoreLambda parses; its tests drive it",
 	"internal/tenant.Registry.OwnerID":          "the tenant classifier EnableAdmission takes; the admission tests install it",
 
-	// Kept for a follow-up audit: only tests call these, and deleting
-	// them deletes those tests too.
-	"internal/drf.Allocator.SetLimit":          "follow-up: its one caller, a tenant-keyed placement planner, was deleted; TestSetLimitCapsUser and TestSetLimitUnknownUser remain",
-	"internal/faults.Injector.SetSlow":         "follow-up: no experiment slows an endpoint; TestSlowEndpointDelays is its only caller",
-	"internal/cpusim.Host.Fail":                "follow-up: fault hook no experiment uses; TestFailRecover is its only caller",
-	"internal/cpusim.Host.Recover":             "follow-up: fault hook no experiment uses; TestFailRecover is its only caller",
-	"internal/cpusim.Host.Down":                "follow-up: fault hook no experiment uses; TestFailRecover is its only caller",
-	"internal/nicsim.NIC.Utilization":          "follow-up: busy-cycle share nothing reports; TestUtilization is its only caller",
-	"internal/rdma.Engine.Deregister":          "follow-up: no region is ever deregistered; TestDeregisterRevokesKey is its only caller",
-	"internal/tenant.Registry.Tenants":         "follow-up: nothing lists tenants; TestRegistryTenantsSorted is its only caller",
-	"internal/gateway.Gateway.EnableAdmission": "follow-up: no daemon turns on tenant admission yet; the admission tests and the exposition golden drive it",
-	"internal/healthd.Detector.Forget":         "follow-up: no caller evicts from the detector; TestSnapshotAndForget is its only caller",
+	// Kept for tenant admission on the real clock, which an open-loop
+	// shed curve needs; until then tests drive it.
+	"internal/gateway.Gateway.EnableAdmission": "tenant admission on the real clock, kept for an open-loop shed curve; the admission tests and the exposition golden drive it",
 
-	// Packages ROADMAP leaves to their own audit: monitor and telemetry
-	// (one job in two packages), autoscale, placement and wfq (one user
-	// each).
-	"internal/monitor.Counter.Add":                "monitor/telemetry audit: tests build registries with it to drive Render",
-	"internal/monitor.Counter.Inc":                "monitor/telemetry audit: tests build registries with it to drive Render",
-	"internal/monitor.Gauge.Add":                  "monitor/telemetry audit: tests build registries with it to drive Render",
-	"internal/monitor.Registry.MustCounter":       "monitor/telemetry audit: tests build registries with it to drive Render",
-	"internal/monitor.Registry.MustGauge":         "monitor/telemetry audit: tests build registries with it to drive Render",
-	"internal/telemetry.Collector.SetFetcher":     "monitor/telemetry audit: tests substitute an in-memory fetcher for HTTP scrapes",
-	"internal/telemetry.HistSnapshot.Merge":       "monitor/telemetry audit: TestSubAndMerge is its only caller",
+	// Registry conveniences: tests build registries with them.
+	"internal/monitor.Counter.Add":          "bench/bench_test.go and the monitor tests build registries with it to drive Render",
+	"internal/monitor.Registry.MustCounter": "bench/bench_test.go and the monitor tests build registries with it to drive Render",
+	"internal/monitor.Registry.MustGauge":   "the golden exposition and fleet-view tests build registries with it to drive Render",
+
+	// Packages ROADMAP leaves to their own audit: autoscale, placement
+	// and wfq (one user each).
 	"internal/autoscale.Autoscaler.Rate":          "autoscale audit: observes the EWMA in the smoothing tests",
 	"internal/autoscale.Autoscaler.Replicas":      "autoscale audit: observes scaling decisions in the autoscaler tests",
 	"internal/placement.Coordinator.SetCollector": "placement audit: TestCoordinatorRunsThreeStepProtocol wires a collector through it",

@@ -26,8 +26,8 @@ import (
 	"strings"
 
 	"lambdanic/internal/experiments"
+	"lambdanic/internal/monitor"
 	"lambdanic/internal/obs"
-	"lambdanic/internal/telemetry"
 )
 
 func main() {
@@ -284,7 +284,7 @@ func run(args []string, stdout io.Writer) error {
 
 // sloReport writes an experiment's SLO error-budget timeline when
 // -slo-out names a path.
-func (o *options) sloReport(rep *telemetry.SLOReport) error {
+func (o *options) sloReport(rep *monitor.SLOReport) error {
 	if o.sloOut == "" || rep == nil {
 		return nil
 	}

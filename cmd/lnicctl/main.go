@@ -64,7 +64,6 @@ import (
 	"lambdanic/internal/metrics"
 	"lambdanic/internal/monitor"
 	"lambdanic/internal/placement"
-	"lambdanic/internal/telemetry"
 	"lambdanic/internal/transport"
 	"lambdanic/internal/workloads"
 )
@@ -283,15 +282,15 @@ func abs(x float64) float64 {
 
 // scrapeTwice collects the fleet's metrics pages at the ends of one
 // observation interval; every fleet number is a delta between the two.
-func scrapeTwice(spec string, interval time.Duration) (prev, cur telemetry.FleetSnapshot, err error) {
+func scrapeTwice(spec string, interval time.Duration) (prev, cur monitor.FleetSnapshot, err error) {
 	if spec == "" {
 		return prev, cur, fmt.Errorf("missing -targets (e.g. -targets m2=127.0.0.1:9102,gw=127.0.0.1:9100)")
 	}
-	targets, err := telemetry.ParseTargets(spec)
+	targets, err := monitor.ParseTargets(spec)
 	if err != nil {
 		return prev, cur, err
 	}
-	c := telemetry.NewCollector(targets)
+	c := monitor.NewCollector(targets)
 	ctx := context.Background()
 	prev = c.Collect(ctx)
 	time.Sleep(interval)
@@ -317,8 +316,8 @@ func top(args []string) error {
 	if err != nil {
 		return err
 	}
-	rows := telemetry.FilterTenant(telemetry.FleetRows(prev, cur, *interval), *tenantName)
-	fmt.Print(telemetry.RenderTop(rows, *interval))
+	rows := monitor.FilterTenant(monitor.FleetRows(prev, cur, *interval), *tenantName)
+	fmt.Print(monitor.RenderTop(rows, *interval))
 	return nil
 }
 
@@ -339,14 +338,14 @@ func slo(args []string) error {
 	if err != nil {
 		return err
 	}
-	statuses, err := telemetry.FleetSLOTenant(prev, cur, []telemetry.Objective{
-		{Name: "availability", Kind: telemetry.ObjectiveAvailability, Target: *availability},
-		{Name: "p99-latency", Kind: telemetry.ObjectiveLatency, Target: *p99Target, Threshold: *p99},
+	statuses, err := monitor.FleetSLO(prev, cur, []monitor.Objective{
+		{Name: "availability", Kind: monitor.ObjectiveAvailability, Target: *availability},
+		{Name: "p99-latency", Kind: monitor.ObjectiveLatency, Target: *p99Target, Threshold: *p99},
 	}, *tenantName)
 	if err != nil {
 		return err
 	}
-	fmt.Print(telemetry.RenderSLO(statuses, *interval))
+	fmt.Print(monitor.RenderSLO(statuses, *interval))
 	return nil
 }
 

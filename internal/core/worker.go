@@ -12,7 +12,6 @@ import (
 	"lambdanic/internal/dispatch"
 	"lambdanic/internal/monitor"
 	"lambdanic/internal/obs"
-	"lambdanic/internal/telemetry"
 	"lambdanic/internal/transport"
 	"lambdanic/internal/workloads"
 )
@@ -48,7 +47,7 @@ type Worker struct {
 	errors      atomic.Uint64
 	warmHits    atomic.Uint64
 	warmLookups atomic.Uint64
-	latency     *telemetry.Histogram
+	latency     *monitor.Histogram
 
 	// warm and tracer are the two optional stages of the request path,
 	// each one atomic load when off. warm exists once EnableMetrics has
@@ -68,7 +67,7 @@ type lambda struct {
 	bypass             func(payload []byte, deps *workloads.Deps) ([]byte, bool)
 
 	requests, bypassed atomic.Uint64
-	latency            *telemetry.Histogram
+	latency            *monitor.Histogram
 }
 
 // expose registers views over the lambda's instruments.
@@ -111,7 +110,7 @@ func (f *warmFlows) touch(flow uint64) bool {
 // NewWorker starts a worker on conn with the given external-service
 // dependencies. The worker owns the connection.
 func NewWorker(conn net.PacketConn, deps *workloads.Deps) *Worker {
-	w := &Worker{deps: deps, latency: telemetry.NewHistogram()}
+	w := &Worker{deps: deps, latency: monitor.NewHistogram()}
 	w.lambdas.Store(&map[uint32]*lambda{})
 	w.ep = transport.NewEndpoint(conn, w.handle)
 	return w
@@ -201,7 +200,7 @@ func (w *Worker) Install(wl *workloads.Workload) error {
 		span:    "worker/" + wl.Name,
 		handle:  wl.Handle,
 		bypass:  wl.Bypass,
-		latency: telemetry.NewHistogram(),
+		latency: monitor.NewHistogram(),
 	}
 	if w.registry != nil {
 		if err := l.expose(w.registry); err != nil {

@@ -125,10 +125,6 @@ type Host struct {
 	dispatch *station
 	compute  *station
 
-	// down is the fail-stop state (Fail/Recover): a downed host refuses
-	// new work with ErrHostDown.
-	down bool
-
 	lastLambda uint32
 	hasLast    bool
 
@@ -138,9 +134,6 @@ type Host struct {
 // ErrUnknownLambda is returned when a request names an undeployed
 // lambda.
 var ErrUnknownLambda = errors.New("cpusim: unknown lambda")
-
-// ErrHostDown is returned by Submit while the host is failed.
-var ErrHostDown = errors.New("cpusim: host down")
 
 // New constructs a host backend.
 func New(s *sim.Sim, cfg Config) (*Host, error) {
@@ -177,18 +170,6 @@ func (h *Host) Deploy(p Profile) error {
 	return nil
 }
 
-// Fail fail-stops the host: subsequent submissions complete immediately
-// with ErrHostDown (the connection-refused analog — unlike a crashed
-// NIC, a dead host's TCP peers get an explicit reset). Work already in
-// the stations drains normally.
-func (h *Host) Fail() { h.down = true }
-
-// Recover brings a failed host back with its deployed profiles intact.
-func (h *Host) Recover() { h.down = false }
-
-// Down reports the fail-stop state.
-func (h *Host) Down() bool { return h.down }
-
 // Stats returns a copy of the counters.
 func (h *Host) Stats() Stats { return h.stats }
 
@@ -210,12 +191,6 @@ func (h *Host) Utilization() float64 {
 // payloadBytes spanning packets wire packets. done fires when the
 // response has left the host.
 func (h *Host) Submit(lambdaID uint32, payloadBytes int, packets int, done func(error)) {
-	if h.down {
-		if done != nil {
-			done(ErrHostDown)
-		}
-		return
-	}
 	p, ok := h.profiles[lambdaID]
 	if !ok {
 		if done != nil {

@@ -303,34 +303,3 @@ func TestModeString(t *testing.T) {
 		t.Error("unknown Mode.String wrong")
 	}
 }
-
-func TestFailRecover(t *testing.T) {
-	s := sim.New(1)
-	h := newHost(t, s, testConfig(ModeBareMetal))
-	deploy(t, h, webProfile(1))
-
-	h.Fail()
-	if !h.Down() {
-		t.Error("Down() = false after Fail")
-	}
-	var got error
-	h.Submit(1, 100, 1, func(err error) { got = err })
-	if !errors.Is(got, ErrHostDown) {
-		t.Errorf("err = %v, want ErrHostDown", got)
-	}
-
-	h.Recover()
-	served := false
-	h.Submit(1, 100, 1, func(err error) {
-		if err != nil {
-			t.Errorf("post-recovery Submit: %v", err)
-		}
-		served = true
-	})
-	if err := s.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if !served {
-		t.Error("recovered host did not serve")
-	}
-}

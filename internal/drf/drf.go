@@ -44,7 +44,6 @@ type user struct {
 	name   string
 	demand Resources
 	tasks  int
-	limit  int // max tasks; 0 = unlimited
 }
 
 // Allocator is a DRF allocator over a fixed capacity. Not safe for
@@ -106,22 +105,6 @@ func (a *Allocator) AddUser(name string, demand Resources) error {
 	return nil
 }
 
-// SetLimit caps a user's task count: progressive filling skips the
-// user once it holds max tasks. A non-positive max removes the cap.
-// Tenant quotas compile down to this — the quota vector divided by the
-// per-task demand gives the replica ceiling.
-func (a *Allocator) SetLimit(name string, max int) error {
-	u, ok := a.users[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownUser, name)
-	}
-	if max < 0 {
-		max = 0
-	}
-	u.limit = max
-	return nil
-}
-
 // DominantShare returns the user's dominant share: the maximum over
 // resources of (allocated / capacity).
 func (a *Allocator) DominantShare(name string) (float64, error) {
@@ -158,9 +141,6 @@ func (a *Allocator) AllocateOne() (string, bool) {
 	bestShare := 0.0
 	for _, name := range a.order {
 		u := a.users[name]
-		if u.limit > 0 && u.tasks >= u.limit {
-			continue
-		}
 		if !fits(a.remaining, u.demand) {
 			continue
 		}

@@ -1,7 +1,6 @@
 package drf
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 )
@@ -56,47 +55,5 @@ func TestZeroDemandResourceKey(t *testing.T) {
 	}
 	if util := a.Utilization(); util["emem"] != 0 {
 		t.Fatalf("emem utilization = %v, want 0", util["emem"])
-	}
-}
-
-func TestSetLimitCapsUser(t *testing.T) {
-	a := mustNew(t, Resources{"threads": 10})
-	if err := a.AddUser("capped", Resources{"threads": 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.AddUser("free", Resources{"threads": 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SetLimit("capped", 2); err != nil {
-		t.Fatal(err)
-	}
-	a.AllocateAll()
-	if got := a.Tasks("capped"); got != 2 {
-		t.Errorf("capped tasks = %d, want quota limit 2", got)
-	}
-	// The uncapped user absorbs the leftover capacity.
-	if got := a.Tasks("free"); got != 8 {
-		t.Errorf("free tasks = %d, want 8", got)
-	}
-	// Lifting the cap lets progressive filling resume.
-	if err := a.SetLimit("capped", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := a.AllocateOne(); ok {
-		t.Error("allocation succeeded with zero remaining capacity")
-	}
-	if err := a.Release("free"); err != nil {
-		t.Fatal(err)
-	}
-	name, ok := a.AllocateOne()
-	if !ok || name != "capped" {
-		t.Errorf("post-uncap grant = %q, %v; want capped (smaller share)", name, ok)
-	}
-}
-
-func TestSetLimitUnknownUser(t *testing.T) {
-	a := mustNew(t, Resources{"threads": 1})
-	if err := a.SetLimit("ghost", 1); !errors.Is(err, ErrUnknownUser) {
-		t.Fatalf("err = %v, want ErrUnknownUser", err)
 	}
 }

@@ -11,10 +11,10 @@ import (
 	"lambdanic/internal/faults"
 	"lambdanic/internal/healthd"
 	"lambdanic/internal/metrics"
+	"lambdanic/internal/monitor"
 	"lambdanic/internal/nicsim"
 	"lambdanic/internal/obs"
 	"lambdanic/internal/sim"
-	"lambdanic/internal/telemetry"
 	"lambdanic/internal/workloads"
 )
 
@@ -161,7 +161,7 @@ type ChaosReport struct {
 	// the outage (failovers add an AttemptTimeout to every request that
 	// first hits the dead NIC) and decays back once the window clears
 	// the eviction.
-	SLO *telemetry.SLOReport
+	SLO *monitor.SLOReport
 }
 
 // Chaos SLO objectives: the provider promises three nines of
@@ -313,25 +313,19 @@ func Chaos(cfg Config, ch ChaosConfig) (*ChaosReport, error) {
 	// window of a few heartbeat intervals, graded against the provider's
 	// objectives at every detector check. The sampling piggybacks on the
 	// existing check event, so it adds nothing to the event count.
-	slo, err := telemetry.NewSLOTracker(
-		telemetry.NewWindowed(telemetry.WindowConfig{
-			Slots:        4,
-			SlotDuration: ch.HeartbeatInterval,
-		}),
-		telemetry.Objective{
-			Name: "availability", Kind: telemetry.ObjectiveAvailability,
+	slo, err := monitor.NewSLOTracker(ch.HeartbeatInterval,
+		monitor.Objective{
+			Name: "availability", Kind: monitor.ObjectiveAvailability,
 			Target: chaosAvailabilityTarget,
 		},
-		telemetry.Objective{
-			Name: "p99-latency", Kind: telemetry.ObjectiveLatency,
+		monitor.Objective{
+			Name: "p99-latency", Kind: monitor.ObjectiveLatency,
 			Target: chaosLatencyQuantile, Threshold: ch.AttemptTimeout,
 		},
 	)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	sloMeter := slo.Windowed()
-	sloMeter.Stats(0)
 
 	// Heartbeats: each worker publishes into the control store every
 	// interval — the virtual-time twin of healthd.Heartbeater. A killed
@@ -446,7 +440,7 @@ func Chaos(cfg Config, ch ChaosConfig) (*ChaosReport, error) {
 		tr := collector.Begin(web.ID, web.Name)
 		router.invoke(web.ID, web.MakeRequest(i), tr, 0, func(res backend.Result) {
 			tr.Finish(s.Now(), res.Err)
-			sloMeter.Observe(s.Now()-start, res.Err != nil)
+			slo.Observe(s.Now()-start, res.Err != nil)
 			samples = append(samples, chaosSample{
 				start:   start,
 				latency: s.Now() - start,

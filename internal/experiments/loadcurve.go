@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"lambdanic/internal/metrics"
-	"lambdanic/internal/telemetry"
+	"lambdanic/internal/monitor"
 	"lambdanic/internal/trace"
 	"lambdanic/internal/workloads"
 )
@@ -15,9 +15,9 @@ import (
 // against: 99% of requests inside 1 ms. λ-NIC holds it across the
 // whole sweep; bare metal blows through it once offered load passes
 // its dispatch knee — the hockey stick restated in error-budget terms.
-var LoadCurveObjective = telemetry.Objective{
+var LoadCurveObjective = monitor.Objective{
 	Name:      "p99-latency",
-	Kind:      telemetry.ObjectiveLatency,
+	Kind:      monitor.ObjectiveLatency,
 	Target:    0.99,
 	Threshold: time.Millisecond,
 }
@@ -28,19 +28,8 @@ type LoadPoint struct {
 	OfferedRPS float64
 	P50, P99   float64 // seconds
 	Errors     int
-	// GoodFrac and BurnRate grade the point against LoadCurveObjective;
-	// SLOMet reports whether the objective held at this offered load.
-	GoodFrac float64
-	BurnRate float64
-	SLOMet   bool
-}
-
-// gradeLoadPoint fills the SLO columns from the point's latency sample.
-func (p *LoadPoint) gradeLoadPoint(lat *metrics.Sample) {
-	o := LoadCurveObjective
-	p.GoodFrac = lat.FracAtOrBelow(o.Threshold.Seconds())
-	p.BurnRate = (1 - p.GoodFrac) / (1 - o.Target)
-	p.SLOMet = p.GoodFrac >= o.Target
+	// SLO grades the point's latency sample against LoadCurveObjective.
+	SLO monitor.ObjectiveStatus
 }
 
 // LoadLatencyCurve sweeps offered load (open-loop Poisson arrivals)
@@ -79,8 +68,9 @@ func LoadLatencyCurve(cfg Config) ([]LoadPoint, error) {
 				P50:        res.Latency.Quantile(0.50),
 				P99:        res.Latency.Quantile(0.99),
 				Errors:     res.Errors,
+				SLO: LoadCurveObjective.Grade(
+					res.Latency.FracAtOrBelow(LoadCurveObjective.Threshold.Seconds())),
 			}
-			pt.gradeLoadPoint(&res.Latency)
 			out = append(out, pt)
 		}
 	}
@@ -100,12 +90,12 @@ func RenderLoadCurve(points []LoadPoint) string {
 			last = p.Backend
 		}
 		met := "met"
-		if !p.SLOMet {
+		if !p.SLO.Met {
 			met = "VIOLATED"
 		}
 		fmt.Fprintf(&b, "    %7.0f req/s  p50=%-10s p99=%-10s burn=%6.2fx  %s\n",
 			p.OfferedRPS, metrics.FormatSeconds(p.P50), metrics.FormatSeconds(p.P99),
-			p.BurnRate, met)
+			p.SLO.BurnRate, met)
 	}
 	return b.String()
 }

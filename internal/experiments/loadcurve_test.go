@@ -41,14 +41,14 @@ func TestLoadLatencyCurveShape(t *testing.T) {
 	// SLO grading: λ-NIC holds the 1 ms p99 objective at every offered
 	// load; bare metal must violate it (burn > 1) once past its knee.
 	for _, p := range nic {
-		if !p.SLOMet {
+		if !p.SLO.Met {
 			t.Errorf("λ-NIC violated SLO at %.0f req/s: good=%.4f burn=%.2f",
-				p.OfferedRPS, p.GoodFrac, p.BurnRate)
+				p.OfferedRPS, p.SLO.GoodFraction, p.SLO.BurnRate)
 		}
 	}
-	if last := bare[len(bare)-1]; last.SLOMet || last.BurnRate <= 1 {
+	if last := bare[len(bare)-1]; last.SLO.Met || last.SLO.BurnRate <= 1 {
 		t.Errorf("bare metal should burn budget past its knee: good=%.4f burn=%.2f",
-			last.GoodFrac, last.BurnRate)
+			last.SLO.GoodFraction, last.SLO.BurnRate)
 	}
 	out := RenderLoadCurve(points)
 	if !strings.Contains(out, "offered load") {

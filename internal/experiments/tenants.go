@@ -9,9 +9,9 @@ import (
 	"lambdanic/internal/cluster"
 	"lambdanic/internal/core"
 	"lambdanic/internal/metrics"
+	"lambdanic/internal/monitor"
 	"lambdanic/internal/nicsim"
 	"lambdanic/internal/sim"
-	"lambdanic/internal/telemetry"
 	"lambdanic/internal/tenant"
 	"lambdanic/internal/workloads"
 )
@@ -207,7 +207,7 @@ type TenantsReport struct {
 	Executed   uint64
 	FinalClock time.Duration
 	// SLO is the interactive tenant's full error-budget timeline.
-	SLO *telemetry.SLOReport
+	SLO *monitor.SLOReport
 }
 
 // tenantsPlane is the experiment's control-plane state: the real
@@ -303,25 +303,19 @@ func Tenants(cfg Config, tc TenantsConfig) (*TenantsReport, error) {
 
 	// The interactive tenant's SLO, graded on the virtual clock every
 	// sampling interval.
-	slo, err := telemetry.NewSLOTracker(
-		telemetry.NewWindowed(telemetry.WindowConfig{
-			Slots:        4,
-			SlotDuration: tc.SampleInterval,
-		}),
-		telemetry.Objective{
-			Name: "vip-availability", Kind: telemetry.ObjectiveAvailability,
+	slo, err := monitor.NewSLOTracker(tc.SampleInterval,
+		monitor.Objective{
+			Name: "vip-availability", Kind: monitor.ObjectiveAvailability,
 			Target: tenantsAvailability,
 		},
-		telemetry.Objective{
-			Name: "vip-p99", Kind: telemetry.ObjectiveLatency,
+		monitor.Objective{
+			Name: "vip-p99", Kind: monitor.ObjectiveLatency,
 			Target: tenantsQuantile, Threshold: tc.IsolationP99,
 		},
 	)
 	if err != nil {
 		return nil, fmt.Errorf("tenants: %w", err)
 	}
-	sloMeter := slo.Windowed()
-	sloMeter.Stats(0)
 	var sampleEv *sim.Event
 	var sample func()
 	sample = func() {
@@ -369,7 +363,7 @@ func Tenants(cfg Config, tc TenantsConfig) (*TenantsReport, error) {
 		r.nics[name].InvokeTraced(wl.ID, wl.MakeRequest(i), nil, func(res backend.Result) {
 			lat := s.Now() - start
 			if tenantID == plane.vipID {
-				sloMeter.Observe(lat, res.Err != nil)
+				slo.Observe(lat, res.Err != nil)
 			}
 			samples = append(samples, tenantsSample{
 				tenantID: tenantID, start: start,

@@ -3,7 +3,7 @@
 // repository's layers. On the functional layer it wraps transport links
 // (any net.PacketConn — the in-memory network or real UDP) with
 // per-link rules — packet loss, delay, duplication, reordering, and
-// one-way partitions — and takes endpoints down or slows them. On the timing
+// one-way partitions — and takes endpoints down. On the timing
 // layer it schedules hardware fault events (NIC crash, island
 // degradation, firmware-swap downtime, §7) into the discrete-event
 // simulation (sim.go).
@@ -86,7 +86,6 @@ type Injector struct {
 	mu     sync.Mutex
 	counts map[string]uint64 // per-link packet index
 	down   map[string]bool   // endpoints taken down (kill/restart)
-	slow   map[string]time.Duration
 }
 
 // NewInjector builds an injector with a deterministic seed and an
@@ -97,7 +96,6 @@ func NewInjector(seed int64, rules ...Rule) *Injector {
 		rules:  append([]Rule(nil), rules...),
 		counts: make(map[string]uint64),
 		down:   make(map[string]bool),
-		slow:   make(map[string]time.Duration),
 	}
 }
 
@@ -125,21 +123,6 @@ func (inj *Injector) IsDown(endpoint string) bool {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	return inj.down[endpoint]
-}
-
-// SetSlow adds a fixed egress delay to every packet the endpoint sends
-// (a slowed worker daemon). A zero delay clears the slowdown.
-func (inj *Injector) SetSlow(endpoint string, d time.Duration) {
-	if inj == nil {
-		return
-	}
-	inj.mu.Lock()
-	if d > 0 {
-		inj.slow[endpoint] = d
-	} else {
-		delete(inj.slow, endpoint)
-	}
-	inj.mu.Unlock()
 }
 
 // Salts separating the independent random draws made per packet.
@@ -183,7 +166,6 @@ func (inj *Injector) Judge(from, to string) Verdict {
 		return Verdict{Drop: true}
 	}
 	var v Verdict
-	v.Delay = inj.slow[from]
 	rules := inj.rules
 	inj.mu.Unlock()
 	for _, r := range rules {

@@ -70,7 +70,6 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 		t.Fatalf("nil injector verdict = %+v, want clean", v)
 	}
 	inj.SetDown("a", true)
-	inj.SetSlow("a", time.Second)
 	if inj.IsDown("a") {
 		t.Fatal("nil injector reports endpoint down")
 	}
@@ -111,21 +110,6 @@ func TestDownEndpointDropsBothDirections(t *testing.T) {
 	inj.SetDown("w1", false)
 	if v := inj.Judge("gw", "w1"); v.Drop {
 		t.Fatal("restarted endpoint still dropping")
-	}
-}
-
-func TestSlowEndpointDelays(t *testing.T) {
-	inj := NewInjector(1)
-	inj.SetSlow("w1", 3*time.Millisecond)
-	if v := inj.Judge("w1", "gw"); v.Delay != 3*time.Millisecond {
-		t.Fatalf("slowed sender delay = %v, want 3ms", v.Delay)
-	}
-	if v := inj.Judge("gw", "w1"); v.Delay != 0 {
-		t.Fatalf("slowdown leaked to reverse direction: %v", v.Delay)
-	}
-	inj.SetSlow("w1", 0)
-	if v := inj.Judge("w1", "gw"); v.Delay != 0 {
-		t.Fatal("cleared slowdown still delaying")
 	}
 }
 

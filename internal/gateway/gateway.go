@@ -42,7 +42,6 @@ import (
 	"lambdanic/internal/dispatch"
 	"lambdanic/internal/monitor"
 	"lambdanic/internal/obs"
-	"lambdanic/internal/telemetry"
 	"lambdanic/internal/transport"
 )
 
@@ -67,7 +66,7 @@ type Gateway struct {
 	timeouts     atomic.Uint64
 	throttled    atomic.Uint64
 	migrations   atomic.Uint64
-	latency      *telemetry.Histogram // every upstream attempt
+	latency      *monitor.Histogram // every upstream attempt
 
 	// reb is the running rebalancer, if any (guarded by mu).
 	reb *rebalancer
@@ -105,7 +104,7 @@ const maxOpen = 1280
 func New(conn net.PacketConn, opts ...Option) *Gateway {
 	g := &Gateway{
 		timeout: 2 * time.Second,
-		latency: telemetry.NewHistogram(),
+		latency: monitor.NewHistogram(),
 	}
 	g.routes.Store(newRouteTable(map[uint32]*workloadRoute{}))
 	for _, o := range opts {

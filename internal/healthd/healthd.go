@@ -313,11 +313,3 @@ func (d *Detector) Status(worker string) Status {
 	}
 	return StatusDead
 }
-
-// Forget drops a worker from tracking (after eviction completes, or
-// when a worker is decommissioned).
-func (d *Detector) Forget(worker string) {
-	d.mu.Lock()
-	delete(d.workers, worker)
-	d.mu.Unlock()
-}

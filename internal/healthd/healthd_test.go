@@ -115,13 +115,6 @@ func TestSnapshotAndForget(t *testing.T) {
 	if snap[0].Load != 5 || snap[0].Age != iv {
 		t.Fatalf("snapshot fields = %+v", snap[0])
 	}
-	d.Forget("w1")
-	if snap := d.Snapshot(iv); len(snap) != 1 || snap[0].Worker != "w2" {
-		t.Fatalf("after forget: %+v", snap)
-	}
-	if d.Status("w1") != StatusDead {
-		t.Fatal("forgotten worker should read dead")
-	}
 }
 
 // TestDetectorDeterministic feeds two detectors the same timed sequence

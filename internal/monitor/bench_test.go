@@ -1,12 +1,16 @@
 package monitor
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
-func BenchmarkCounterInc(b *testing.B) {
+func BenchmarkCounterAdd(b *testing.B) {
 	var c Counter
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			c.Inc()
+			c.Add(1)
 		}
 	})
 }
@@ -30,5 +34,67 @@ func BenchmarkRender(b *testing.B) {
 		if out := r.Render(); len(out) == 0 {
 			b.Fatal("empty render")
 		}
+	}
+}
+
+// The contended benchmark forces 8-way parallelism regardless of the
+// host's core count: RunParallel spawns GOMAXPROCS goroutines, so we
+// pin GOMAXPROCS to 8 for the duration of the benchmark.
+func with8Procs(b *testing.B, fn func(b *testing.B)) {
+	prev := runtime.GOMAXPROCS(8)
+	defer runtime.GOMAXPROCS(prev)
+	fn(b)
+}
+
+// BenchmarkHistogramObserveParallel prices the lock-free sharded
+// histogram under 8-goroutine contention — the always-on cost of a
+// latency sample on the gateway and worker request paths.
+func BenchmarkHistogramObserveParallel(b *testing.B) {
+	with8Procs(b, func(b *testing.B) {
+		h := NewHistogram()
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			v := int64(1)
+			for pb.Next() {
+				h.Observe(v)
+				v = (v*2862933555777941757 + 3037000493) & maxValue
+			}
+		})
+	})
+}
+
+// BenchmarkHistogramObserve is the uncontended single-goroutine cost.
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := NewHistogram()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Observe(int64(i))
+	}
+}
+
+// BenchmarkHistogramSnapshot prices the read path (scrape-time cost).
+func BenchmarkHistogramSnapshot(b *testing.B) {
+	h := NewHistogram()
+	for i := 0; i < 100000; i++ {
+		h.Observe(int64(i))
+	}
+	var s HistSnapshot
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.SnapshotInto(&s)
+	}
+}
+
+// BenchmarkSLOTrackerObserve prices the tracker's hot path (histogram
+// + nothing else: rolling happens on read).
+func BenchmarkSLOTrackerObserve(b *testing.B) {
+	tr, err := NewSLOTracker(time.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.Observe(1500, false)
 	}
 }

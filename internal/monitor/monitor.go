@@ -1,10 +1,27 @@
-// Package monitor is a small Prometheus-style metrics engine, standing
-// in for the "Prometheus-based monitoring engine to analyze system
-// state" in the paper's baseline framework (§6.1.1). It provides
-// counters and gauges, and scrape-time views (CounterFunc, GaugeFunc,
-// HistogramFunc) over values their owners keep, registered in a
-// Registry, rendered in the Prometheus text exposition format, and
-// servable over HTTP.
+// Package monitor is the metrics engine, standing in for the
+// "Prometheus-based monitoring engine to analyze system state" in the
+// paper's baseline framework (§6.1.1). It provides
+//
+//   - Registry: counters and gauges, and scrape-time views
+//     (CounterFunc, GaugeFunc, HistogramFunc) over values their owners
+//     keep, rendered in the Prometheus text exposition format and
+//     servable over HTTP;
+//   - Histogram: a lock-free sharded HDR-style latency histogram
+//     (log-linear buckets, striped atomics, zero allocations per
+//     Observe) — the one histogram on the request hot path, owned by
+//     the node that records into it and viewed by the registry through
+//     HistogramFunc at scrape time;
+//   - SLOTracker: a sliding window over a histogram plus an error
+//     counter, graded against declared objectives (availability,
+//     latency quantile) into error-budget burn rates and reports;
+//   - Collector: a fleet scraper that pulls every daemon's exposition
+//     page over HTTP, parses it back, and answers on its exposition
+//     buckets with nic/workload labels (lnicctl top, slo).
+//
+// Nothing here reads a wall clock: every windowed read receives an
+// explicit timestamp (a duration since an epoch), so the same windows
+// and SLO math run under the wall-clock daemons and under virtual time
+// in internal/sim.
 package monitor
 
 import (
@@ -23,9 +40,6 @@ type Counter struct {
 	v atomic.Uint64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Add increases the counter by n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
@@ -40,34 +54,23 @@ type Gauge struct {
 // Set stores the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value reads the gauge.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // FineLatencyBuckets spans 1µs..10s in a 1-2-5 series (seconds) — fine
 // enough that tail quantiles interpolated from a scrape are meaningful.
-// The telemetry plane's histograms expose through these bounds.
+// Every Histogram exposes through these bounds.
 var FineLatencyBuckets = []float64{
 	1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4,
 	1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1, 2e-1, 5e-1, 1, 2, 5, 10,
 }
 
-// HistogramSnapshot is a point-in-time cumulative view of a histogram,
-// produced at scrape time by the histogram's owner through
-// HistogramFunc (the telemetry plane's lock-free histograms expose
-// themselves this way; the registry holds no histogram of its own).
-// Cumulative has len(Bounds)+1 entries; the last is the +Inf bucket and
-// equals Count.
+// HistogramSnapshot is a point-in-time cumulative view of a histogram
+// on exposition bounds: what Render writes (produced at scrape time by
+// the histogram's owner through HistogramFunc; the registry holds no
+// histogram of its own) and what a scrape reads back. Bounds are the
+// finite upper bounds in seconds, ascending; Cumulative has
+// len(Bounds)+1 entries, the last is the +Inf bucket and equals Count.
 type HistogramSnapshot struct {
 	Bounds     []float64
 	Cumulative []uint64
@@ -190,9 +193,9 @@ func (r *Registry) GaugeFunc(name, help string, labels map[string]string, fn fun
 
 // HistogramFunc registers a histogram whose cumulative snapshot is
 // computed by fn at scrape time — how every histogram reaches the
-// registry (the telemetry plane's lock-free sharded histograms, owned by
-// the node that records into them). fn is called from the scrape
-// goroutine and must be safe for concurrent use.
+// registry (a Histogram through Expose, owned by the node that records
+// into it). fn is called from the scrape goroutine and must be safe for
+// concurrent use.
 func (r *Registry) HistogramFunc(name, help string, labels map[string]string, fn func() HistogramSnapshot) error {
 	if fn == nil {
 		return fmt.Errorf("monitor: HistogramFunc %s: nil function", name)

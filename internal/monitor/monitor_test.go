@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -13,7 +12,7 @@ import (
 func TestCounter(t *testing.T) {
 	r := NewRegistry()
 	c := r.MustCounter("requests_total", "total requests", nil)
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	if c.Value() != 5 {
 		t.Errorf("Value = %d", c.Value())
@@ -30,31 +29,12 @@ func TestGauge(t *testing.T) {
 	r := NewRegistry()
 	g := r.MustGauge("inflight", "", map[string]string{"backend": "lambda-nic"})
 	g.Set(3)
-	g.Add(2.5)
-	g.Add(-1)
+	g.Set(4.5)
 	if got := g.Value(); got != 4.5 {
 		t.Errorf("Value = %v", got)
 	}
 	if !strings.Contains(r.Render(), `inflight{backend="lambda-nic"} 4.5`) {
 		t.Errorf("render:\n%s", r.Render())
-	}
-}
-
-func TestGaugeConcurrentAdd(t *testing.T) {
-	var g Gauge
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				g.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := g.Value(); got != 8000 {
-		t.Errorf("concurrent adds = %v, want 8000", got)
 	}
 }
 
@@ -176,7 +156,7 @@ func TestRenderDeterministic(t *testing.T) {
 	// The exposition must be byte-identical across calls: metrics render
 	// in registration order and label keys are sorted.
 	r := NewRegistry()
-	r.MustCounter("b_total", "second", map[string]string{"z": "9", "a": "1"}).Inc()
+	r.MustCounter("b_total", "second", map[string]string{"z": "9", "a": "1"}).Add(1)
 	r.MustCounter("a_total", "first", nil).Add(2)
 	if err := r.HistogramFunc("h_seconds", "", map[string]string{"workload": "web"},
 		func() HistogramSnapshot { return snapshotOf([]float64{0.01}, 0.001) }); err != nil {

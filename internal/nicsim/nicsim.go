@@ -762,17 +762,3 @@ func (n *NIC) dequeue() *pending {
 	n.fifo = n.fifo[1:]
 	return p
 }
-
-// Utilization returns the fraction of total NPU thread-cycles spent
-// busy over the elapsed virtual time.
-func (n *NIC) Utilization() float64 {
-	elapsed := n.sim.Now()
-	if elapsed <= 0 {
-		return 0
-	}
-	totalCycles := sim.DurationToCycles(elapsed, n.cfg.NIC.ClockHz) * uint64(n.cfg.NIC.NPUThreads())
-	if totalCycles == 0 {
-		return 0
-	}
-	return float64(n.stats.BusyCycles) / float64(totalCycles)
-}

@@ -314,20 +314,6 @@ func TestMemoryUsed(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	s := sim.New(1)
-	cfg := smallConfig(1)
-	n := newNIC(t, s, cfg)
-	loadSingle(t, n, image(1, fakeLambda{instr: 633_000_000 - 120})) // exactly 1s busy
-	n.Inject(&Request{LambdaID: 1}, nil)
-	if err := s.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if got := n.Utilization(); got < 0.99 || got > 1.01 {
-		t.Errorf("Utilization = %v, want ~1.0", got)
-	}
-}
-
 func TestMemLevelString(t *testing.T) {
 	tests := []struct {
 		lvl  MemLevel

@@ -194,11 +194,6 @@ func (e *Engine) register(name string, size int, buf []byte) *Region {
 	return r
 }
 
-// Deregister revokes a region's key.
-func (e *Engine) Deregister(r *Region) {
-	delete(e.regions, r.key)
-}
-
 // getStaging returns an n-byte buffer for a submit-time payload copy,
 // reusing the most recently returned one when it is large enough.
 func (e *Engine) getStaging(n int) []byte {

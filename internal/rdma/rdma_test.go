@@ -89,23 +89,6 @@ func TestWriteOutOfRegion(t *testing.T) {
 	}
 }
 
-func TestDeregisterRevokesKey(t *testing.T) {
-	s, e := testEngine(t)
-	r, err := e.Register("tmp", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Deregister(r)
-	var gotErr error
-	e.Write(r.Key(), 0, []byte("x"), func(err error) { gotErr = err })
-	if err := s.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(gotErr, ErrBadKey) {
-		t.Errorf("err = %v, want ErrBadKey after deregister", gotErr)
-	}
-}
-
 func TestIsolationBetweenRegions(t *testing.T) {
 	// A write authorized for one region must never touch another —
 	// the lambda working-set isolation requirement (§3.1c).

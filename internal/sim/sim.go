@@ -452,15 +452,3 @@ func CyclesToDuration(cycles uint64, hz uint64) Time {
 	ns := (rem*1e9 + hz/2) / hz
 	return Time(sec)*time.Second + Time(ns)
 }
-
-// DurationToCycles converts virtual time to cycles at the given clock
-// frequency, rounding to the nearest cycle.
-func DurationToCycles(d Time, hz uint64) uint64 {
-	if d <= 0 || hz == 0 {
-		return 0
-	}
-	ns := uint64(d)
-	sec := ns / 1e9
-	rem := ns % 1e9
-	return sec*hz + (rem*hz+5e8)/1e9
-}

@@ -16,7 +16,6 @@ package tenant
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -188,19 +187,6 @@ func (r *Registry) Owner(workloadID uint32) *Tenant {
 // scheduler wants for its tenant classifier (nicsim.Config.TenantOf).
 func (r *Registry) OwnerID(workloadID uint32) uint32 {
 	return r.Owner(workloadID).ID
-}
-
-// Tenants returns all registered tenants sorted by name (deterministic
-// for control-store publication and rendering).
-func (r *Registry) Tenants() []*Tenant {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*Tenant, 0, len(r.byName))
-	for _, t := range r.byName {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // Weights returns the tenant-ID → WFQ-weight map the NIC scheduler

@@ -61,25 +61,6 @@ func TestRegistryExplicitWeightWins(t *testing.T) {
 	}
 }
 
-func TestRegistryTenantsSorted(t *testing.T) {
-	r := NewRegistry()
-	for _, name := range []string{"zeta", "alpha", "mid"} {
-		if _, err := r.Add(Tenant{Name: name}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts := r.Tenants()
-	want := []string{"alpha", DefaultTenantName, "mid", "zeta"}
-	if len(ts) != len(want) {
-		t.Fatalf("got %d tenants, want %d", len(ts), len(want))
-	}
-	for i, w := range want {
-		if ts[i].Name != w {
-			t.Fatalf("tenants[%d] = %s, want %s", i, ts[i].Name, w)
-		}
-	}
-}
-
 func TestTokenBucketRefill(t *testing.T) {
 	b, err := NewTokenBucket(10, 2) // 10 tokens/s, burst 2
 	if err != nil {
