@@ -31,57 +31,57 @@ var auditAllow = map[string]string{
 
 	// Oracles, test hooks and observers: tests use them to drive or
 	// observe code that stays.
-	"internal/backend.LambdaNIC.SetLinkOptions": "oracle selector: pins the reference interpreter engine for TestFirmwareEngineCycleParity",
-	"internal/mcc.Executable.RunStandalone":     "runs one function outside a NIC; the interpreter and compiler tests drive the engines through it",
-	"internal/mcc.Executable.Engine":            "observes which engine Link chose (TestDispatchKinds)",
-	"internal/mcc.Executable.DispatchKind":      "observes how the compiled engine dispatches (jump table, match chain, direct)",
-	"internal/mcc.Executable.Fusion":            "observes the compiled engine's fusion layout (TestDisassembleFusedRoundTrip)",
-	"internal/mcc.Executable.Program":           "observes the linked program the rack tests compare across NICs",
-	"internal/backend.LambdaNIC.Executable":     "observes the deployed firmware image the engine-parity and shared-firmware tests compare",
-	"internal/backend.LambdaNIC.RDMA":           "observes the backend's RDMA engine counters in the bypass and in-place tests",
-	"internal/backend.Result.Reply":             "builds a replayed reply's bytes; tests read them to check what the lambda returned",
-	"internal/rdma.Engine.Counters":             "observes the engine's verb, doorbell and window-stall counts that ten RDMA and backend tests assert",
-	"internal/rdma.Engine.Read":                 "the reference one-sided read verb; the RDMA tests drive the engine's access checks and link timing through it",
-	"internal/rdma.Engine.Write":                "the reference one-sided write verb; the RDMA tests drive the engine's access checks and link timing through it",
-	"internal/rdma.Region.Bytes":                "observes a region's backing bytes after verbs complete",
-	"internal/rdma.QP.Posted":                   "observes the submission ring before a doorbell (TestQPDoorbellBatching)",
-	"internal/rdma.QP.Outstanding":              "observes the in-flight window (TestQPWindowStallsAndCompletion)",
-	"internal/nicsim.ExecStats.Accesses":        "observes per-level memory accesses the cost tests assert",
-	"internal/cpusim.Host.Stats":                "observes context switches the cpusim tests assert",
-	"internal/sim.Sim.StepUntil":                "steps the kernel to a horizon one event at a time; the kernel differential tests drive it",
-	"internal/sim.Sim.Pending":                  "observes the queue length the kernel tests assert",
-	"internal/sim.Sim.Stop":                     "halts a run from inside an event; TestStop and TestStepHonorsStopped hold the run loop's stop check",
-	"internal/sim.Sim.Stopped":                  "observes the stop flag (TestStepHonorsStopped)",
-	"internal/sim.Event.Cancelled":              "observes cancellation in TestCancel and TestRescheduleCancelledEventReArms",
-	"internal/transport.raceEnabled":            "lets the allocation gates in tests skip under -race",
-	"internal/transport.Reassembler.Pending":    "observes partial-message state the reassembler and fuzz tests bound",
-	"internal/transport.Endpoint.CallWithin":    "a blocking call under a budget; TestCallWithin holds the attempt timer's budget cut, which the gateway reaches through CallAsync",
-	"internal/core.Manager.Compile":             "builds the manager's workloads into one image; the core and mcl tests check it loads",
-	"internal/core.Manager.Control":             "the Raft control store; tests inject control-plane failures through it",
-	"internal/core.Manager.Workload":            "looks up a registered workload; the registration tests check what was stored",
-	"internal/core.Worker.Remove":               "undeploys a workload; the install/remove tests drive the worker's copy-on-write lambda table through it",
-	"internal/core.Worker.Installed":            "observes the worker's lambda table in the install/remove tests",
-	"internal/raftkv.Cluster.Partition":         "test hook: cuts a minority off to check it cannot commit",
-	"internal/raftkv.Cluster.Heal":              "test hook: undoes Partition",
-	"internal/raftkv.Cluster.Down":              "test hook: stops a node to drive leader failover",
-	"internal/raftkv.Cluster.Up":                "test hook: restarts a stopped node",
-	"internal/raftkv.Cluster.Node":              "test hook: observes one node's state",
-	"internal/raftkv.Cluster.CompactAll":        "test hook: compacts every log to drive snapshot install",
-	"internal/raftkv.Node.Leader":               "observes a node's leader view in TestThreeNodeElection",
-	"internal/raftkv.Node.SnapshotIndex":        "observes log compaction in the snapshot tests",
-	"internal/dispatch.LRU.Contains":            "observes the warm-flow LRU in its eviction tests",
-	"internal/dispatch.LRU.Len":                 "observes the warm-flow LRU in its eviction tests",
-	"internal/dispatch.Ring.Members":            "observes the ring's members in the stability tests",
-	"internal/dispatch.Sketch.Flows":            "observes the flow sketch's live entries in its decay tests",
-	"internal/dispatch.Sketch.Rate":             "observes the flow sketch's rate estimate in its elephant tests",
-	"internal/drf.Allocator.Release":            "returns a user's tasks; the DRF tests drive refilling through it",
-	"internal/drf.Allocator.Remaining":          "observes unallocated capacity in the DRF property tests",
-	"internal/drf.Allocator.Utilization":        "observes allocated share in the DRF property tests",
-	"internal/obs.Collector.Stats":              "observes the tracer's sampled and dropped counts",
-	"internal/obs.WriteChromeTrace":             "writes the trace to any io.Writer; the Chrome-trace golden and JSON tests read it from memory",
-	"internal/workloads.KVStoreLambda":          "the in-NIC key-value store lambda: the only real workload TestReplayVerdicts must see rejected for reading state it writes, and FuzzWorkerHandle installs it",
-	"internal/workloads.KVStoreHeader":          "builds the header KVStoreLambda parses; its tests drive it",
-	"internal/tenant.Registry.OwnerID":          "the tenant classifier EnableAdmission takes; the admission tests install it",
+	"internal/mcc.LinkInterp":                "the reference interpreter oracle: the backend, matchlambda and rack-set differential tests hold the compiled engine and its replays to it",
+	"internal/mcc.Executable.RunStandalone":  "runs one function outside a NIC; the interpreter and compiler tests drive the engines through it",
+	"internal/mcc.Executable.Engine":         "observes which engine Link chose (TestDispatchKinds)",
+	"internal/mcc.Executable.DispatchKind":   "observes how the compiled engine dispatches (jump table, match chain, direct)",
+	"internal/mcc.Executable.Fusion":         "observes the compiled engine's fusion layout (TestDisassembleFusedRoundTrip)",
+	"internal/mcc.Executable.Program":        "observes the linked program the rack tests compare across NICs",
+	"internal/backend.LambdaNIC.Executable":  "observes the deployed firmware image the engine-parity and shared-firmware tests compare",
+	"internal/backend.LambdaNIC.RDMA":        "observes the backend's RDMA engine counters in the bypass and in-place tests",
+	"internal/backend.Result.Reply":          "builds a replayed reply's bytes; tests read them to check what the lambda returned",
+	"internal/rdma.Engine.Counters":          "observes the engine's verb, doorbell and window-stall counts that ten RDMA and backend tests assert",
+	"internal/rdma.Engine.Read":              "the reference one-sided read verb; the RDMA tests drive the engine's access checks and link timing through it",
+	"internal/rdma.Engine.Write":             "the reference one-sided write verb; the RDMA tests drive the engine's access checks and link timing through it",
+	"internal/rdma.Region.Bytes":             "observes a region's backing bytes after verbs complete",
+	"internal/rdma.QP.Posted":                "observes the submission ring before a doorbell (TestQPDoorbellBatching)",
+	"internal/rdma.QP.Outstanding":           "observes the in-flight window (TestQPWindowStallsAndCompletion)",
+	"internal/nicsim.ExecStats.Accesses":     "observes per-level memory accesses the cost tests assert",
+	"internal/cpusim.Host.Stats":             "observes context switches the cpusim tests assert",
+	"internal/sim.Sim.StepUntil":             "steps the kernel to a horizon one event at a time; the kernel differential tests drive it",
+	"internal/sim.Sim.Pending":               "observes the queue length the kernel tests assert",
+	"internal/sim.Sim.Stop":                  "halts a run from inside an event; TestStop and TestStepHonorsStopped hold the run loop's stop check",
+	"internal/sim.Sim.Stopped":               "observes the stop flag (TestStepHonorsStopped)",
+	"internal/sim.Event.Cancelled":           "observes cancellation in TestCancel and TestRescheduleCancelledEventReArms",
+	"internal/transport.raceEnabled":         "lets the allocation gates in tests skip under -race",
+	"internal/transport.Reassembler.Pending": "observes partial-message state the reassembler and fuzz tests bound",
+	"internal/transport.Endpoint.CallWithin": "a blocking call under a budget; TestCallWithin holds the attempt timer's budget cut, which the gateway reaches through CallAsync",
+	"internal/core.Manager.Compile":          "builds the manager's workloads into one image; the core and mcl tests check it loads",
+	"internal/core.Manager.Control":          "the Raft control store; tests inject control-plane failures through it",
+	"internal/core.Manager.Workload":         "looks up a registered workload; the registration tests check what was stored",
+	"internal/core.Worker.Remove":            "undeploys a workload; the install/remove tests drive the worker's copy-on-write lambda table through it",
+	"internal/core.Worker.Installed":         "observes the worker's lambda table in the install/remove tests",
+	"internal/raftkv.Cluster.Partition":      "test hook: cuts a minority off to check it cannot commit",
+	"internal/raftkv.Cluster.Heal":           "test hook: undoes Partition",
+	"internal/raftkv.Cluster.Down":           "test hook: stops a node to drive leader failover",
+	"internal/raftkv.Cluster.Up":             "test hook: restarts a stopped node",
+	"internal/raftkv.Cluster.Node":           "test hook: observes one node's state",
+	"internal/raftkv.Cluster.CompactAll":     "test hook: compacts every log to drive snapshot install",
+	"internal/raftkv.Node.Leader":            "observes a node's leader view in TestThreeNodeElection",
+	"internal/raftkv.Node.SnapshotIndex":     "observes log compaction in the snapshot tests",
+	"internal/dispatch.LRU.Contains":         "observes the warm-flow LRU in its eviction tests",
+	"internal/dispatch.LRU.Len":              "observes the warm-flow LRU in its eviction tests",
+	"internal/dispatch.Ring.Members":         "observes the ring's members in the stability tests",
+	"internal/dispatch.Sketch.Flows":         "observes the flow sketch's live entries in its decay tests",
+	"internal/dispatch.Sketch.Rate":          "observes the flow sketch's rate estimate in its elephant tests",
+	"internal/drf.Allocator.Release":         "returns a user's tasks; the DRF tests drive refilling through it",
+	"internal/drf.Allocator.Remaining":       "observes unallocated capacity in the DRF property tests",
+	"internal/drf.Allocator.Utilization":     "observes allocated share in the DRF property tests",
+	"internal/obs.Collector.Stats":           "observes the tracer's sampled and dropped counts",
+	"internal/obs.WriteChromeTrace":          "writes the trace to any io.Writer; the Chrome-trace golden and JSON tests read it from memory",
+	"internal/workloads.KVStoreLambda":       "the in-NIC key-value store lambda: the only real workload TestReplayVerdicts must see rejected for reading state it writes, and FuzzWorkerHandle installs it",
+	"internal/workloads.KVStoreHeader":       "builds the header KVStoreLambda parses; its tests drive it",
+	"internal/tenant.Registry.OwnerID":       "the tenant classifier EnableAdmission takes; the admission tests install it",
 
 	// Kept for tenant admission on the real clock, which an open-loop
 	// shed curve needs; until then tests drive it.

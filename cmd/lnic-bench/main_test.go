@@ -44,6 +44,8 @@ func goldenCases() []goldenCase {
 		goldenCase{name: "boundary-short", args: []string{"-short", "-experiment", "boundary"}},
 		goldenCase{name: "skew-full", args: []string{"-experiment", "skew"}, full: true},
 		goldenCase{name: "boundary-full", args: []string{"-experiment", "boundary"}, full: true},
+		goldenCase{name: "tenants-full", args: []string{"-experiment", "tenants"}, full: true},
+		goldenCase{name: "chaos-full", args: []string{"-experiment", "chaos"}, full: true},
 		goldenCase{name: "rdmabench-full", args: []string{"-experiment", "rdmabench"}, full: true},
 		goldenCase{name: "rdmabench-full-heap", call: rdmaBenchHeap, golden: "rdmabench-full", full: true},
 	)

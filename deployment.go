@@ -211,7 +211,7 @@ func (d *Deployment) startHealth(cfg DeploymentConfig) error {
 	}
 	epoch := time.Now()
 	d.healthEpoch = epoch
-	det := healthd.NewDetector(healthd.Config{Interval: interval})
+	det := healthd.NewDetector(interval)
 	d.hd = healthd.NewDaemon(det,
 		func() []healthd.Heartbeat {
 			hbs, err := d.manager.HealthSnapshot()
@@ -233,7 +233,7 @@ func (d *Deployment) startHealth(cfg DeploymentConfig) error {
 		_ = d.manager.EvictWorker(tr.Worker)
 		d.gw.EvictWorker(transport.MemAddr(tr.Worker))
 	}
-	d.hd.Start(interval)
+	d.hd.Start()
 	d.closers = append(d.closers, func() error {
 		d.hd.Stop()
 		for _, hb := range d.hbs {

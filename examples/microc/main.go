@@ -79,7 +79,7 @@ func run() error {
 	for _, p := range passes {
 		fmt.Printf("  %-24s %4d instructions\n", p.Pass, p.Instructions)
 	}
-	exe, err := lambdanic.Link(opt, lambdanic.LinkOptions{})
+	exe, err := lambdanic.Link(opt)
 	if err != nil {
 		return err
 	}

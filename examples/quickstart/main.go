@@ -62,7 +62,7 @@ func run() error {
 	}
 
 	// 3. Link and execute on the NIC firmware path.
-	exe, err := lambdanic.Link(opt, lambdanic.LinkOptions{})
+	exe, err := lambdanic.Link(opt)
 	if err != nil {
 		return err
 	}

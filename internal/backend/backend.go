@@ -116,9 +116,9 @@ type LambdaNIC struct {
 	exe     *mcc.Executable
 	region  *rdma.Region
 
-	// linkOpts select the firmware's execution engine and limits; set
-	// before Deploy (zero value: compiled engine, default limits).
-	linkOpts mcc.LinkOptions
+	// link links the firmware image: mcc.Link, or the reference
+	// interpreter's mcc.LinkInterp in the engine-parity test.
+	link func(*mcc.Program) (*mcc.Executable, error)
 
 	// maxInflight tracks the peak number of concurrent requests, for
 	// NIC memory accounting.
@@ -157,7 +157,7 @@ func NewLambdaNICWithConfig(s *sim.Sim, tb cluster.Testbed, nicCfg nicsim.Config
 		PerPacketDMA: 100 * time.Nanosecond,
 		MTU:          workloads.MTU,
 	})
-	return &LambdaNIC{sim: s, testbed: tb, nic: nic, rdma: eng}, nil
+	return &LambdaNIC{sim: s, testbed: tb, nic: nic, rdma: eng, link: mcc.Link}, nil
 }
 
 // Name implements Backend.
@@ -165,10 +165,6 @@ func (b *LambdaNIC) Name() string { return "lambda-nic" }
 
 // NIC exposes the simulated NIC (for stats in tests and reports).
 func (b *LambdaNIC) NIC() *nicsim.NIC { return b.nic }
-
-// SetLinkOptions overrides the firmware link options (e.g. to pin the
-// interpreter engine for differential runs). Call before Deploy.
-func (b *LambdaNIC) SetLinkOptions(opts mcc.LinkOptions) { b.linkOpts = opts }
 
 // Executable exposes the deployed firmware image (nil before Deploy),
 // for dispatch introspection in tests and reports.
@@ -207,7 +203,7 @@ func (b *LambdaNIC) Deploy(ws []*workloads.Workload) error {
 // is per NIC because the image owns its object memory and the compiled
 // code points into it; the program itself is shared and not modified.
 func (b *LambdaNIC) Load(prog *mcc.Program) error {
-	exe, err := mcc.Link(prog, b.linkOpts)
+	exe, err := b.link(prog)
 	if err != nil {
 		return fmt.Errorf("lambda-nic deploy: %w", err)
 	}

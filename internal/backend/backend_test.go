@@ -296,13 +296,13 @@ func TestSingleCoreBackendSlower(t *testing.T) {
 // asserts the optimizer's reduced match stage compiled into the
 // WorkloadID jump table.
 func TestFirmwareEngineCycleParity(t *testing.T) {
-	latencies := func(opts mcc.LinkOptions) (map[uint32]sim.Time, string) {
+	latencies := func(link func(*mcc.Program) (*mcc.Executable, error)) (map[uint32]sim.Time, string) {
 		s := sim.New(1)
 		b, err := NewLambdaNIC(s, cluster.Default(), nicsim.DispatchUniform)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.SetLinkOptions(opts)
+		b.link = link
 		if err := b.Deploy(smallSet()); err != nil {
 			t.Fatal(err)
 		}
@@ -324,11 +324,11 @@ func TestFirmwareEngineCycleParity(t *testing.T) {
 		return out, b.Executable().DispatchKind()
 	}
 
-	compiled, kind := latencies(mcc.LinkOptions{})
+	compiled, kind := latencies(mcc.Link)
 	if kind != "jump-table" {
 		t.Fatalf("compiled firmware DispatchKind = %q, want jump-table", kind)
 	}
-	interp, kind := latencies(mcc.LinkOptions{Engine: mcc.EngineInterp})
+	interp, kind := latencies(mcc.LinkInterp)
 	if kind != "interp" {
 		t.Fatalf("interpreter firmware DispatchKind = %q, want interp", kind)
 	}

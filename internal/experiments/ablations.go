@@ -196,7 +196,7 @@ func AblationMemoryStratification(cfg Config) (*AblationResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		exe, err := mcc.Link(opt, mcc.LinkOptions{})
+		exe, err := mcc.Link(opt)
 		if err != nil {
 			return 0, err
 		}
@@ -314,7 +314,7 @@ func AblationGatewayOnNIC(cfg Config) (*AblationResult, error) {
 		res, err := trace.ClosedLoop{
 			Concurrency: cfg.Concurrency,
 			Requests:    cfg.Fig7Requests,
-			Warmup:      cfg.Warmup,
+			Warmup:      warmup,
 			Gen:         trace.Fixed(web.ID, web.MakeRequest),
 		}.Run(s, gw)
 		if err != nil {

@@ -73,78 +73,73 @@ type BoundaryConfig struct {
 	// NICs is the rack size (default 4); each NIC is down-binned to
 	// 1 island × 1 core × 2 threads so saturation shows at sane rates.
 	NICs int
-	// PoolMin is the autoscaler's floor on the active NIC pool
-	// (default 2).
-	PoolMin int
-	// Per-class open-loop arrival rates (req/s) in the trough and peak
-	// phases. CrowdRate is the extra web-only rate during the flash
-	// crowd at the start of the peak.
-	WebTroughRate, WebPeakRate, CrowdRate float64
-	MidTroughRate, MidPeakRate            float64
-	HeavyTroughRate, HeavyPeakRate        float64
 	// Phase durations: the curve is trough, then peak (whose first
 	// CrowdDur carries the flash crowd), then a second trough.
 	TroughDur, PeakDur, Trough2Dur, CrowdDur time.Duration
-	// MidSweeps/HeavySweeps size the sweepers' EMEM scans;
-	// HeavyGILFraction is the heavy lambda's serialized share on the
-	// host (low: it releases the GIL into the parallel compute pool).
-	MidSweeps, HeavySweeps int
-	HeavyGILFraction       float64
-	// TickEvery is the control-loop period (autoscaler + placement).
-	TickEvery time.Duration
 	// ProbeEvery is the shadow-probe period: per class and side, one
 	// probe request keeps latency evidence fresh for the engine.
 	ProbeEvery time.Duration
-	// TargetPerReplica is the autoscaler's per-NIC rate target.
-	TargetPerReplica float64
-	// ScaleCooldown is the autoscaler cooldown.
-	ScaleCooldown time.Duration
-	// WarmDelay models target-side warm-up during migration.
-	WarmDelay time.Duration
-	// Margin/LatencyAlpha/PlaceCooldown parameterize the engine (see
-	// placement.Config); PlaceCooldown doubles as MinDwell, and must be
-	// long enough for a drained source's queueing to wash out of the
-	// latency EWMAs before the next decision round.
-	Margin, LatencyAlpha float64
-	PlaceCooldown        time.Duration
-	// P99Tolerance is the verdict's slack on the per-phase p99
-	// comparison (default 1.10: within 10% counts as "no worse").
-	P99Tolerance float64
 }
+
+// The boundary experiment's fixed parameters, the same at every size:
+// the rates are what the physics needs, so the quick size only
+// shortens the curve.
+const (
+	// boundaryPoolMin is the autoscaler's floor on the active NIC pool.
+	boundaryPoolMin = 2
+	// Per-class open-loop arrival rates (req/s) in the trough and peak
+	// phases. boundaryCrowdRate is the extra web-only rate during the
+	// flash crowd at the start of the peak.
+	boundaryWebTroughRate   = 4_000
+	boundaryWebPeakRate     = 40_000
+	boundaryCrowdRate       = 60_000
+	boundaryMidTroughRate   = 2_000
+	boundaryMidPeakRate     = 30_000
+	boundaryHeavyTroughRate = 100
+	boundaryHeavyPeakRate   = 1_200
+	// boundaryMidSweeps/boundaryHeavySweeps size the sweepers' EMEM
+	// scans; boundaryHeavyGILFraction is the heavy lambda's serialized
+	// share on the host (low: it releases the GIL into the parallel
+	// compute pool).
+	boundaryMidSweeps        = 100
+	boundaryHeavySweeps      = 8_000
+	boundaryHeavyGILFraction = 0.05
+	// boundaryTickEvery is the control-loop period (autoscaler +
+	// placement).
+	boundaryTickEvery = 500 * time.Microsecond
+	// boundaryTargetPerReplica is the autoscaler's per-NIC rate target
+	// and boundaryScaleCooldown its cooldown.
+	boundaryTargetPerReplica = 20_000
+	boundaryScaleCooldown    = 2 * time.Millisecond
+	// boundaryWarmDelay models target-side warm-up during migration.
+	boundaryWarmDelay = 500 * time.Microsecond
+	// boundaryMargin, boundaryLatencyAlpha and boundaryPlaceCooldown
+	// parameterize the engine (see placement.Config); the cooldown
+	// doubles as MinDwell, and must be long enough for a drained
+	// source's queueing to wash out of the latency EWMAs before the
+	// next decision round.
+	boundaryMargin        = 0.25
+	boundaryLatencyAlpha  = 0.05
+	boundaryPlaceCooldown = 10 * time.Millisecond
+	// boundaryP99Tolerance is the verdict's slack on the per-phase p99
+	// comparison: within 10% counts as "no worse".
+	boundaryP99Tolerance = 1.10
+)
 
 // DefaultBoundary returns the full-size experiment.
 func DefaultBoundary() BoundaryConfig {
 	return BoundaryConfig{
-		NICs:             4,
-		PoolMin:          2,
-		WebTroughRate:    4_000,
-		WebPeakRate:      40_000,
-		CrowdRate:        60_000,
-		MidTroughRate:    2_000,
-		MidPeakRate:      30_000,
-		HeavyTroughRate:  100,
-		HeavyPeakRate:    1_200,
-		TroughDur:        30 * time.Millisecond,
-		PeakDur:          40 * time.Millisecond,
-		Trough2Dur:       30 * time.Millisecond,
-		CrowdDur:         8 * time.Millisecond,
-		MidSweeps:        100,
-		HeavySweeps:      8_000,
-		HeavyGILFraction: 0.05,
-		TickEvery:        500 * time.Microsecond,
-		ProbeEvery:       20 * time.Millisecond,
-		TargetPerReplica: 20_000,
-		ScaleCooldown:    2 * time.Millisecond,
-		WarmDelay:        500 * time.Microsecond,
-		Margin:           0.25,
-		LatencyAlpha:     0.05,
-		PlaceCooldown:    10 * time.Millisecond,
-		P99Tolerance:     1.10,
+		NICs:       4,
+		TroughDur:  30 * time.Millisecond,
+		PeakDur:    40 * time.Millisecond,
+		Trough2Dur: 30 * time.Millisecond,
+		CrowdDur:   8 * time.Millisecond,
+		ProbeEvery: 20 * time.Millisecond,
 	}
 }
 
 // QuickBoundary returns a reduced configuration for tests and smoke
-// runs: same rates (the physics needs them), half the wall time.
+// runs: the same curve in half the virtual time.
 func QuickBoundary() BoundaryConfig {
 	c := DefaultBoundary()
 	c.TroughDur = 15 * time.Millisecond
@@ -155,100 +150,20 @@ func QuickBoundary() BoundaryConfig {
 	return c
 }
 
-func (c BoundaryConfig) withDefaults() BoundaryConfig {
-	d := DefaultBoundary()
-	if c.NICs <= 0 {
-		c.NICs = d.NICs
-	}
-	if c.PoolMin <= 0 || c.PoolMin > c.NICs {
-		c.PoolMin = min(d.PoolMin, c.NICs)
-	}
-	if c.WebTroughRate <= 0 {
-		c.WebTroughRate = d.WebTroughRate
-	}
-	if c.WebPeakRate <= 0 {
-		c.WebPeakRate = d.WebPeakRate
-	}
-	if c.CrowdRate < 0 {
-		c.CrowdRate = d.CrowdRate
-	}
-	if c.MidTroughRate <= 0 {
-		c.MidTroughRate = d.MidTroughRate
-	}
-	if c.MidPeakRate <= 0 {
-		c.MidPeakRate = d.MidPeakRate
-	}
-	if c.HeavyTroughRate <= 0 {
-		c.HeavyTroughRate = d.HeavyTroughRate
-	}
-	if c.HeavyPeakRate <= 0 {
-		c.HeavyPeakRate = d.HeavyPeakRate
-	}
-	if c.TroughDur <= 0 {
-		c.TroughDur = d.TroughDur
-	}
-	if c.PeakDur <= 0 {
-		c.PeakDur = d.PeakDur
-	}
-	if c.Trough2Dur <= 0 {
-		c.Trough2Dur = d.Trough2Dur
-	}
-	if c.CrowdDur <= 0 || c.CrowdDur > c.PeakDur {
-		c.CrowdDur = min(d.CrowdDur, c.PeakDur)
-	}
-	if c.MidSweeps <= 0 {
-		c.MidSweeps = d.MidSweeps
-	}
-	if c.HeavySweeps <= 0 {
-		c.HeavySweeps = d.HeavySweeps
-	}
-	if c.HeavyGILFraction <= 0 || c.HeavyGILFraction > 1 {
-		c.HeavyGILFraction = d.HeavyGILFraction
-	}
-	if c.TickEvery <= 0 {
-		c.TickEvery = d.TickEvery
-	}
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = d.ProbeEvery
-	}
-	if c.TargetPerReplica <= 0 {
-		c.TargetPerReplica = d.TargetPerReplica
-	}
-	if c.ScaleCooldown <= 0 {
-		c.ScaleCooldown = d.ScaleCooldown
-	}
-	if c.WarmDelay <= 0 {
-		c.WarmDelay = d.WarmDelay
-	}
-	if c.Margin <= 0 {
-		c.Margin = d.Margin
-	}
-	if c.LatencyAlpha <= 0 {
-		c.LatencyAlpha = d.LatencyAlpha
-	}
-	if c.PlaceCooldown <= 0 {
-		c.PlaceCooldown = d.PlaceCooldown
-	}
-	if c.P99Tolerance <= 1 {
-		c.P99Tolerance = d.P99Tolerance
-	}
-	return c
-}
-
 // totalDur is the schedule horizon.
 func (c BoundaryConfig) totalDur() time.Duration {
 	return c.TroughDur + c.PeakDur + c.Trough2Dur
 }
 
-// workloadSet builds fresh per-run copies of the three classes. The
-// heavy sweeper's GIL fraction is lowered: on the host it spends most
-// of its time in the parallel compute pool, which is exactly what makes
-// the host the right side for it.
-func (c BoundaryConfig) workloadSet() []*workloads.Workload {
+// boundaryWorkloadSet builds fresh per-run copies of the three
+// classes. The heavy sweeper's GIL fraction is lowered: on the host it
+// spends most of its time in the parallel compute pool, which is
+// exactly what makes the host the right side for it.
+func boundaryWorkloadSet() []*workloads.Workload {
 	web := workloads.WebServerVariant("bnd_web", boundaryWebID)
-	mid := workloads.BatchSweeperVariant("bnd_mid", boundaryMidID, c.MidSweeps)
-	heavy := workloads.BatchSweeperVariant("bnd_heavy", boundaryHeavyID, c.HeavySweeps)
-	heavy.Profile.GILFraction = c.HeavyGILFraction
+	mid := workloads.BatchSweeperVariant("bnd_mid", boundaryMidID, boundaryMidSweeps)
+	heavy := workloads.BatchSweeperVariant("bnd_heavy", boundaryHeavyID, boundaryHeavySweeps)
+	heavy.Profile.GILFraction = boundaryHeavyGILFraction
 	return []*workloads.Workload{web, mid, heavy}
 }
 
@@ -314,20 +229,20 @@ func boundarySchedule(cfg Config, bc BoundaryConfig) []boundaryArrival {
 
 	crowdEnd := t1 + sim.Time(bc.CrowdDur)
 	draw(0, 0x0b1d, []segment{
-		{0, t1, bc.WebTroughRate},
-		{t1, t2, bc.WebPeakRate},
-		{t1, crowdEnd, bc.CrowdRate}, // flash crowd at the ramp
-		{t2, t3, bc.WebTroughRate},
+		{0, t1, boundaryWebTroughRate},
+		{t1, t2, boundaryWebPeakRate},
+		{t1, crowdEnd, boundaryCrowdRate}, // flash crowd at the ramp
+		{t2, t3, boundaryWebTroughRate},
 	})
 	draw(1, 0x0b2d, []segment{
-		{0, t1, bc.MidTroughRate},
-		{t1, t2, bc.MidPeakRate},
-		{t2, t3, bc.MidTroughRate},
+		{0, t1, boundaryMidTroughRate},
+		{t1, t2, boundaryMidPeakRate},
+		{t2, t3, boundaryMidTroughRate},
 	})
 	draw(2, 0x0b3d, []segment{
-		{0, t1, bc.HeavyTroughRate},
-		{t1, t2, bc.HeavyPeakRate},
-		{t2, t3, bc.HeavyTroughRate},
+		{0, t1, boundaryHeavyTroughRate},
+		{t1, t2, boundaryHeavyPeakRate},
+		{t2, t3, boundaryHeavyTroughRate},
 	})
 
 	// Deterministic global order: by time, class, then sequence.
@@ -398,7 +313,6 @@ func (r *BoundaryReport) Row(policy string) *BoundaryPolicyStat {
 // Boundary runs all three policies, each on a fresh cluster, over one
 // shared load curve.
 func Boundary(cfg Config, bc BoundaryConfig) (*BoundaryReport, error) {
-	bc = bc.withDefaults()
 	sched := boundarySchedule(cfg, bc)
 	rep := &BoundaryReport{}
 	for _, policy := range []string{BoundaryPolicyNIC, BoundaryPolicyHost, BoundaryPolicyDyn} {
@@ -408,7 +322,7 @@ func Boundary(cfg Config, bc BoundaryConfig) (*BoundaryReport, error) {
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
-	rep.Pareto = boundaryVerdict(bc, rep)
+	rep.Pareto = boundaryVerdict(rep)
 	return rep, nil
 }
 
@@ -418,7 +332,7 @@ func Boundary(cfg Config, bc BoundaryConfig) (*BoundaryReport, error) {
 // policy — run the control loop (autoscaler pool sizing, shadow probes,
 // placement engine, three-step migrations) on the virtual clock.
 func boundaryRun(cfg Config, bc BoundaryConfig, sched []boundaryArrival, policy string) (BoundaryPolicyStat, error) {
-	wls := bc.workloadSet()
+	wls := boundaryWorkloadSet()
 	r, err := newRack(cfg, bc.testbed(cfg), bc.NICs,
 		nicsim.Config{Dispatch: nicsim.DispatchUniform}, wls)
 	if err != nil {
@@ -443,7 +357,7 @@ func boundaryRun(cfg Config, bc BoundaryConfig, sched []boundaryArrival, policy 
 	}
 	pool := bc.NICs
 	if policy == BoundaryPolicyDyn {
-		pool = bc.PoolMin
+		pool = boundaryPoolMin
 	}
 	var (
 		rr                        int
@@ -526,10 +440,10 @@ func boundaryRun(cfg Config, bc BoundaryConfig, sched []boundaryArrival, policy 
 		tb := bc.testbed(cfg)
 		eng = placement.New(placement.Config{
 			InstrStorePerCore: tb.NIC.InstrStorePerCore,
-			LatencyAlpha:      bc.LatencyAlpha,
-			Margin:            bc.Margin,
-			MinDwell:          bc.PlaceCooldown,
-			Cooldown:          bc.PlaceCooldown,
+			LatencyAlpha:      boundaryLatencyAlpha,
+			Margin:            boundaryMargin,
+			MinDwell:          boundaryPlaceCooldown,
+			Cooldown:          boundaryPlaceCooldown,
 			MaxMoves:          1,
 		})
 		for _, w := range wls {
@@ -540,7 +454,7 @@ func boundaryRun(cfg Config, bc BoundaryConfig, sched []boundaryArrival, policy 
 			eng.Register(w.Name, exe.Footprint(), placement.LocNIC)
 		}
 		fab := &boundaryFabric{
-			warm: func(ready func()) { s.Schedule(sim.Time(bc.WarmDelay), ready) },
+			warm: func(ready func()) { s.Schedule(sim.Time(boundaryWarmDelay), ready) },
 			cutover: func(w string, to placement.Location) {
 				if ci := classIdx(w); ci >= 0 {
 					classLoc[ci] = to
@@ -564,18 +478,18 @@ func boundaryRun(cfg Config, bc BoundaryConfig, sched []boundaryArrival, policy 
 
 		var err error
 		scaler, err = autoscale.New(autoscale.Policy{
-			TargetPerReplica: bc.TargetPerReplica,
-			MinReplicas:      bc.PoolMin,
+			TargetPerReplica: boundaryTargetPerReplica,
+			MinReplicas:      boundaryPoolMin,
 			MaxReplicas:      bc.NICs,
 			UpThreshold:      1.2,
 			DownThreshold:    0.5,
-			Cooldown:         bc.ScaleCooldown,
+			Cooldown:         boundaryScaleCooldown,
 			Smoothing:        0.5,
 		})
 		if err != nil {
 			return BoundaryPolicyStat{}, fmt.Errorf("boundary: %w", err)
 		}
-		scaler.Track("pool", bc.PoolMin)
+		scaler.Track("pool", boundaryPoolMin)
 
 		// Shadow probes: per class and side, a low-rate probe request
 		// keeps the engine's latency EWMAs fresh for the side organic
@@ -610,7 +524,7 @@ func boundaryRun(cfg Config, bc BoundaryConfig, sched []boundaryArrival, policy 
 			now := time.Duration(s.Now())
 			arr := arrivalsThisTick
 			arrivalsThisTick = 0
-			if err := scaler.Observe("pool", arr, bc.TickEvery); err == nil {
+			if err := scaler.Observe("pool", arr, boundaryTickEvery); err == nil {
 				for _, d := range scaler.Decide(time.Unix(0, int64(now))) {
 					accrueCost(s.Now())
 					pool = d.To
@@ -630,10 +544,10 @@ func boundaryRun(cfg Config, bc BoundaryConfig, sched []boundaryArrival, policy 
 				coord.Run(now)
 			}
 			if s.Now() < end {
-				tickEv = s.Reschedule(tickEv, sim.Time(bc.TickEvery))
+				tickEv = s.Reschedule(tickEv, sim.Time(boundaryTickEvery))
 			}
 		}
-		tickEv = s.Schedule(sim.Time(bc.TickEvery), tick)
+		tickEv = s.Schedule(sim.Time(boundaryTickEvery), tick)
 	}
 
 	// Replay the shared schedule.
@@ -717,7 +631,7 @@ func (f *boundaryFabric) Drain(w string, from placement.Location, drained func()
 // within tolerance of the better static policy in every phase and
 // overall, it migrated at least once, served everything, and burned
 // strictly less NIC-core·time than static-nic.
-func boundaryVerdict(bc BoundaryConfig, rep *BoundaryReport) bool {
+func boundaryVerdict(rep *BoundaryReport) bool {
 	sn, sh, dyn := rep.Row(BoundaryPolicyNIC), rep.Row(BoundaryPolicyHost), rep.Row(BoundaryPolicyDyn)
 	if sn == nil || sh == nil || dyn == nil {
 		return false
@@ -725,7 +639,7 @@ func boundaryVerdict(bc BoundaryConfig, rep *BoundaryReport) bool {
 	if dyn.Errors != 0 || dyn.Migrations == 0 {
 		return false
 	}
-	tol := bc.P99Tolerance
+	tol := boundaryP99Tolerance
 	better := func(a, b time.Duration) time.Duration {
 		if a < b {
 			return a

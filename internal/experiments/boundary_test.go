@@ -107,7 +107,6 @@ func TestBoundaryQuick(t *testing.T) {
 
 func TestBoundaryScheduleDeterministic(t *testing.T) {
 	cfg, bc := boundaryQuickConfig(sim.KernelLadder)
-	bc = bc.withDefaults()
 	a := boundarySchedule(cfg, bc)
 	b := boundarySchedule(cfg, bc)
 	if !reflect.DeepEqual(a, b) {

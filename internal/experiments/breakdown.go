@@ -52,7 +52,7 @@ func LatencyBreakdown(cfg Config) (*BreakdownReport, error) {
 		_, err := trace.ClosedLoop{
 			Concurrency: 1,
 			Requests:    samples,
-			Warmup:      cfg.Warmup,
+			Warmup:      warmup,
 			Gen:         trace.Labeled(w.id, w.name, w.gen),
 			Tracer:      col,
 		}.Run(s, b)

@@ -37,21 +37,12 @@ type ChaosConfig struct {
 	Workers int
 	// RatePerSec is the open-loop offered load (default 20,000 req/s).
 	RatePerSec float64
-	// Duration is the virtual run length (default 900 ms).
+	// Duration is the virtual run length (default 900 ms); the victim
+	// NIC crash-stops at a third of it.
 	Duration time.Duration
-	// KillAt is when the victim NIC crash-stops (default Duration/3).
-	KillAt time.Duration
 	// HeartbeatInterval is the worker beat and detector check period
 	// (default 10 ms).
 	HeartbeatInterval time.Duration
-	// SuspectAfter and EvictAfter are the detector's phi thresholds in
-	// heartbeat intervals (healthd defaults when zero).
-	SuspectAfter, EvictAfter float64
-	// AttemptTimeout bounds one routed attempt; a crashed NIC is a
-	// black hole, so this is the only failure signal (default 500 µs).
-	AttemptTimeout time.Duration
-	// Attempts is the per-request routing attempt budget (default 3).
-	Attempts int
 	// TraceSampleEvery keeps one request trace in every n (default 20).
 	TraceSampleEvery int
 }
@@ -63,10 +54,6 @@ func DefaultChaos() ChaosConfig {
 		RatePerSec:        20_000,
 		Duration:          900 * time.Millisecond,
 		HeartbeatInterval: 10 * time.Millisecond,
-		SuspectAfter:      healthd.DefaultSuspectAfter,
-		EvictAfter:        healthd.DefaultEvictAfter,
-		AttemptTimeout:    500 * time.Microsecond,
-		Attempts:          3,
 		TraceSampleEvery:  20,
 	}
 }
@@ -79,35 +66,6 @@ func QuickChaos() ChaosConfig {
 	cfg.HeartbeatInterval = 5 * time.Millisecond
 	cfg.TraceSampleEvery = 1
 	return cfg
-}
-
-func (c ChaosConfig) withDefaults() ChaosConfig {
-	d := DefaultChaos()
-	if c.Workers <= 0 {
-		c.Workers = d.Workers
-	}
-	if c.RatePerSec <= 0 {
-		c.RatePerSec = d.RatePerSec
-	}
-	if c.Duration <= 0 {
-		c.Duration = d.Duration
-	}
-	if c.KillAt <= 0 {
-		c.KillAt = c.Duration / 3
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = d.HeartbeatInterval
-	}
-	if c.AttemptTimeout <= 0 {
-		c.AttemptTimeout = d.AttemptTimeout
-	}
-	if c.Attempts <= 0 {
-		c.Attempts = d.Attempts
-	}
-	if c.TraceSampleEvery <= 0 {
-		c.TraceSampleEvery = d.TraceSampleEvery
-	}
-	return c
 }
 
 // ChaosPhase summarizes the requests issued during one phase of the
@@ -136,8 +94,8 @@ type ChaosReport struct {
 	KillAt    time.Duration
 	EvictedAt time.Duration
 	// RecoveryIntervals is the detection+eviction delay in heartbeat
-	// intervals; the detector's design bound is EvictAfter+2 (DESIGN.md
-	// "Fault tolerance").
+	// intervals; the detector's design bound is
+	// healthd.DefaultEvictAfter+2 (DESIGN.md "Fault tolerance").
 	RecoveryIntervals float64
 	HeartbeatInterval time.Duration
 	// Failovers counts router retries onto another worker.
@@ -158,7 +116,7 @@ type ChaosReport struct {
 	// SLO is the telemetry plane's judgment of the same run: objectives
 	// sampled every heartbeat interval over a rolling window on the
 	// simulation's virtual clock. The latency burn rate spikes during
-	// the outage (failovers add an AttemptTimeout to every request that
+	// the outage (failovers add an attempt timeout to every request that
 	// first hits the dead NIC) and decays back once the window clears
 	// the eviction.
 	SLO *monitor.SLOReport
@@ -172,6 +130,14 @@ const (
 	chaosLatencyQuantile    = 0.99
 )
 
+// The chaos router's attempt policy. chaosAttemptTimeout bounds one
+// routed attempt: a crashed NIC is a black hole, so the timeout is the
+// only failure signal. chaosAttempts is the per-request budget.
+const (
+	chaosAttemptTimeout = 500 * time.Microsecond
+	chaosAttempts       = 3
+)
+
 // chaosRouter spreads requests round-robin over the placed workers with
 // a per-attempt timeout and failover — the gateway's weakly-consistent
 // delivery (D3) against a fleet that can lose members mid-run. Routes
@@ -179,10 +145,8 @@ const (
 // black hole — its round trip never completes — so the per-attempt
 // timeout is the only failure signal.
 type chaosRouter struct {
-	s        *sim.Sim
-	nics     map[string]*backend.LambdaNIC
-	timeout  time.Duration
-	attempts int
+	s    *sim.Sim
+	nics map[string]*backend.LambdaNIC
 
 	workers   []string
 	next      int
@@ -215,7 +179,7 @@ func (r *chaosRouter) invoke(id uint32, payload []byte, tr *obs.Req, attempt int
 	finished := false
 	var timer *sim.Event
 	fail := func(err error) {
-		if attempt+1 < r.attempts {
+		if attempt+1 < chaosAttempts {
 			r.failovers++
 			tr.Mark(obs.StageTransport, "router", "failover:"+name, r.s.Now())
 			r.invoke(id, payload, tr, attempt+1, done)
@@ -238,7 +202,7 @@ func (r *chaosRouter) invoke(id uint32, payload []byte, tr *obs.Req, attempt int
 		done(res)
 	})
 	if !finished {
-		timer = r.s.Schedule(r.timeout, func() {
+		timer = r.s.Schedule(chaosAttemptTimeout, func() {
 			if finished {
 				return
 			}
@@ -258,7 +222,6 @@ type chaosSample struct {
 // Chaos runs the chaos experiment (see the comment at the top of this
 // file) and returns the phase report.
 func Chaos(cfg Config, ch ChaosConfig) (*ChaosReport, error) {
-	ch = ch.withDefaults()
 	web := workloads.WebServer()
 	r, err := newRack(cfg, cfg.Testbed, ch.Workers,
 		nicsim.Config{Dispatch: nicsim.DispatchUniform}, []*workloads.Workload{web})
@@ -291,12 +254,7 @@ func Chaos(cfg Config, ch ChaosConfig) (*ChaosReport, error) {
 		MemoryMBPerReplica: perMemMB,
 	}})
 
-	router := &chaosRouter{
-		s:        s,
-		nics:     r.nics,
-		timeout:  ch.AttemptTimeout,
-		attempts: ch.Attempts,
-	}
+	router := &chaosRouter{s: s, nics: r.nics}
 	mgr.WatchPlacements(func(p core.Placement) {
 		if p.Workload == web.Name {
 			router.setWorkers(p.Workers)
@@ -320,7 +278,7 @@ func Chaos(cfg Config, ch ChaosConfig) (*ChaosReport, error) {
 		},
 		monitor.Objective{
 			Name: "p99-latency", Kind: monitor.ObjectiveLatency,
-			Target: chaosLatencyQuantile, Threshold: ch.AttemptTimeout,
+			Target: chaosLatencyQuantile, Threshold: chaosAttemptTimeout,
 		},
 	)
 	if err != nil {
@@ -351,11 +309,7 @@ func Chaos(cfg Config, ch ChaosConfig) (*ChaosReport, error) {
 	// — the virtual-time twin of healthd.Daemon.Poll. A Dead transition
 	// evicts the worker, which re-runs DRF placement and flows the
 	// shrunk route to the router through the placement watch.
-	det := healthd.NewDetector(healthd.Config{
-		Interval:     ch.HeartbeatInterval,
-		SuspectAfter: ch.SuspectAfter,
-		EvictAfter:   ch.EvictAfter,
-	})
+	det := healthd.NewDetector(ch.HeartbeatInterval)
 	var check func()
 	var checkEv *sim.Event
 	check = func() {
@@ -392,7 +346,7 @@ func Chaos(cfg Config, ch ChaosConfig) (*ChaosReport, error) {
 	victim := names[0]
 	rep.Killed = victim
 	timeline := &faults.Timeline{Faults: []faults.SimFault{
-		{At: sim.Time(ch.KillAt), Kind: faults.FaultNICCrash, Target: victim},
+		{At: sim.Time(ch.Duration / 3), Kind: faults.FaultNICCrash, Target: victim},
 	}}
 	// Each fault costs exactly two scheduled events (the event count is
 	// part of the fingerprint): the device-side application, and a
@@ -454,7 +408,7 @@ func Chaos(cfg Config, ch ChaosConfig) (*ChaosReport, error) {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
 	if rep.KillAt == 0 {
-		return nil, errors.New("chaos: kill never fired (KillAt past Duration?)")
+		return nil, errors.New("chaos: kill never fired")
 	}
 	if rep.EvictedAt == 0 {
 		return nil, fmt.Errorf("chaos: %s was never evicted (detector: %+v)",

@@ -9,7 +9,7 @@ import (
 
 // TestChaosRecovery is the acceptance check for the self-healing loop:
 // the crashed worker must be detected and evicted within the detector's
-// design bound of EvictAfter+2 heartbeat intervals, availability must
+// design bound of healthd.DefaultEvictAfter+2 heartbeat intervals, availability must
 // return to 100% once the survivors own the route, and the tail must
 // re-converge to the healthy baseline.
 func TestChaosRecovery(t *testing.T) {
@@ -31,7 +31,7 @@ func TestChaosRecovery(t *testing.T) {
 	// Eviction within the bounded number of heartbeat intervals: the
 	// detector needs EvictAfter intervals of silence, plus up to one
 	// interval since the last beat and one of check granularity.
-	bound := QuickChaos().EvictAfter + 2
+	bound := float64(healthd.DefaultEvictAfter + 2)
 	if rep.RecoveryIntervals <= 0 || rep.RecoveryIntervals > bound {
 		t.Errorf("recovery took %.2f heartbeat intervals, want (0, %.0f]",
 			rep.RecoveryIntervals, bound)

@@ -59,9 +59,11 @@ type Config struct {
 	Fig7ImageRequests int
 	Fig8Requests      int
 	Table3Requests    int
-	// Warmup requests excluded from measurement.
-	Warmup int
 }
+
+// warmup is the number of requests each closed-loop run issues before
+// measurement opens.
+const warmup = 4
 
 // Default returns full-size experiments (paper-scale sampling).
 func Default() Config {
@@ -76,7 +78,6 @@ func Default() Config {
 		Fig7ImageRequests: 60,
 		Fig8Requests:      3000,
 		Table3Requests:    112,
-		Warmup:            4,
 	}
 }
 
@@ -192,7 +193,7 @@ func Figure6(cfg Config) ([]LatencySeries, error) {
 			res, err := trace.ClosedLoop{
 				Concurrency: 1,
 				Requests:    samples,
-				Warmup:      cfg.Warmup,
+				Warmup:      warmup,
 				Gen:         cfg.requests(w.w),
 			}.Run(s, b)
 			if err != nil {
@@ -246,7 +247,7 @@ func Figure7(cfg Config) ([]ThroughputPoint, error) {
 				res, err := trace.ClosedLoop{
 					Concurrency: threads,
 					Requests:    w.requests,
-					Warmup:      cfg.Warmup,
+					Warmup:      warmup,
 					Gen:         cfg.requests(w.w),
 				}.Run(s, gw)
 				if err != nil {
@@ -305,7 +306,7 @@ func Figure8Table2(cfg Config) ([]ContentionResult, error) {
 		res, err := trace.ClosedLoop{
 			Concurrency: cfg.Concurrency,
 			Requests:    cfg.Fig8Requests,
-			Warmup:      cfg.Warmup,
+			Warmup:      warmup,
 			Gen:         trace.RoundRobin(gens...),
 		}.Run(s, gw)
 		if err != nil {

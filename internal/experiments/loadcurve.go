@@ -56,7 +56,7 @@ func LoadLatencyCurve(cfg Config) ([]LoadPoint, error) {
 			res, err := trace.OpenLoop{
 				RatePerSec: rate,
 				Requests:   requests,
-				Warmup:     cfg.Warmup,
+				Warmup:     warmup,
 				Gen:        trace.Fixed(web.ID, web.MakeRequest),
 			}.Run(s, b)
 			if err != nil {

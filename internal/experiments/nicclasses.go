@@ -86,7 +86,7 @@ func SmartNICClasses(cfg Config) ([]NICClassResult, error) {
 			return metrics.Summary{}, 0, err
 		}
 		lat, err := trace.ClosedLoop{
-			Concurrency: 1, Requests: cfg.Fig6Samples, Warmup: cfg.Warmup,
+			Concurrency: 1, Requests: cfg.Fig6Samples, Warmup: warmup,
 			Gen: trace.Fixed(web.ID, web.MakeRequest),
 		}.Run(s, inv)
 		if err != nil {
@@ -99,7 +99,7 @@ func SmartNICClasses(cfg Config) ([]NICClassResult, error) {
 			return metrics.Summary{}, 0, err
 		}
 		tput, err := trace.ClosedLoop{
-			Concurrency: concurrency, Requests: requests, Warmup: cfg.Warmup,
+			Concurrency: concurrency, Requests: requests, Warmup: warmup,
 			Gen: trace.Fixed(web.ID, web.MakeRequest),
 		}.Run(s2, inv2)
 		if err != nil {

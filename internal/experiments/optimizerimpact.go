@@ -40,7 +40,7 @@ func MeasureOptimizerImpact(cfg Config) (*OptimizerImpact, error) {
 	// Latency saved: execute the interactive workloads warm on both
 	// images and compare NIC service time.
 	service := func(p *mcc.Program) (float64, error) {
-		exe, err := mcc.Link(p, mcc.LinkOptions{})
+		exe, err := mcc.Link(p)
 		if err != nil {
 			return 0, err
 		}

@@ -18,14 +18,14 @@ import (
 // deploy, at their quick sizes.
 func rackWorkloadSets(t *testing.T) map[string][]*workloads.Workload {
 	t.Helper()
-	plane, err := newTenantsPlane(Quick(), QuickTenants().withDefaults())
+	plane, err := newTenantsPlane(Quick(), QuickTenants())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return map[string][]*workloads.Workload{
 		"tenants":  {plane.web, plane.batch},
-		"skew":     {QuickSkew().withDefaults().workload()},
-		"boundary": QuickBoundary().withDefaults().workloadSet(),
+		"skew":     {skewWorkload()},
+		"boundary": boundaryWorkloadSet(),
 		"chaos":    {workloads.WebServer()},
 	}
 }
@@ -153,7 +153,7 @@ func TestSharedPayloadMatchesDistinct(t *testing.T) {
 		res, err := trace.ClosedLoop{
 			Concurrency: concurrency,
 			Requests:    8 * concurrency,
-			Warmup:      cfg.Warmup,
+			Warmup:      warmup,
 			Gen:         gen,
 		}.Run(s, cfg.gateway(s, b))
 		if err != nil {
@@ -186,7 +186,7 @@ func TestSharedPayloadMatchesDistinct(t *testing.T) {
 // registration, the 64 regions alone are 4 GiB). Rebuilding in the same
 // process must not cost more than the first build did.
 func TestRackBuildCheap(t *testing.T) {
-	tc := QuickTenants().withDefaults()
+	tc := QuickTenants()
 	cfg := Quick()
 	plane, err := newTenantsPlane(cfg, tc)
 	if err != nil {

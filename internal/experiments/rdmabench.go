@@ -56,8 +56,6 @@ type RdmaBenchConfig struct {
 	Requests int
 	// Warmup GETs run before measurement opens.
 	Warmup int
-	// Clients are the closed-loop client counts.
-	Clients []int
 	// Windows are the QP outstanding-request windows for the bypass
 	// scalability curve (0 = unlimited).
 	Windows []int
@@ -65,47 +63,46 @@ type RdmaBenchConfig struct {
 	LargeOps int
 	// Transfers is how many large transfers each large row measures.
 	Transfers int
-	// DoorbellCost is the per-doorbell submission charge applied in the
-	// large-transfer engines (the quantity batching amortizes).
-	DoorbellCost time.Duration
-	// StoreRTT and StoreOccupancy model the memcached machine the
-	// kv_get_client lambda queries: the round-trip wire time to it and
-	// its serialized per-request service time. The simulated backend
-	// measures the client lambda alone (Figures 6–7), but a *served*
-	// GET on the lambda path additionally pays this store access — the
-	// bypass rows pay theirs as the one-sided read itself, so only the
-	// lambda baseline is wrapped with this stage.
-	StoreRTT       time.Duration
-	StoreOccupancy time.Duration
 }
+
+// rdmaBenchClients are the closed-loop client counts of every kvget
+// scenario.
+var rdmaBenchClients = []int{1, 4, 16}
+
+const (
+	// rdmaDoorbellCost is the per-doorbell submission charge applied in
+	// the large-transfer engines (the quantity batching amortizes).
+	rdmaDoorbellCost = time.Microsecond
+	// rdmaStoreRTT and rdmaStoreOccupancy model the memcached machine
+	// the kv_get_client lambda queries: the round-trip wire time to it
+	// and its serialized per-request service time. The simulated
+	// backend measures the client lambda alone (Figures 6–7), but a
+	// *served* GET on the lambda path additionally pays this store
+	// access — the bypass rows pay theirs as the one-sided read itself,
+	// so only the lambda baseline is wrapped with this stage.
+	rdmaStoreRTT       = 3 * time.Microsecond
+	rdmaStoreOccupancy = 1500 * time.Nanosecond
+)
 
 // DefaultRdmaBench returns the full-size configuration.
 func DefaultRdmaBench() RdmaBenchConfig {
 	return RdmaBenchConfig{
-		Requests:       2000,
-		Warmup:         200,
-		Clients:        []int{1, 4, 16},
-		Windows:        []int{1, 2, 4, 8, 16, 32},
-		LargeOps:       64,
-		Transfers:      32,
-		DoorbellCost:   time.Microsecond,
-		StoreRTT:       3 * time.Microsecond,
-		StoreOccupancy: 1500 * time.Nanosecond,
+		Requests:  2000,
+		Warmup:    200,
+		Windows:   []int{1, 2, 4, 8, 16, 32},
+		LargeOps:  64,
+		Transfers: 32,
 	}
 }
 
 // QuickRdmaBench returns a reduced configuration for smoke runs and CI.
 func QuickRdmaBench() RdmaBenchConfig {
 	return RdmaBenchConfig{
-		Requests:       400,
-		Warmup:         40,
-		Clients:        []int{1, 4, 16},
-		Windows:        []int{1, 2, 4, 8, 16},
-		LargeOps:       32,
-		Transfers:      8,
-		DoorbellCost:   time.Microsecond,
-		StoreRTT:       3 * time.Microsecond,
-		StoreOccupancy: 1500 * time.Nanosecond,
+		Requests:  400,
+		Warmup:    40,
+		Windows:   []int{1, 2, 4, 8, 16},
+		LargeOps:  32,
+		Transfers: 8,
 	}
 }
 
@@ -148,7 +145,7 @@ func runKVGetRow(cfg Config, rb RdmaBenchConfig, name string, clients, window in
 		// Lambda baseline: the served GET pays the memcached machine
 		// round trip and its serialized service time on top of the
 		// client lambda (the bypass rows pay theirs as the RDMA read).
-		target = trace.NewGateway(s, b, rb.StoreRTT, rb.StoreOccupancy)
+		target = trace.NewGateway(s, b, rdmaStoreRTT, rdmaStoreOccupancy)
 	}
 	res, err := (trace.ClosedLoop{
 		Concurrency: clients,
@@ -190,7 +187,7 @@ func runLargeRow(cfg Config, rb RdmaBenchConfig, name string, batched bool) (Rdm
 		Link:         cfg.Testbed.Link,
 		PerPacketDMA: 100 * time.Nanosecond,
 		MTU:          workloads.MTU,
-		DoorbellCost: sim.Time(rb.DoorbellCost),
+		DoorbellCost: sim.Time(rdmaDoorbellCost),
 	})
 	size := rb.LargeOps * workloads.MTU
 	region, err := eng.Register("large-object", size)
@@ -248,7 +245,7 @@ func runLargeRow(cfg Config, rb RdmaBenchConfig, name string, batched bool) (Rdm
 // returns one row per scenario.
 func RdmaBench(cfg Config, rb RdmaBenchConfig) ([]RdmaRow, error) {
 	var rows []RdmaRow
-	for _, c := range rb.Clients {
+	for _, c := range rdmaBenchClients {
 		row, err := runKVGetRow(cfg, rb, fmt.Sprintf("kvget/lambda/c%d", c), c, -1)
 		if err != nil {
 			return nil, err
@@ -256,7 +253,7 @@ func RdmaBench(cfg Config, rb RdmaBenchConfig) ([]RdmaRow, error) {
 		rows = append(rows, row)
 	}
 	for _, w := range rb.Windows {
-		for _, c := range rb.Clients {
+		for _, c := range rdmaBenchClients {
 			row, err := runKVGetRow(cfg, rb, fmt.Sprintf("kvget/bypass/w%d/c%d", w, c), c, w)
 			if err != nil {
 				return nil, err

@@ -13,17 +13,12 @@ import (
 // requests for stable virtual-clock rates, window points spanning the
 // knee, and both large-transfer modes.
 func testRdmaBench() RdmaBenchConfig {
-	def := DefaultRdmaBench()
 	return RdmaBenchConfig{
-		Requests:       200,
-		Warmup:         20,
-		Clients:        []int{1, 16},
-		Windows:        []int{1, 4, 16},
-		LargeOps:       16,
-		Transfers:      4,
-		DoorbellCost:   def.DoorbellCost,
-		StoreRTT:       def.StoreRTT,
-		StoreOccupancy: def.StoreOccupancy,
+		Requests:  200,
+		Warmup:    20,
+		Windows:   []int{1, 4, 16},
+		LargeOps:  16,
+		Transfers: 4,
 	}
 }
 
@@ -38,14 +33,14 @@ func TestRdmaBenchAcceptance(t *testing.T) {
 	for _, r := range rows {
 		byName[r.Name] = r
 	}
-	wantRows := 2 + len(rb.Windows)*len(rb.Clients) + 2
+	wantRows := len(rdmaBenchClients) + len(rb.Windows)*len(rdmaBenchClients) + 2
 	if len(rows) != wantRows {
 		t.Fatalf("got %d rows, want %d", len(rows), wantRows)
 	}
 
 	// The one-sided path beats the lambda path on p50 and throughput at
 	// every client count (§4.2.1 D3: no parse/match/NPU dispatch).
-	for _, c := range rb.Clients {
+	for _, c := range rdmaBenchClients {
 		lambda := byName[fmt.Sprintf("kvget/lambda/c%d", c)]
 		bypass := byName[fmt.Sprintf("kvget/bypass/w%d/c%d", rb.Windows[len(rb.Windows)-1], c)]
 		if bypass.ReqPerSec <= lambda.ReqPerSec {
@@ -58,7 +53,7 @@ func TestRdmaBenchAcceptance(t *testing.T) {
 
 	// Throughput scales with the window at high client counts: w=4
 	// beats w=1, and the curve never regresses past the knee.
-	cMax := rb.Clients[len(rb.Clients)-1]
+	cMax := rdmaBenchClients[len(rdmaBenchClients)-1]
 	w1 := byName[fmt.Sprintf("kvget/bypass/w1/c%d", cMax)]
 	w4 := byName[fmt.Sprintf("kvget/bypass/w4/c%d", cMax)]
 	wTop := byName[fmt.Sprintf("kvget/bypass/w%d/c%d", rb.Windows[len(rb.Windows)-1], cMax)]

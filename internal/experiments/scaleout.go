@@ -66,7 +66,7 @@ func ScaleOut(cfg Config) ([]ScaleOutPoint, error) {
 			// Scale the request count with the fleet so ramp-up and
 			// drain edges stay a small fraction of the run.
 			Requests: requests * workers,
-			Warmup:   cfg.Warmup,
+			Warmup:   warmup,
 			Gen:      cfg.requests(img),
 		}.Run(s, mi)
 		if err != nil {

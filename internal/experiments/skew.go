@@ -58,13 +58,6 @@ type SkewConfig struct {
 	Workers int
 	// Flows is the long-lived client-flow population (default 128).
 	Flows int
-	// ZipfS is the popularity exponent across flows (default 1.1 — the
-	// classic "90/10" web skew).
-	ZipfS float64
-	// OneShotFrac is the fraction of arrivals carrying a fresh,
-	// never-repeated flow key (default 0.10) — traffic no warm state or
-	// pin can help.
-	OneShotFrac float64
 	// Rate is the base open-loop arrival rate (default 800,000 req/s —
 	// roughly 70% of the down-binned rack's round-robin capacity, so
 	// cold-start work shows up as queueing).
@@ -77,133 +70,65 @@ type SkewConfig struct {
 	CrowdStart, CrowdEnd time.Duration
 	CrowdRate            float64
 	CrowdFlows           int
-	// ServiceSweeps sizes one request's EMEM scan (default 12 sweeps —
-	// a mid-weight interactive lambda, ~10 µs of NPU time), so flow
-	// hotspots translate into real queueing.
-	ServiceSweeps int
-	// WarmFlows is each NPU core's warm-state LRU capacity (default 8);
-	// ColdStartCycles is the miss surcharge (default 50,000 cycles —
-	// ≈79 µs at the paper's 633 MHz clock).
-	WarmFlows       int
-	ColdStartCycles uint64
-	// RebalanceEvery is the load-report + rebalance period (default
-	// 2 ms); TopK bounds migrations per tick (default 8);
-	// ImbalanceRatio is the overload threshold versus mean load
-	// (default 1.3); LoadAlpha is the healthd EWMA coefficient
-	// (default healthd.DefaultLoadAlpha).
-	RebalanceEvery time.Duration
-	TopK           int
-	ImbalanceRatio float64
-	LoadAlpha      float64
 }
+
+// The skew experiment's fixed parameters, the same at every size.
+const (
+	// skewZipfS is the popularity exponent across flows (the classic
+	// "90/10" web skew).
+	skewZipfS = 1.1
+	// skewOneShotFrac is the fraction of arrivals carrying a fresh,
+	// never-repeated flow key — traffic no warm state or pin can help.
+	skewOneShotFrac = 0.10
+	// skewServiceSweeps sizes one request's EMEM scan (a mid-weight
+	// interactive lambda, ~10 µs of NPU time), so flow hotspots
+	// translate into real queueing.
+	skewServiceSweeps = 12
+	// skewWarmFlows is each NPU core's warm-state LRU capacity;
+	// skewColdStartCycles is the miss surcharge (≈79 µs at the paper's
+	// 633 MHz clock).
+	skewWarmFlows       = 8
+	skewColdStartCycles = 50_000
+	// skewRebalanceEvery is the load-report + rebalance period;
+	// skewTopK bounds migrations per tick; skewImbalanceRatio is the
+	// overload threshold versus mean load.
+	skewRebalanceEvery = 2 * time.Millisecond
+	skewTopK           = 8
+	skewImbalanceRatio = 1.3
+)
 
 // DefaultSkew returns the full-size experiment.
 func DefaultSkew() SkewConfig {
 	return SkewConfig{
-		Workers:         16,
-		Flows:           128,
-		ZipfS:           1.1,
-		OneShotFrac:     0.10,
-		Rate:            800_000,
-		Duration:        250 * time.Millisecond,
-		CrowdStart:      80 * time.Millisecond,
-		CrowdEnd:        160 * time.Millisecond,
-		CrowdRate:       200_000,
-		CrowdFlows:      4,
-		ServiceSweeps:   12,
-		WarmFlows:       8,
-		ColdStartCycles: 50_000,
-		RebalanceEvery:  2 * time.Millisecond,
-		TopK:            8,
-		ImbalanceRatio:  1.3,
-		LoadAlpha:       healthd.DefaultLoadAlpha,
+		Workers:    16,
+		Flows:      128,
+		Rate:       800_000,
+		Duration:   250 * time.Millisecond,
+		CrowdStart: 80 * time.Millisecond,
+		CrowdEnd:   160 * time.Millisecond,
+		CrowdRate:  200_000,
+		CrowdFlows: 4,
 	}
 }
 
 // QuickSkew returns a reduced configuration for tests and smoke runs.
 func QuickSkew() SkewConfig {
 	return SkewConfig{
-		Workers:         8,
-		Flows:           64,
-		ZipfS:           1.1,
-		OneShotFrac:     0.10,
-		Rate:            400_000,
-		Duration:        100 * time.Millisecond,
-		CrowdStart:      30 * time.Millisecond,
-		CrowdEnd:        60 * time.Millisecond,
-		CrowdRate:       150_000,
-		CrowdFlows:      2,
-		ServiceSweeps:   12,
-		WarmFlows:       8,
-		ColdStartCycles: 50_000,
-		RebalanceEvery:  2 * time.Millisecond,
-		TopK:            8,
-		ImbalanceRatio:  1.3,
-		LoadAlpha:       healthd.DefaultLoadAlpha,
+		Workers:    8,
+		Flows:      64,
+		Rate:       400_000,
+		Duration:   100 * time.Millisecond,
+		CrowdStart: 30 * time.Millisecond,
+		CrowdEnd:   60 * time.Millisecond,
+		CrowdRate:  150_000,
+		CrowdFlows: 2,
 	}
 }
 
-func (c SkewConfig) withDefaults() SkewConfig {
-	d := DefaultSkew()
-	if c.Workers <= 0 {
-		c.Workers = d.Workers
-	}
-	if c.Flows <= 0 {
-		c.Flows = d.Flows
-	}
-	if c.ZipfS <= 0 {
-		c.ZipfS = d.ZipfS
-	}
-	if c.OneShotFrac < 0 || c.OneShotFrac >= 1 {
-		c.OneShotFrac = d.OneShotFrac
-	}
-	if c.Rate <= 0 {
-		c.Rate = d.Rate
-	}
-	if c.Duration <= 0 {
-		c.Duration = d.Duration
-	}
-	if c.CrowdStart <= 0 {
-		c.CrowdStart = c.Duration * 1 / 3
-	}
-	if c.CrowdEnd <= 0 {
-		c.CrowdEnd = c.Duration * 2 / 3
-	}
-	if c.CrowdRate <= 0 {
-		c.CrowdRate = d.CrowdRate
-	}
-	if c.CrowdFlows <= 0 {
-		c.CrowdFlows = d.CrowdFlows
-	}
-	if c.ServiceSweeps <= 0 {
-		c.ServiceSweeps = d.ServiceSweeps
-	}
-	if c.WarmFlows <= 0 {
-		c.WarmFlows = d.WarmFlows
-	}
-	if c.ColdStartCycles == 0 {
-		c.ColdStartCycles = d.ColdStartCycles
-	}
-	if c.RebalanceEvery <= 0 {
-		c.RebalanceEvery = d.RebalanceEvery
-	}
-	if c.TopK <= 0 {
-		c.TopK = d.TopK
-	}
-	if c.ImbalanceRatio <= 0 {
-		c.ImbalanceRatio = d.ImbalanceRatio
-	}
-	if c.LoadAlpha <= 0 {
-		c.LoadAlpha = healthd.DefaultLoadAlpha
-	}
-	return c
-}
-
-// workload is the experiment's service lambda: an EMEM sweeper sized
-// by ServiceSweeps, so per-request cost — and therefore hotspot
-// queueing — is a config knob rather than a fixed constant.
-func (c SkewConfig) workload() *workloads.Workload {
-	return workloads.BatchSweeperVariant("skew_svc", workloads.BatchSweepID, c.ServiceSweeps)
+// skewWorkload is the experiment's service lambda: an EMEM sweeper
+// sized by skewServiceSweeps.
+func skewWorkload() *workloads.Workload {
+	return workloads.BatchSweeperVariant("skew_svc", workloads.BatchSweepID, skewServiceSweeps)
 }
 
 // testbed down-bins the rack's NICs to 4 NPU threads each, as in the
@@ -279,17 +204,17 @@ func skewSchedule(cfg Config, sc SkewConfig) []skewArrival {
 
 	var arrivals []skewArrival
 	// Base stream: exponential interarrivals at Rate; each arrival draws
-	// its flow rank from the Zipf; a OneShotFrac slice gets fresh keys.
-	pop, err := newZipf(sc.Flows, sc.ZipfS, seed)
+	// its flow rank from the Zipf; a skewOneShotFrac slice gets fresh keys.
+	pop, err := newZipf(sc.Flows, skewZipfS, seed)
 	if err != nil {
-		panic(err) // n ≥ 1 and s > 0 by withDefaults
+		panic(err) // every config has Flows ≥ 1
 	}
 	end := sim.Time(sc.Duration)
 	at := sim.Time(0)
 	oneShots := 0
 	for i := 0; at < end; i++ {
 		flow := flowKey("c", pop.Next(), 4)
-		if float64(pop.Uint64()>>11)/(1<<53) < sc.OneShotFrac {
+		if float64(pop.Uint64()>>11)/(1<<53) < skewOneShotFrac {
 			oneShots++
 			flow = flowKey("one", oneShots, 6)
 		}
@@ -361,11 +286,9 @@ type migDispatch struct {
 	pinned map[uint64]int
 	names  []string
 	index  map[string]int
-	topK   int
-	ratio  float64
 }
 
-func newMigDispatch(names []string, seed uint64, topK int, ratio float64) *migDispatch {
+func newMigDispatch(names []string, seed uint64) *migDispatch {
 	index := make(map[string]int, len(names))
 	for i, n := range names {
 		index[n] = i
@@ -376,8 +299,6 @@ func newMigDispatch(names []string, seed uint64, topK int, ratio float64) *migDi
 		pinned: make(map[uint64]int),
 		names:  names,
 		index:  index,
-		topK:   topK,
-		ratio:  ratio,
 	}
 }
 
@@ -392,7 +313,7 @@ func (d *migDispatch) pick(flow uint64) int {
 
 func (d *migDispatch) tick(loads []dispatch.Load) int {
 	owner := func(flow uint64) string { return d.names[d.pick(flow)] }
-	plan := dispatch.Plan(loads, d.sketch.TopK(d.topK), owner, d.ratio)
+	plan := dispatch.Plan(loads, d.sketch.TopK(skewTopK), owner, skewImbalanceRatio)
 	applied := 0
 	for _, m := range plan {
 		to, ok := d.index[m.To]
@@ -412,21 +333,20 @@ func (d *migDispatch) tick(loads []dispatch.Load) int {
 
 func (d *migDispatch) pins() int { return len(d.pinned) }
 
-func (c SkewConfig) dispatcher(policy string, names []string, seed uint64) skewDispatcher {
+func skewDispatcherFor(policy string, names []string, seed uint64) skewDispatcher {
 	switch policy {
 	case SkewPolicyRR:
 		return &rrDispatch{n: len(names)}
 	case SkewPolicyPinned:
 		return &pinDispatch{ring: dispatch.NewRing(names, seed, dispatch.DefaultVirtualNodes)}
 	default:
-		return newMigDispatch(names, seed, c.TopK, c.ImbalanceRatio)
+		return newMigDispatch(names, seed)
 	}
 }
 
 // Skew runs all three policies, each on a fresh rack, over one shared
 // arrival schedule.
 func Skew(cfg Config, sc SkewConfig) (*SkewReport, error) {
-	sc = sc.withDefaults()
 	sched := skewSchedule(cfg, sc)
 	rep := &SkewReport{}
 	for _, policy := range []string{SkewPolicyRR, SkewPolicyPinned, SkewPolicyMig} {
@@ -445,26 +365,23 @@ func Skew(cfg Config, sc SkewConfig) (*SkewReport, error) {
 // detector smoothed load on the virtual clock, rebalance on ticks, and
 // summarize.
 func skewRun(cfg Config, sc SkewConfig, sched []skewArrival, policy string) (SkewPolicyStat, error) {
-	web := sc.workload()
+	web := skewWorkload()
 	r, err := newRack(cfg, sc.testbed(cfg), sc.Workers, nicsim.Config{
 		Dispatch:        nicsim.DispatchUniform,
-		WarmFlows:       sc.WarmFlows,
-		ColdStartCycles: sc.ColdStartCycles,
+		WarmFlows:       skewWarmFlows,
+		ColdStartCycles: skewColdStartCycles,
 	}, []*workloads.Workload{web})
 	if err != nil {
 		return SkewPolicyStat{}, fmt.Errorf("skew: %w", err)
 	}
 	s, names := r.sim, r.names
 	end := sim.Time(sc.Duration)
-	disp := sc.dispatcher(policy, names, uint64(cfg.Seed))
+	disp := skewDispatcherFor(policy, names, uint64(cfg.Seed))
 
 	// Load reports ride the same detector the live deployment's
 	// rebalancer consumes: per-worker in-flight counts sampled at tick
 	// instants, EWMA-smoothed so a single burst doesn't whipsaw pins.
-	det := healthd.NewDetector(healthd.Config{
-		Interval:  sc.RebalanceEvery,
-		LoadAlpha: sc.LoadAlpha,
-	})
+	det := healthd.NewDetector(skewRebalanceEvery)
 	inflight := make([]int, len(names))
 	completed := make([]uint64, len(names))
 	var (
@@ -488,10 +405,10 @@ func skewRun(cfg Config, sc SkewConfig, sched []skewArrival, policy string) (Ske
 		}
 		migrations += disp.tick(loads)
 		if s.Now() < end {
-			tickEv = s.Reschedule(tickEv, sim.Time(sc.RebalanceEvery))
+			tickEv = s.Reschedule(tickEv, sim.Time(skewRebalanceEvery))
 		}
 	}
-	tickEv = s.Schedule(sim.Time(sc.RebalanceEvery), tick)
+	tickEv = s.Schedule(sim.Time(skewRebalanceEvery), tick)
 
 	s.AtEach(len(sched), func(i int) sim.Time { return sched[i].at }, func(i int) {
 		a := &sched[i]

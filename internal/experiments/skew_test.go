@@ -97,14 +97,14 @@ func TestFlowNameMatchesSprintf(t *testing.T) {
 
 func TestSkewScheduleDeterministic(t *testing.T) {
 	cfg, sc := skewQuickConfig(sim.KernelLadder)
-	a := skewSchedule(cfg, sc.withDefaults())
-	b := skewSchedule(cfg, sc.withDefaults())
+	a := skewSchedule(cfg, sc)
+	b := skewSchedule(cfg, sc)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two schedule draws from the same seed diverged")
 	}
 	cfg2 := cfg
 	cfg2.Seed = cfg.Seed + 1
-	c := skewSchedule(cfg2, sc.withDefaults())
+	c := skewSchedule(cfg2, sc)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced the same schedule")
 	}

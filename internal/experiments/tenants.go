@@ -49,39 +49,37 @@ type TenantsConfig struct {
 	Duration time.Duration
 	// BurstStart/BurstEnd bound the batch flood (defaults 60/180 ms).
 	BurstStart, BurstEnd time.Duration
-	// BatchSweeps sizes one batch request's EMEM scan (default 400
-	// sweeps ≈ 320 µs of NPU time — ~100× an interactive request).
-	BatchSweeps int
-	// InteractiveWeight and BatchWeight are the tenants' WFQ weights
-	// (defaults 8 and 1).
-	InteractiveWeight, BatchWeight float64
 	// BatchRatePerSec/BatchBurst are the batch tenant's admission
 	// quota (defaults 900,000/s, burst 20,000).
 	BatchRatePerSec, BatchBurst float64
 	// SampleInterval is the SLO sampling period (default 10 ms; the
 	// rolling window is 4 samples wide).
 	SampleInterval time.Duration
-	// IsolationP99 is the isolation bound: the interactive tenant's
-	// p99 must stay below it in every phase (default 2 ms).
-	IsolationP99 time.Duration
 }
+
+// The tenants experiment's fixed parameters, the same at every size.
+const (
+	// tenantsInteractiveWeight and tenantsBatchWeight are the tenants'
+	// WFQ weights.
+	tenantsInteractiveWeight = 8
+	tenantsBatchWeight       = 1
+	// tenantsIsolationP99 is the isolation bound: the interactive
+	// tenant's p99 must stay below it in every phase.
+	tenantsIsolationP99 = 2 * time.Millisecond
+)
 
 // DefaultTenants returns the full-size experiment (the 64-NIC rack).
 func DefaultTenants() TenantsConfig {
 	return TenantsConfig{
-		Workers:           64,
-		InteractiveRate:   40_000,
-		BurstRate:         1_200_000,
-		Duration:          300 * time.Millisecond,
-		BurstStart:        60 * time.Millisecond,
-		BurstEnd:          180 * time.Millisecond,
-		BatchSweeps:       workloads.DefaultBatchSweeps,
-		InteractiveWeight: 8,
-		BatchWeight:       1,
-		BatchRatePerSec:   900_000,
-		BatchBurst:        20_000,
-		SampleInterval:    10 * time.Millisecond,
-		IsolationP99:      2 * time.Millisecond,
+		Workers:         64,
+		InteractiveRate: 40_000,
+		BurstRate:       1_200_000,
+		Duration:        300 * time.Millisecond,
+		BurstStart:      60 * time.Millisecond,
+		BurstEnd:        180 * time.Millisecond,
+		BatchRatePerSec: 900_000,
+		BatchBurst:      20_000,
+		SampleInterval:  10 * time.Millisecond,
 	}
 }
 
@@ -89,64 +87,16 @@ func DefaultTenants() TenantsConfig {
 // runs.
 func QuickTenants() TenantsConfig {
 	return TenantsConfig{
-		Workers:           8,
-		InteractiveRate:   20_000,
-		BurstRate:         250_000,
-		Duration:          150 * time.Millisecond,
-		BurstStart:        40 * time.Millisecond,
-		BurstEnd:          90 * time.Millisecond,
-		BatchSweeps:       workloads.DefaultBatchSweeps,
-		InteractiveWeight: 8,
-		BatchWeight:       1,
-		BatchRatePerSec:   120_000,
-		BatchBurst:        2_000,
-		SampleInterval:    5 * time.Millisecond,
-		IsolationP99:      2 * time.Millisecond,
+		Workers:         8,
+		InteractiveRate: 20_000,
+		BurstRate:       250_000,
+		Duration:        150 * time.Millisecond,
+		BurstStart:      40 * time.Millisecond,
+		BurstEnd:        90 * time.Millisecond,
+		BatchRatePerSec: 120_000,
+		BatchBurst:      2_000,
+		SampleInterval:  5 * time.Millisecond,
 	}
-}
-
-func (c TenantsConfig) withDefaults() TenantsConfig {
-	d := DefaultTenants()
-	if c.Workers <= 0 {
-		c.Workers = d.Workers
-	}
-	if c.InteractiveRate <= 0 {
-		c.InteractiveRate = d.InteractiveRate
-	}
-	if c.BurstRate <= 0 {
-		c.BurstRate = d.BurstRate
-	}
-	if c.Duration <= 0 {
-		c.Duration = d.Duration
-	}
-	if c.BurstStart <= 0 {
-		c.BurstStart = c.Duration / 5
-	}
-	if c.BurstEnd <= 0 {
-		c.BurstEnd = c.Duration * 3 / 5
-	}
-	if c.BatchSweeps <= 0 {
-		c.BatchSweeps = d.BatchSweeps
-	}
-	if c.InteractiveWeight <= 0 {
-		c.InteractiveWeight = d.InteractiveWeight
-	}
-	if c.BatchWeight <= 0 {
-		c.BatchWeight = d.BatchWeight
-	}
-	if c.BatchRatePerSec <= 0 {
-		c.BatchRatePerSec = d.BatchRatePerSec
-	}
-	if c.BatchBurst <= 0 {
-		c.BatchBurst = d.BatchBurst
-	}
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = d.SampleInterval
-	}
-	if c.IsolationP99 <= 0 {
-		c.IsolationP99 = d.IsolationP99
-	}
-	return c
 }
 
 // testbed down-bins the rack's NICs to 4 NPU threads each; everything
@@ -230,7 +180,7 @@ func newTenantsPlane(cfg Config, tc TenantsConfig) (*tenantsPlane, error) {
 	vip, err := mgr.RegisterTenant(tenant.Tenant{
 		Name:   tenantsInteractive,
 		Class:  tenant.ClassInteractive,
-		Weight: tc.InteractiveWeight,
+		Weight: tenantsInteractiveWeight,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("tenants: %w", err)
@@ -238,14 +188,16 @@ func newTenantsPlane(cfg Config, tc TenantsConfig) (*tenantsPlane, error) {
 	bulk, err := mgr.RegisterTenant(tenant.Tenant{
 		Name:   tenantsBatch,
 		Class:  tenant.ClassBatch,
-		Weight: tc.BatchWeight,
+		Weight: tenantsBatchWeight,
 		Quota:  tenant.Quota{RatePerSec: tc.BatchRatePerSec, Burst: tc.BatchBurst},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("tenants: %w", err)
 	}
 	web := workloads.WebServer()
-	batch := workloads.BatchSweeperVariant("batch_sweep", workloads.BatchSweepID, tc.BatchSweeps)
+	// One batch request scans EMEM DefaultBatchSweeps times: ≈ 320 µs of
+	// NPU time, ~100× an interactive request.
+	batch := workloads.BatchSweeperVariant("batch_sweep", workloads.BatchSweepID, workloads.DefaultBatchSweeps)
 	webID, err := mgr.RegisterFor(tenantsInteractive, web)
 	if err != nil {
 		return nil, fmt.Errorf("tenants: %w", err)
@@ -285,7 +237,6 @@ type tenantsSample struct {
 // Tenants runs the multi-tenant isolation experiment: admission, load,
 // SLO grading, and phase bucketing over one rack.
 func Tenants(cfg Config, tc TenantsConfig) (*TenantsReport, error) {
-	tc = tc.withDefaults()
 	plane, err := newTenantsPlane(cfg, tc)
 	if err != nil {
 		return nil, err
@@ -310,7 +261,7 @@ func Tenants(cfg Config, tc TenantsConfig) (*TenantsReport, error) {
 		},
 		monitor.Objective{
 			Name: "vip-p99", Kind: monitor.ObjectiveLatency,
-			Target: tenantsQuantile, Threshold: tc.IsolationP99,
+			Target: tenantsQuantile, Threshold: tenantsIsolationP99,
 		},
 	)
 	if err != nil {
@@ -378,7 +329,7 @@ func Tenants(cfg Config, tc TenantsConfig) (*TenantsReport, error) {
 	}
 
 	rep := &TenantsReport{
-		IsolationP99: tc.IsolationP99,
+		IsolationP99: tenantsIsolationP99,
 		Shed:         plane.adm.TotalShed(),
 		Executed:     executed,
 		FinalClock:   clock,
@@ -439,7 +390,7 @@ func Tenants(cfg Config, tc TenantsConfig) (*TenantsReport, error) {
 			}
 		}
 	}
-	rep.Isolated = rep.DuringP99 > 0 && rep.DuringP99 <= tc.IsolationP99 && rep.FinalBurn == 0
+	rep.Isolated = rep.DuringP99 > 0 && rep.DuringP99 <= tenantsIsolationP99 && rep.FinalBurn == 0
 	return rep, nil
 }
 

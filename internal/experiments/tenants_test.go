@@ -24,8 +24,8 @@ func TestTenantsIsolationQuick(t *testing.T) {
 	if !rep.Isolated {
 		t.Fatalf("isolation violated:\n%s", RenderTenants(rep))
 	}
-	if rep.DuringP99 <= 0 || rep.DuringP99 > tc.IsolationP99 {
-		t.Errorf("interactive p99 during burst = %v, want (0, %v]", rep.DuringP99, tc.IsolationP99)
+	if rep.DuringP99 <= 0 || rep.DuringP99 > tenantsIsolationP99 {
+		t.Errorf("interactive p99 during burst = %v, want (0, %v]", rep.DuringP99, tenantsIsolationP99)
 	}
 	if rep.FinalBurn != 0 {
 		t.Errorf("final burn = %v, want 0 after the burst clears", rep.FinalBurn)

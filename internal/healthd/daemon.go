@@ -230,18 +230,15 @@ func (d *Daemon) Poll() []Transition {
 	return out
 }
 
-// Start launches a wall-clock poll loop at the given period (the
-// detector interval when zero).
-func (d *Daemon) Start(period time.Duration) {
-	if period <= 0 {
-		period = d.det.Config().Interval
-	}
+// Start launches a wall-clock poll loop at the detector's heartbeat
+// interval.
+func (d *Daemon) Start() {
 	d.mu.Lock()
 	d.started = true
 	d.mu.Unlock()
 	go func() {
 		defer close(d.done)
-		t := time.NewTicker(period)
+		t := time.NewTicker(d.det.interval)
 		defer t.Stop()
 		for {
 			select {

@@ -18,7 +18,7 @@ func smoothedOf(t *testing.T, d *Detector, worker string, now time.Duration) flo
 }
 
 func TestEWMASeedsAtFirstSample(t *testing.T) {
-	d := NewDetector(Config{LoadAlpha: 0.5})
+	d := NewDetector(iv)
 	d.Observe(Heartbeat{Worker: "w", Seq: 1, Load: 40}, 0)
 	if got := smoothedOf(t, d, "w", 0); got != 40 {
 		t.Fatalf("SmoothedLoad after first beat = %v, want 40 (seeded)", got)
@@ -26,8 +26,8 @@ func TestEWMASeedsAtFirstSample(t *testing.T) {
 }
 
 func TestEWMAFollowsRecurrence(t *testing.T) {
-	alpha := 0.3
-	d := NewDetector(Config{LoadAlpha: alpha})
+	alpha := DefaultLoadAlpha
+	d := NewDetector(iv)
 	samples := []int{10, 20, 0, 100, 50}
 	want := float64(samples[0])
 	now := time.Duration(0)
@@ -48,7 +48,7 @@ func TestEWMAFollowsRecurrence(t *testing.T) {
 }
 
 func TestEWMADampensSpike(t *testing.T) {
-	d := NewDetector(Config{}) // default alpha
+	d := NewDetector(iv)
 	now := time.Duration(0)
 	for i := 1; i <= 10; i++ {
 		d.Observe(Heartbeat{Worker: "w", Seq: uint64(i), Load: 10}, now)
@@ -66,34 +66,11 @@ func TestEWMADampensSpike(t *testing.T) {
 }
 
 func TestEWMAIgnoresStaleBeats(t *testing.T) {
-	d := NewDetector(Config{LoadAlpha: 0.5})
+	d := NewDetector(iv)
 	d.Observe(Heartbeat{Worker: "w", Seq: 5, Load: 10}, 0)
 	before := smoothedOf(t, d, "w", 0)
 	d.Observe(Heartbeat{Worker: "w", Seq: 5, Load: 999}, 50*time.Millisecond) // duplicate seq
 	if got := smoothedOf(t, d, "w", 50*time.Millisecond); got != before {
 		t.Fatalf("stale heartbeat moved the EWMA: %v -> %v", before, got)
-	}
-}
-
-func TestEWMAAlphaOneTracksRaw(t *testing.T) {
-	d := NewDetector(Config{LoadAlpha: 1})
-	now := time.Duration(0)
-	for i, load := range []int{5, 80, 3} {
-		d.Observe(Heartbeat{Worker: "w", Seq: uint64(i + 1), Load: load}, now)
-		now += 50 * time.Millisecond
-	}
-	if got := smoothedOf(t, d, "w", now); got != 3 {
-		t.Fatalf("alpha=1 SmoothedLoad = %v, want raw 3", got)
-	}
-}
-
-func TestEWMAAlphaDefaulted(t *testing.T) {
-	cfg := NewDetector(Config{}).Config()
-	if cfg.LoadAlpha != DefaultLoadAlpha {
-		t.Fatalf("LoadAlpha defaulted to %v, want %v", cfg.LoadAlpha, DefaultLoadAlpha)
-	}
-	cfg = NewDetector(Config{LoadAlpha: 7}).Config()
-	if cfg.LoadAlpha != 1 {
-		t.Fatalf("LoadAlpha clamped to %v, want 1", cfg.LoadAlpha)
 	}
 }

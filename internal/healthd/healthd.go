@@ -74,63 +74,25 @@ func (s Status) String() string {
 	}
 }
 
-// Config parameterizes the detector.
-type Config struct {
-	// Interval is the expected heartbeat period; it seeds the mean
-	// interarrival before any history accumulates.
-	Interval time.Duration
-	// SuspectAfter is the phi score (missed expected heartbeats) at
-	// which a worker turns Suspect.
-	SuspectAfter float64
-	// EvictAfter is the phi score at which a worker is declared Dead —
-	// the recovery bound: detection completes within roughly EvictAfter+1
-	// heartbeat intervals of the failure.
-	EvictAfter float64
-	// Window bounds the interarrival history used for the mean.
-	Window int
-	// LoadAlpha is the EWMA coefficient for smoothing per-worker load:
-	// smoothed = alpha*sample + (1-alpha)*smoothed. Raw in-flight counts
-	// are point samples taken at heartbeat instants and whipsaw between
-	// beats; the rebalancer wants the trend, not the noise. Values are
-	// clamped to (0, 1]; 1 disables smoothing (smoothed == raw).
-	LoadAlpha float64
-}
-
-// Detector defaults: suspect after ~2 missed beats, evict after 4.
+// The detector's constants. DefaultInterval is the heartbeat period a
+// deployment uses when none is configured. Phi counts missed expected
+// heartbeats: a worker turns Suspect at DefaultSuspectAfter and is
+// declared Dead at DefaultEvictAfter, so detection completes within
+// roughly DefaultEvictAfter+1 heartbeat intervals of the failure.
 const (
 	DefaultInterval     = 50 * time.Millisecond
 	DefaultSuspectAfter = 2
 	DefaultEvictAfter   = 4
-	DefaultWindow       = 8
-	// DefaultLoadAlpha weighs a new load sample at 30%: roughly the last
-	// three heartbeats dominate the smoothed value.
+	// DefaultWindow bounds the interarrival history used for the mean.
+	DefaultWindow = 8
+	// DefaultLoadAlpha is the EWMA coefficient for smoothing per-worker
+	// load: smoothed = alpha*sample + (1-alpha)*smoothed. Raw in-flight
+	// counts are point samples taken at heartbeat instants and whipsaw
+	// between beats; the rebalancer wants the trend, not the noise. A
+	// new sample weighs 30%: roughly the last three heartbeats dominate
+	// the smoothed value.
 	DefaultLoadAlpha = 0.3
 )
-
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = DefaultInterval
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = DefaultSuspectAfter
-	}
-	if c.EvictAfter <= 0 {
-		c.EvictAfter = DefaultEvictAfter
-	}
-	if c.EvictAfter < c.SuspectAfter {
-		c.EvictAfter = c.SuspectAfter
-	}
-	if c.Window <= 0 {
-		c.Window = DefaultWindow
-	}
-	if c.LoadAlpha <= 0 {
-		c.LoadAlpha = DefaultLoadAlpha
-	}
-	if c.LoadAlpha > 1 {
-		c.LoadAlpha = 1
-	}
-	return c
-}
 
 // Transition is one worker status change.
 type Transition struct {
@@ -152,7 +114,7 @@ type WorkerHealth struct {
 	// Phi is the suspicion score: Age over mean interarrival.
 	Phi    float64
 	Status Status
-	// SmoothedLoad is the EWMA of Load across heartbeats (Config.LoadAlpha)
+	// SmoothedLoad is the EWMA of Load across heartbeats (DefaultLoadAlpha)
 	// — the signal the gateway rebalancer keys migration decisions off.
 	SmoothedLoad float64
 }
@@ -169,20 +131,19 @@ type workerState struct {
 // Detector tracks worker liveness from timestamped heartbeats. Safe for
 // concurrent use; deterministic given the same call sequence.
 type Detector struct {
-	cfg Config
+	// interval is the expected heartbeat period; it seeds the mean
+	// interarrival before any history accumulates.
+	interval time.Duration
 
 	mu      sync.Mutex
 	workers map[string]*workerState
 }
 
-// NewDetector builds a detector, applying defaults to zero config
-// fields.
-func NewDetector(cfg Config) *Detector {
-	return &Detector{cfg: cfg.withDefaults(), workers: make(map[string]*workerState)}
+// NewDetector builds a detector for workers that heartbeat every
+// interval.
+func NewDetector(interval time.Duration) *Detector {
+	return &Detector{interval: interval, workers: make(map[string]*workerState)}
 }
-
-// Config returns the effective (defaulted) configuration.
-func (d *Detector) Config() Config { return d.cfg }
 
 // Observe ingests one heartbeat at the given time. Heartbeats with a
 // sequence number at or below the last seen one are duplicates from the
@@ -204,13 +165,13 @@ func (d *Detector) Observe(hb Heartbeat, now time.Duration) *Transition {
 	}
 	if gap := now - st.lastSeen; gap > 0 {
 		st.intervals = append(st.intervals, gap)
-		if len(st.intervals) > d.cfg.Window {
-			st.intervals = st.intervals[len(st.intervals)-d.cfg.Window:]
+		if len(st.intervals) > DefaultWindow {
+			st.intervals = st.intervals[len(st.intervals)-DefaultWindow:]
 		}
 	}
 	st.seq = hb.Seq
 	st.load = hb.Load
-	st.ewma = d.cfg.LoadAlpha*float64(hb.Load) + (1-d.cfg.LoadAlpha)*st.ewma
+	st.ewma = DefaultLoadAlpha*float64(hb.Load) + (1-DefaultLoadAlpha)*st.ewma
 	st.lastSeen = now
 	if st.status != StatusAlive {
 		tr := &Transition{Worker: hb.Worker, From: st.status, To: StatusAlive, At: now}
@@ -225,15 +186,15 @@ func (d *Detector) Observe(hb Heartbeat, now time.Duration) *Transition {
 // make the detector hair-triggered.
 func (d *Detector) meanInterval(st *workerState) time.Duration {
 	if len(st.intervals) == 0 {
-		return d.cfg.Interval
+		return d.interval
 	}
 	var sum time.Duration
 	for _, iv := range st.intervals {
 		sum += iv
 	}
 	mean := sum / time.Duration(len(st.intervals))
-	if mean < d.cfg.Interval {
-		mean = d.cfg.Interval
+	if mean < d.interval {
+		mean = d.interval
 	}
 	return mean
 }
@@ -266,9 +227,9 @@ func (d *Detector) Check(now time.Duration) []Transition {
 		phi := d.phi(st, now)
 		next := st.status
 		switch {
-		case phi >= d.cfg.EvictAfter:
+		case phi >= DefaultEvictAfter:
 			next = StatusDead
-		case phi >= d.cfg.SuspectAfter:
+		case phi >= DefaultSuspectAfter:
 			next = StatusSuspect
 		default:
 			next = StatusAlive

@@ -9,10 +9,6 @@ import (
 
 const iv = 10 * time.Millisecond
 
-func cfg() Config {
-	return Config{Interval: iv, SuspectAfter: 2, EvictAfter: 4}
-}
-
 // beat feeds n regular heartbeats starting at t=0 and returns the time
 // of the last one.
 func beat(d *Detector, worker string, n int) time.Duration {
@@ -39,12 +35,12 @@ func TestHeartbeatCodec(t *testing.T) {
 }
 
 // TestDetectionWithinBound asserts the recovery bound from the issue:
-// a silenced worker is declared Dead within EvictAfter+1 heartbeat
+// a silenced worker is declared Dead within DefaultEvictAfter+1 heartbeat
 // intervals, with checks run once per interval.
 func TestDetectionWithinBound(t *testing.T) {
-	d := NewDetector(cfg())
+	d := NewDetector(iv)
 	last := beat(d, "w1", 5)
-	bound := time.Duration(d.Config().EvictAfter+1) * iv
+	bound := time.Duration(DefaultEvictAfter+1) * iv
 	var died time.Duration
 	for at := last; at <= last+bound; at += iv {
 		for _, tr := range d.Check(at) {
@@ -62,7 +58,7 @@ func TestDetectionWithinBound(t *testing.T) {
 }
 
 func TestSuspectThenDeadThenRevive(t *testing.T) {
-	d := NewDetector(cfg())
+	d := NewDetector(iv)
 	last := beat(d, "w1", 3)
 	if trs := d.Check(last + iv); len(trs) != 0 {
 		t.Fatalf("one missed beat produced transitions %v", trs)
@@ -93,7 +89,7 @@ func TestSuspectThenDeadThenRevive(t *testing.T) {
 }
 
 func TestStaleSequenceIgnored(t *testing.T) {
-	d := NewDetector(cfg())
+	d := NewDetector(iv)
 	last := beat(d, "w1", 3)
 	// Replaying an old beat at a much later time must not refresh
 	// liveness.
@@ -105,7 +101,7 @@ func TestStaleSequenceIgnored(t *testing.T) {
 }
 
 func TestSnapshotAndForget(t *testing.T) {
-	d := NewDetector(cfg())
+	d := NewDetector(iv)
 	d.Observe(Heartbeat{Worker: "w2", Seq: 1, Load: 3}, 0)
 	d.Observe(Heartbeat{Worker: "w1", Seq: 1, Load: 5}, 0)
 	snap := d.Snapshot(iv)
@@ -122,7 +118,7 @@ func TestSnapshotAndForget(t *testing.T) {
 // repeatability guarantee.
 func TestDetectorDeterministic(t *testing.T) {
 	run := func() []Transition {
-		d := NewDetector(cfg())
+		d := NewDetector(iv)
 		var out []Transition
 		for i := 0; i < 4; i++ {
 			at := time.Duration(i) * iv
@@ -215,7 +211,7 @@ func TestDaemonPoll(t *testing.T) {
 		seq++
 		return []Heartbeat{{Worker: "w1", Seq: seq}}
 	}
-	d := NewDaemon(NewDetector(cfg()), source, func() time.Duration {
+	d := NewDaemon(NewDetector(iv), source, func() time.Duration {
 		mu.Lock()
 		defer mu.Unlock()
 		return now

@@ -26,7 +26,7 @@ func TestDaemonEnableMetrics(t *testing.T) {
 			{Worker: "m3", Seq: seq, Load: 1},
 		}
 	}
-	d := NewDaemon(NewDetector(cfg()), source, func() time.Duration {
+	d := NewDaemon(NewDetector(iv), source, func() time.Duration {
 		mu.Lock()
 		defer mu.Unlock()
 		return now

@@ -47,7 +47,7 @@ func TestComposeAndDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compose: %v", err)
 	}
-	e, err := mcc.Link(p, mcc.LinkOptions{})
+	e, err := mcc.Link(p)
 	if err != nil {
 		t.Fatalf("Link: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestGeneratedParserExtractsFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := mcc.Link(p, mcc.LinkOptions{})
+	e, err := mcc.Link(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestGeneratedParserShortPayloadSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := mcc.Link(p, mcc.LinkOptions{})
+	e, err := mcc.Link(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestMatchReductionOnComposedProgram(t *testing.T) {
 		t.Error("unused kvreq parser survived")
 	}
 	// Both lambdas still dispatch correctly.
-	e, err := mcc.Link(opt, mcc.LinkOptions{})
+	e, err := mcc.Link(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +291,11 @@ func TestComposedJumpTableDispatch(t *testing.T) {
 		}
 		return opt
 	}
-	compiled, err := mcc.Link(build(t), mcc.LinkOptions{})
+	compiled, err := mcc.Link(build(t))
 	if err != nil {
 		t.Fatalf("Link compiled: %v", err)
 	}
-	interp, err := mcc.Link(build(t), mcc.LinkOptions{Engine: mcc.EngineInterp})
+	interp, err := mcc.LinkInterp(build(t))
 	if err != nil {
 		t.Fatalf("Link interp: %v", err)
 	}

@@ -15,14 +15,14 @@ import (
 
 // executing links ws without their native reply functions, so the
 // compiled engine executes every request rather than replaying it.
-func executing(tb testing.TB, ws []*workloads.Workload, target int, opts mcc.LinkOptions) *mcc.Executable {
+func executing(tb testing.TB, ws []*workloads.Workload, target int, link func(*mcc.Program) (*mcc.Executable, error)) *mcc.Executable {
 	tb.Helper()
 	prog, _, err := workloads.OptimizedProgram(ws, target)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	prog.Native = nil
-	exe, err := mcc.Link(prog, opts)
+	exe, err := link(prog)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestExecAllocs(t *testing.T) {
 		workloads.KVGetClient(),
 		workloads.ImageTransformer(16, 16),
 	}
-	exe := executing(t, ws, 0, mcc.LinkOptions{})
+	exe := executing(t, ws, 0, mcc.Link)
 	if kind := exe.DispatchKind(); kind != "jump-table" {
 		t.Fatalf("DispatchKind = %q, want jump-table for the optimized paper program", kind)
 	}

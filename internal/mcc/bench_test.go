@@ -33,7 +33,7 @@ func benchProgram(b *testing.B, engine Engine) *Executable {
 	if err := p.AddEntry(1, "bench"); err != nil {
 		b.Fatal(err)
 	}
-	exe, err := Link(p, LinkOptions{Engine: engine})
+	exe, err := linkEngine(p, defaultStepLimit, engine)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func benchmarkBulkGray(b *testing.B, engine Engine) {
 	if err := p.AddEntry(1, "gray"); err != nil {
 		b.Fatal(err)
 	}
-	exe, err := Link(p, LinkOptions{Engine: engine})
+	exe, err := linkEngine(p, defaultStepLimit, engine)
 	if err != nil {
 		b.Fatal(err)
 	}

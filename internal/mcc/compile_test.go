@@ -10,15 +10,13 @@ import (
 
 // linkBoth links the same program under both engines. Object memory is
 // per-executable, so the two images evolve independently.
-func linkBoth(t *testing.T, p *Program, opts LinkOptions) (compiled, interp *Executable) {
+func linkBoth(t *testing.T, p *Program, stepLimit uint64) (compiled, interp *Executable) {
 	t.Helper()
-	opts.Engine = EngineCompiled
-	c, err := Link(p, opts)
+	c, err := linkEngine(p, stepLimit, EngineCompiled)
 	if err != nil {
 		t.Fatalf("Link compiled: %v", err)
 	}
-	opts.Engine = EngineInterp
-	i, err := Link(p, opts)
+	i, err := linkEngine(p, stepLimit, EngineInterp)
 	if err != nil {
 		t.Fatalf("Link interp: %v", err)
 	}
@@ -130,7 +128,7 @@ func TestDispatchKinds(t *testing.T) {
 	}
 
 	// Interpreter engine reports itself.
-	ie, err := Link(reducedMatchProgram(t), LinkOptions{Engine: EngineInterp})
+	ie, err := LinkInterp(reducedMatchProgram(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +156,7 @@ func TestJumpTableRejectsHandEditedMatch(t *testing.T) {
 		t.Fatalf("DispatchKind = %q, want match-chain", got)
 	}
 	// And it still agrees with the interpreter.
-	ie, err := Link(p, LinkOptions{Engine: EngineInterp})
+	ie, err := LinkInterp(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +165,7 @@ func TestJumpTableRejectsHandEditedMatch(t *testing.T) {
 
 func TestJumpTableParity(t *testing.T) {
 	p := reducedMatchProgram(t)
-	compiled, interp := linkBoth(t, p, LinkOptions{})
+	compiled, interp := linkBoth(t, p, defaultStepLimit)
 	// Hits on both lambdas (lambda_b is stateful: the counter advances
 	// in lockstep in both images), then a miss.
 	for _, id := range []uint32{1, 2, 2, 2, 1, 99} {
@@ -187,7 +185,7 @@ func TestJumpTableParity(t *testing.T) {
 func TestStepLimitParity(t *testing.T) {
 	p := reducedMatchProgram(t)
 	for limit := uint64(1); limit <= 40; limit++ {
-		compiled, interp := linkBoth(t, p, LinkOptions{StepLimit: limit})
+		compiled, interp := linkBoth(t, p, limit)
 		for _, id := range []uint32{1, 2, 99} {
 			req := &nicsim.Request{LambdaID: id, Packets: 1}
 			cr, cerr := compiled.Execute(req)
@@ -222,7 +220,7 @@ func TestCompiledCallDepthParity(t *testing.T) {
 	if err := p.AddEntry(1, funcName(0)); err != nil {
 		t.Fatal(err)
 	}
-	compiled, interp := linkBoth(t, p, LinkOptions{})
+	compiled, interp := linkBoth(t, p, defaultStepLimit)
 	_, err := execBoth(t, compiled, interp, &nicsim.Request{LambdaID: 1, Packets: 1})
 	if !errors.Is(err, ErrCallDepth) {
 		t.Fatalf("err = %v, want ErrCallDepth", err)
@@ -262,7 +260,7 @@ func TestExecutePooledReuse(t *testing.T) {
 // Reset must restore object contents in place: compiled closures hold
 // slot pointers into the original backing arrays.
 func TestResetPreservesCompiledSlots(t *testing.T) {
-	compiled, interp := linkBoth(t, reducedMatchProgram(t), LinkOptions{})
+	compiled, interp := linkBoth(t, reducedMatchProgram(t), defaultStepLimit)
 	req := &nicsim.Request{LambdaID: 2, Packets: 1}
 	before, err := execBoth(t, compiled, interp, req)
 	if err != nil {
@@ -338,7 +336,7 @@ func TestCompiledOutOfBoundsParity(t *testing.T) {
 	b.EmitByte(3)
 	b.Ret(3)
 	p := singleEntry(t, b.MustBuild(), &Object{Name: "buf", Size: 8})
-	compiled, interp := linkBoth(t, p, LinkOptions{})
+	compiled, interp := linkBoth(t, p, defaultStepLimit)
 	// In range.
 	if _, err := execBoth(t, compiled, interp, &nicsim.Request{LambdaID: 1, Packets: 1}); err != nil {
 		t.Fatal(err)

@@ -139,8 +139,8 @@ func TestDifferentialFuzz(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(seed)))
 		p := genProgram(t, r)
 		limit := limits[seed%len(limits)]
-		ce, cerr := Link(p, LinkOptions{StepLimit: limit, Engine: EngineCompiled})
-		ie, ierr := Link(p, LinkOptions{StepLimit: limit, Engine: EngineInterp})
+		ce, cerr := linkEngine(p, limit, EngineCompiled)
+		ie, ierr := linkEngine(p, limit, EngineInterp)
 		if (cerr == nil) != (ierr == nil) {
 			t.Fatalf("seed %d: link divergence: compiled=%v interp=%v", seed, cerr, ierr)
 		}

@@ -40,20 +40,13 @@ func (e Engine) String() string {
 	return "compiled"
 }
 
-// LinkOptions tune the produced executable.
-type LinkOptions struct {
-	// StepLimit bounds dynamic instructions per request; 0 uses the
-	// default.
-	StepLimit uint64
-	// SinglePacketLevel is where single-packet payloads live when the
-	// lambda reads them (the packet buffer in CTM by default).
-	SinglePacketLevel nicsim.MemLevel
-	// MultiPacketLevel is where RDMA-committed multi-packet payloads
-	// live (EMEM by default; §4.2.1 D3).
-	MultiPacketLevel nicsim.MemLevel
-	// Engine selects the execution backend (compiled by default).
-	Engine Engine
-}
+// Where a lambda reads its request payload: a single-packet payload
+// from the packet buffer in CTM, an RDMA-committed multi-packet one
+// from EMEM (§4.2.1 D3).
+const (
+	singlePacketLevel = nicsim.MemCTM
+	multiPacketLevel  = nicsim.MemEMEM
+)
 
 // objectSlot is a linked object: name resolution happened at link time,
 // so the data path indexes a dense slice instead of a string-keyed map.
@@ -76,7 +69,6 @@ type Executable struct {
 	slots     []objectSlot
 	slotIndex map[string]int // control-plane name lookups only
 	stepLimit uint64
-	opts      LinkOptions
 	engine    Engine
 
 	// Compiled backend state (built for every image; unused when the
@@ -101,8 +93,20 @@ type Executable struct {
 var _ nicsim.Program = (*Executable)(nil)
 
 // Link validates the program, allocates object memory, resolves every
-// symbol, and produces an executable image.
-func Link(p *Program, opts LinkOptions) (*Executable, error) {
+// symbol, and produces an executable image on the compiled engine.
+func Link(p *Program) (*Executable, error) {
+	return linkEngine(p, defaultStepLimit, EngineCompiled)
+}
+
+// LinkInterp is Link for the reference interpreter: the oracle the
+// compiled engine and its replays are differentially tested against.
+func LinkInterp(p *Program) (*Executable, error) {
+	return linkEngine(p, defaultStepLimit, EngineInterp)
+}
+
+// linkEngine is Link with the step limit (dynamic instructions per
+// request) and the execution engine explicit.
+func linkEngine(p *Program, stepLimit uint64, engine Engine) (*Executable, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -115,22 +119,12 @@ func Link(p *Program, opts LinkOptions) (*Executable, error) {
 		return nil, fmt.Errorf("mcc: %d static assertion(s) failed, first: %w",
 			len(violations), violations[0])
 	}
-	if opts.StepLimit == 0 {
-		opts.StepLimit = defaultStepLimit
-	}
-	if opts.SinglePacketLevel == 0 {
-		opts.SinglePacketLevel = nicsim.MemCTM
-	}
-	if opts.MultiPacketLevel == 0 {
-		opts.MultiPacketLevel = nicsim.MemEMEM
-	}
 	e := &Executable{
 		prog:      p,
 		slots:     make([]objectSlot, len(p.Objects)),
 		slotIndex: make(map[string]int, len(p.Objects)),
-		stepLimit: opts.StepLimit,
-		opts:      opts,
-		engine:    opts.Engine,
+		stepLimit: stepLimit,
+		engine:    engine,
 	}
 	for i, o := range p.Objects {
 		e.slots[i] = objectSlot{
@@ -234,9 +228,9 @@ func (e *Executable) putEnv(en *env) {
 // prepare fills a request's initial machine state.
 func (e *Executable) prepare(en *env, req *nicsim.Request) {
 	en.payload = req.Payload
-	en.payloadLevel = e.opts.SinglePacketLevel
+	en.payloadLevel = singlePacketLevel
 	if req.Packets > 1 {
-		en.payloadLevel = e.opts.MultiPacketLevel
+		en.payloadLevel = multiPacketLevel
 	}
 	en.headers[FieldWorkloadID] = int64(req.LambdaID)
 	en.headers[FieldPayloadLen] = int64(len(req.Payload))
@@ -391,10 +385,7 @@ func (e *Executable) RunStandalone(fn string, payload []byte, headers map[int]in
 		if f == nil {
 			return 0, nil, nicsim.ExecStats{}, fmt.Errorf("mcc: unknown function %q", fn)
 		}
-		env := env{exe: e, payload: payload, payloadLevel: e.opts.SinglePacketLevel}
-		if env.payloadLevel == 0 {
-			env.payloadLevel = nicsim.MemCTM
-		}
+		env := env{exe: e, payload: payload, payloadLevel: singlePacketLevel}
 		for k, v := range headers {
 			if k >= 0 && k < NumFields {
 				env.headers[k] = v
@@ -409,10 +400,7 @@ func (e *Executable) RunStandalone(fn string, payload []byte, headers map[int]in
 	}
 	en := e.getEnv()
 	en.payload = payload
-	en.payloadLevel = e.opts.SinglePacketLevel
-	if en.payloadLevel == 0 {
-		en.payloadLevel = nicsim.MemCTM
-	}
+	en.payloadLevel = singlePacketLevel
 	for k, v := range headers {
 		if k >= 0 && k < NumFields {
 			en.headers[k] = v

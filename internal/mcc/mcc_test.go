@@ -11,7 +11,7 @@ import (
 // link is a test helper wrapping Link.
 func link(t *testing.T, p *Program) *Executable {
 	t.Helper()
-	e, err := Link(p, LinkOptions{})
+	e, err := Link(p)
 	if err != nil {
 		t.Fatalf("Link: %v", err)
 	}
@@ -183,7 +183,7 @@ func TestInterpStepLimit(t *testing.T) {
 	b.Label("loop")
 	b.Jmp("loop")
 	p := singleEntry(t, b.MustBuild())
-	e, err := Link(p, LinkOptions{StepLimit: 1000})
+	e, err := linkEngine(p, 1000, EngineCompiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestExecuteUnknownEntry(t *testing.T) {
 }
 
 func TestLinkRejectsEmptyProgram(t *testing.T) {
-	if _, err := Link(NewProgram(), LinkOptions{}); err == nil {
+	if _, err := Link(NewProgram()); err == nil {
 		t.Error("Link accepted program with no entries")
 	}
 }

@@ -106,7 +106,7 @@ func buildMatchProgram(t *testing.T) *Program {
 
 func execLambda(t *testing.T, p *Program, id uint32) []byte {
 	t.Helper()
-	e, err := Link(p, LinkOptions{})
+	e, err := Link(p)
 	if err != nil {
 		t.Fatalf("Link: %v", err)
 	}
@@ -245,11 +245,11 @@ func TestOptimizePreservesBehaviorProperty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
-	eBase, err := Link(base, LinkOptions{})
+	eBase, err := Link(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eOpt, err := Link(opt, LinkOptions{})
+	eOpt, err := Link(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,11 +279,11 @@ func TestOptimizedProgramIsCheaperDynamically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eBase, err := Link(base, LinkOptions{})
+	eBase, err := Link(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eOpt, err := Link(opt, LinkOptions{})
+	eOpt, err := Link(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestOptimizedProgramIsCheaperDynamically(t *testing.T) {
 
 func TestGenerateMatchFallThroughToHost(t *testing.T) {
 	p := buildMatchProgram(t)
-	e, err := Link(p, LinkOptions{})
+	e, err := Link(p)
 	if err != nil {
 		t.Fatal(err)
 	}

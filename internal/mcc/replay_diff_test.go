@@ -146,11 +146,11 @@ func replayDifferential(t *testing.T, seed int64, hdr []byte) (linked bool, repl
 	oracle := func([]byte) ([]byte, error) { return reply, replyErr }
 	p.Native = map[uint32]func([]byte) ([]byte, error){1: oracle, 2: oracle}
 	limit := []uint64{157, 10000}[r.Intn(2)]
-	exe, err := Link(p, LinkOptions{StepLimit: limit})
+	exe, err := linkEngine(p, limit, EngineCompiled)
 	if err != nil {
 		return false, 0 // StaticCheck rejected it
 	}
-	ref, err := Link(p, LinkOptions{StepLimit: limit, Engine: EngineInterp})
+	ref, err := linkEngine(p, limit, EngineInterp)
 	if err != nil {
 		t.Fatalf("seed %d: only the reference image fails to link: %v", seed, err)
 	}

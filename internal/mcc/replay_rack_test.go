@@ -6,23 +6,24 @@ import (
 	"math/rand"
 	"testing"
 
-	"lambdanic/internal/experiments"
 	"lambdanic/internal/mcc"
 	"lambdanic/internal/nicsim"
 	"lambdanic/internal/workloads"
 )
 
-// rackSets are the lambda sets the four rack experiments deploy, at the
-// sizes the benchmark runs them (boundary's IDs as in boundary.go).
+// rackSets are the lambda sets the four rack experiments deploy. The
+// sweep counts and boundary's IDs are the constants of
+// internal/experiments (skewServiceSweeps in skew.go; boundaryMidSweeps,
+// boundaryHeavySweeps and the IDs in boundary.go), written out because
+// this test needs the mcc-internal hooks of export_test.go.
 func rackSets() map[string][]*workloads.Workload {
-	tc, sc, bc := experiments.DefaultTenants(), experiments.QuickSkew(), experiments.DefaultBoundary()
 	return map[string][]*workloads.Workload{
-		"tenants": {workloads.WebServer(), workloads.BatchSweeperVariant("batch_sweep", workloads.BatchSweepID, tc.BatchSweeps)},
-		"skew":    {workloads.BatchSweeperVariant("skew_svc", workloads.BatchSweepID, sc.ServiceSweeps)},
+		"tenants": {workloads.WebServer(), workloads.BatchSweeperVariant("batch_sweep", workloads.BatchSweepID, workloads.DefaultBatchSweeps)},
+		"skew":    {workloads.BatchSweeperVariant("skew_svc", workloads.BatchSweepID, 12)},
 		"boundary": {
 			workloads.WebServerVariant("bnd_web", 21),
-			workloads.BatchSweeperVariant("bnd_mid", 22, bc.MidSweeps),
-			workloads.BatchSweeperVariant("bnd_heavy", 23, bc.HeavySweeps),
+			workloads.BatchSweeperVariant("bnd_mid", 22, 100),
+			workloads.BatchSweeperVariant("bnd_heavy", 23, 8_000),
 		},
 		"chaos": {workloads.WebServer()},
 		// The section 6 set with a small image transformer: requestFor
@@ -48,7 +49,7 @@ func requestFor(w *workloads.Workload, rng *rand.Rand) []byte {
 
 // TestReplayMatchesInterpreterOnRackSets streams each rack experiment's
 // requests through one firmware linked twice — compiled, which replays,
-// and EngineInterp, which never does — and wants every request's stats,
+// and by LinkInterp, which never does — and wants every request's stats,
 // reply and error identical, and object memory identical at the end
 // except in objects whose stores a replay may skip. The stream starts
 // cold, Resets both images half-way, mixes in payloads of 0-3 bytes,
@@ -62,11 +63,11 @@ func TestReplayMatchesInterpreterOnRackSets(t *testing.T) {
 		}
 		for _, seed := range []int64{1, 2} {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				compiled, err := mcc.Link(prog, mcc.LinkOptions{})
+				compiled, err := mcc.Link(prog)
 				if err != nil {
 					t.Fatal(err)
 				}
-				interp, err := mcc.Link(prog, mcc.LinkOptions{Engine: mcc.EngineInterp})
+				interp, err := mcc.LinkInterp(prog)
 				if err != nil {
 					t.Fatal(err)
 				}

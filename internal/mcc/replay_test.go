@@ -69,7 +69,7 @@ func echoObjects() []*Object {
 // the cold key back by itself.
 func TestReplayMatchesExecution(t *testing.T) {
 	p := replayProgram(t, firstByte, echoObjects(), guardedEcho())
-	compiled, interp := linkBoth(t, p, LinkOptions{})
+	compiled, interp := linkBoth(t, p, defaultStepLimit)
 	if interp.replay != nil {
 		t.Fatal("an EngineInterp image has a replay table")
 	}
@@ -247,7 +247,11 @@ func TestReplayRejections(t *testing.T) {
 	}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			exe, err := Link(replayProgram(t, tc.native, tc.objs, tc.fs...), LinkOptions{StepLimit: tc.stepLimit})
+			limit := tc.stepLimit
+			if limit == 0 {
+				limit = defaultStepLimit
+			}
+			exe, err := linkEngine(replayProgram(t, tc.native, tc.objs, tc.fs...), limit, EngineCompiled)
 			if err != nil {
 				t.Fatal(err)
 			}

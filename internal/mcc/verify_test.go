@@ -21,7 +21,7 @@ func TestStaticCheckCatchesConstantOOBStore(t *testing.T) {
 		t.Errorf("message = %q", violations[0].Msg)
 	}
 	// Link refuses the program.
-	if _, err := Link(p, LinkOptions{}); err == nil {
+	if _, err := Link(p); err == nil {
 		t.Error("Link accepted statically invalid program")
 	}
 }
@@ -114,7 +114,7 @@ func TestStaticCheckKnowledgeDiesAtBranchTargets(t *testing.T) {
 	if got := StaticCheck(p); len(got) != 0 {
 		t.Errorf("loop access flagged statically: %v", got)
 	}
-	e, err := Link(p, LinkOptions{})
+	e, err := Link(p)
 	if err != nil {
 		t.Fatal(err)
 	}

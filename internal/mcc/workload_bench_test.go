@@ -12,13 +12,13 @@ import (
 	"lambdanic/internal/workloads"
 )
 
-func benchWorkloads(b *testing.B, eng mcc.Engine) {
+func benchWorkloads(b *testing.B, link func(*mcc.Program) (*mcc.Executable, error)) {
 	ws := []*workloads.Workload{
 		workloads.WebServer(),
 		workloads.KVGetClient(),
 		workloads.ImageTransformer(16, 16),
 	}
-	exe := executing(b, ws, workloads.NaiveProgramTarget, mcc.LinkOptions{Engine: eng})
+	exe := executing(b, ws, workloads.NaiveProgramTarget, link)
 	for _, w := range ws {
 		payload := w.MakeRequest(7)
 		req := &nicsim.Request{
@@ -43,5 +43,5 @@ func benchWorkloads(b *testing.B, eng mcc.Engine) {
 	}
 }
 
-func BenchmarkWorkloadInterp(b *testing.B)   { benchWorkloads(b, mcc.EngineInterp) }
-func BenchmarkWorkloadCompiled(b *testing.B) { benchWorkloads(b, mcc.EngineCompiled) }
+func BenchmarkWorkloadInterp(b *testing.B)   { benchWorkloads(b, mcc.LinkInterp) }
+func BenchmarkWorkloadCompiled(b *testing.B) { benchWorkloads(b, mcc.Link) }

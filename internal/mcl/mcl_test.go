@@ -22,7 +22,7 @@ func compileAndLink(t *testing.T, entry, src string) *mcc.Executable {
 	if err != nil {
 		t.Fatalf("Compose: %v", err)
 	}
-	exe, err := mcc.Link(p, mcc.LinkOptions{})
+	exe, err := mcc.Link(p)
 	if err != nil {
 		t.Fatalf("Link: %v", err)
 	}
@@ -358,7 +358,7 @@ func TestStaticAssertionsApplyToCompiledCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mcc.Link(p, mcc.LinkOptions{}); err == nil {
+	if _, err := mcc.Link(p); err == nil {
 		t.Error("statically out-of-bounds program linked")
 	}
 }

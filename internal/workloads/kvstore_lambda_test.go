@@ -28,7 +28,7 @@ func compileKVStore(t *testing.T) *mcc.Executable {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exe, err := mcc.Link(opt, mcc.LinkOptions{})
+	exe, err := mcc.Link(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

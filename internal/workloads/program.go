@@ -120,21 +120,14 @@ func BuildNaiveProgram(ws []*Workload, target int) (*mcc.Program, error) {
 
 // CompileOptimized builds the naive program, runs all optimizer passes,
 // and links the result, returning the executable image and the per-pass
-// trajectory (Figure 9).
+// trajectory (Figure 9). The reduced match stage the optimizer emits is
+// what the compiled engine turns into its WorkloadID jump table.
 func CompileOptimized(ws []*Workload, target int) (*mcc.Executable, []mcc.PassResult, error) {
-	return CompileOptimizedWith(ws, target, mcc.LinkOptions{})
-}
-
-// CompileOptimizedWith is CompileOptimized with explicit link options
-// (execution engine, step limit, payload placement). The reduced match
-// stage the optimizer emits is what the compiled engine turns into its
-// WorkloadID jump table.
-func CompileOptimizedWith(ws []*Workload, target int, opts mcc.LinkOptions) (*mcc.Executable, []mcc.PassResult, error) {
 	opt, results, err := OptimizedProgram(ws, target)
 	if err != nil {
 		return nil, nil, err
 	}
-	exe, err := mcc.Link(opt, opts)
+	exe, err := mcc.Link(opt)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -58,8 +58,6 @@ type (
 	ComposeOptions = matchlambda.ComposeOptions
 	// OptimizeConfig selects optimizer passes.
 	OptimizeConfig = mcc.OptimizeConfig
-	// LinkOptions tunes firmware linking.
-	LinkOptions = mcc.LinkOptions
 	// Workload is a benchmark lambda in NIC and native forms.
 	Workload = workloads.Workload
 	// Testbed is the modeled evaluation environment.
@@ -129,8 +127,8 @@ func Optimize(p *Program, cfg OptimizeConfig) (*Program, []PassResult, error) {
 }
 
 // Link produces executable firmware from a composed program.
-func Link(p *Program, opts LinkOptions) (*Executable, error) {
-	return mcc.Link(p, opts)
+func Link(p *Program) (*Executable, error) {
+	return mcc.Link(p)
 }
 
 // DefaultTestbed returns the paper's five-node evaluation testbed

@@ -43,7 +43,7 @@ func TestPublicAPICustomLambda(t *testing.T) {
 	if len(results) != 4 {
 		t.Errorf("pass trajectory = %d entries", len(results))
 	}
-	exe, err := Link(opt, LinkOptions{})
+	exe, err := Link(opt)
 	if err != nil {
 		t.Fatalf("Link: %v", err)
 	}
