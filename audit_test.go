@@ -92,14 +92,12 @@ var auditAllow = map[string]string{
 	"internal/monitor.Registry.MustCounter": "bench/bench_test.go and the monitor tests build registries with it to drive Render",
 	"internal/monitor.Registry.MustGauge":   "the golden exposition and fleet-view tests build registries with it to drive Render",
 
-	// Packages ROADMAP leaves to their own audit: autoscale, placement
-	// and wfq (one user each).
+	// Packages ROADMAP leaves to their own audit: autoscale and
+	// placement (one user each).
 	"internal/autoscale.Autoscaler.Rate":          "autoscale audit: observes the EWMA in the smoothing tests",
 	"internal/autoscale.Autoscaler.Replicas":      "autoscale audit: observes scaling decisions in the autoscaler tests",
 	"internal/placement.Coordinator.SetCollector": "placement audit: TestCoordinatorRunsThreeStepProtocol wires a collector through it",
 	"internal/placement.Engine.Abort":             "placement audit: TestAbortRollsBack is its only caller",
-	"internal/wfq.Hierarchical.RemoveTenant":      "wfq audit: TestHierarchicalRemoveTenant is its only caller",
-	"internal/wfq.Scheduler.Backlog":              "wfq audit: TestBacklog is its only caller",
 }
 
 // TestNoDeclarationWithoutCaller type-checks every non-test package of

@@ -144,7 +144,7 @@ type FusedRun struct {
 // named function, or nil when nothing was fused (or the function is
 // unknown).
 func (e *Executable) Fusion(fn string) *Fusion {
-	if cf := e.funcs[fn]; cf != nil {
+	if cf := e.compile().funcs[fn]; cf != nil {
 		return cf.fusion
 	}
 	return nil
@@ -177,8 +177,8 @@ func (cf *compiledFunc) run(e *env) (int64, error) {
 }
 
 // compileProgram builds the closure arrays and, when the reduced match
-// stage is recognized, the WorkloadID jump table. Runs for every Link
-// (the interpreter engine simply never calls into it).
+// stage is recognized, the WorkloadID jump table. Runs once per
+// compiled image, on its first execution (Executable.compile).
 func compileProgram(e *Executable) {
 	e.funcs = make(map[string]*compiledFunc, len(e.prog.Funcs))
 	for _, f := range e.prog.Funcs {

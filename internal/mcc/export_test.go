@@ -23,3 +23,13 @@ func (e *Executable) ArmedKeys(id uint32) int {
 	}
 	return n
 }
+
+// Closures returns the closure array the compiled engine built for the
+// program's first function, nil while the image is uncompiled. Every
+// compile builds a new one, so its identity tells compiles apart.
+func (e *Executable) Closures() any {
+	if e.funcs == nil {
+		return nil
+	}
+	return e.funcs[e.prog.Funcs[0].Name]
+}

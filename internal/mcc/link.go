@@ -71,10 +71,11 @@ type Executable struct {
 	stepLimit uint64
 	engine    Engine
 
-	// Compiled backend state (built for every image; unused when the
-	// interpreter engine is selected).
-	funcs    map[string]*compiledFunc
-	dispatch *jumpTable
+	// Compiled backend state, built by the first request that executes
+	// on it (compile); an interpreter image never builds it.
+	compileOnce sync.Once
+	funcs       map[string]*compiledFunc
+	dispatch    *jumpTable
 	// envSlot is a single-element cache in front of envPool: the
 	// steady-state single-caller path trades one atomic swap for the
 	// pool's pin/unpin round trip.
@@ -92,8 +93,10 @@ type Executable struct {
 
 var _ nicsim.Program = (*Executable)(nil)
 
-// Link validates the program, allocates object memory, resolves every
-// symbol, and produces an executable image on the compiled engine.
+// Link validates the program, allocates object memory, and produces an
+// executable image on the compiled engine. Its closures are built, and
+// symbols resolved, on first execution: a request served from a replay
+// or recorded on the interpreter never builds them.
 func Link(p *Program) (*Executable, error) {
 	return linkEngine(p, defaultStepLimit, EngineCompiled)
 }
@@ -137,13 +140,13 @@ func linkEngine(p *Program, stepLimit uint64, engine Engine) (*Executable, error
 		e.slotIndex[o.Name] = i
 	}
 	e.Reset()
-	compileProgram(e)
 	e.armReplay()
 	return e, nil
 }
 
 // Reset restores every object to its initial contents, in place:
 // compiled closures hold slot pointers, so backing arrays survive.
+// Slots exist from link on, so closures built later capture the same.
 func (e *Executable) Reset() {
 	for i := range e.slots {
 		s := &e.slots[i]
@@ -175,7 +178,7 @@ func (e *Executable) DispatchKind() string {
 	switch {
 	case e.engine == EngineInterp:
 		return "interp"
-	case e.dispatch != nil:
+	case e.compile().dispatch != nil:
 		return "jump-table"
 	case e.funcs[MatchFunction] != nil:
 		return "match-chain"
@@ -200,6 +203,13 @@ func (e *Executable) MemoryBytes() map[nicsim.MemLevel]int {
 		out[o.EffectiveLevel()] += o.Size
 	}
 	return out
+}
+
+// compile builds the compiled backend once, on first use, and returns
+// the image. Concurrent first callers wait for the one compile.
+func (e *Executable) compile() *Executable {
+	e.compileOnce.Do(func() { compileProgram(e) })
+	return e
 }
 
 // getEnv takes an execution context from the pool (compiled engine).
@@ -341,7 +351,7 @@ func (e *Executable) ExecutePooled(req *nicsim.Request, fn func(nicsim.Response)
 // compiled __match chain otherwise, direct entry when there is no
 // match stage.
 func (e *Executable) runCompiled(en *env, req *nicsim.Request) (int64, error) {
-	if e.dispatch != nil {
+	if e.compile().dispatch != nil {
 		return e.dispatch.run(en)
 	}
 	if mf := e.funcs[MatchFunction]; mf != nil {
@@ -394,7 +404,7 @@ func (e *Executable) RunStandalone(fn string, payload []byte, headers map[int]in
 		status, err := env.run(f)
 		return status, env.resp, env.stats, err
 	}
-	cf := e.funcs[fn]
+	cf := e.compile().funcs[fn]
 	if cf == nil {
 		return 0, nil, nicsim.ExecStats{}, fmt.Errorf("mcc: unknown function %q", fn)
 	}

@@ -110,3 +110,33 @@ func TestReplayMatchesInterpreterOnRackSets(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayRackNeverCompiles serves each rack experiment's requests the
+// way its NICs receive them, cold, and wants the image left uncompiled:
+// every request replays or is recorded on the interpreter, so a rack
+// never pays for closures.
+func TestReplayRackNeverCompiles(t *testing.T) {
+	for _, name := range []string{"tenants", "skew", "boundary", "chaos"} {
+		ws := rackSets()[name]
+		t.Run(name, func(t *testing.T) {
+			prog, _, err := workloads.OptimizedProgram(ws, workloads.NaiveProgramTarget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exe, err := mcc.Link(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2000; i++ {
+				w := ws[i%len(ws)]
+				payload := w.MakeRequest(i)
+				if _, err := exe.Serve(&nicsim.Request{LambdaID: w.ID, Payload: payload, Packets: workloads.Packets(len(payload))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if exe.Closures() != nil {
+				t.Fatal("serving the rack's requests compiled the image")
+			}
+		})
+	}
+}

@@ -12,7 +12,8 @@ import "fmt"
 //
 // The outer queue holds one token per queued item, stamped with the
 // same size, so outer virtual time advances with the tenant's actual
-// service demand. Not safe for concurrent use.
+// service demand; its heap holds one entry per backlogged tenant, the
+// inner one per backlogged lambda. Not safe for concurrent use.
 type Hierarchical struct {
 	outer  *Scheduler            // flows = tenant IDs, items = tokens
 	inner  map[uint32]*Scheduler // tenant ID -> per-lambda queue
@@ -90,23 +91,3 @@ func (h *Hierarchical) Dequeue() *Item {
 
 // Len returns the total number of queued items.
 func (h *Hierarchical) Len() int { return h.outer.Len() }
-
-// TenantBacklog returns the number of queued items for one tenant.
-func (h *Hierarchical) TenantBacklog(tenant uint32) int {
-	if q, ok := h.inner[tenant]; ok {
-		return q.Len()
-	}
-	return 0
-}
-
-// RemoveTenant forgets an idle tenant's scheduling state (outer
-// weight/finish entries and the inner queue). It refuses while the
-// tenant still has queued items, reporting whether removal happened.
-func (h *Hierarchical) RemoveTenant(tenant uint32) bool {
-	if h.TenantBacklog(tenant) > 0 {
-		return false
-	}
-	h.outer.RemoveFlow(tenant)
-	delete(h.inner, tenant)
-	return true
-}

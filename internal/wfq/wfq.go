@@ -8,12 +8,15 @@
 // virtual time; packets are served in increasing finish-time order. With
 // equal weights this degrades to fair round-robin; with unequal weights
 // each backlogged flow receives service proportional to its weight.
+//
+// Each flow queues its packets in a FIFO, and a binary heap orders the
+// backlogged flows by their head's (finish, arrival) stamp. Within a
+// flow stamps never decrease and arrivals only increase, so the least
+// head is the least packet: the order is that of one heap over every
+// packet, at O(log flows) per packet instead of O(log packets).
 package wfq
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Item is a queued unit of work — in λ-NIC, one request destined for a
 // lambda.
@@ -28,18 +31,26 @@ type Item struct {
 
 	finish float64
 	seq    uint64
-	index  int
+}
+
+// flow is one flow's weight, the finish stamp of its last enqueued
+// item, and its FIFO of queued items: a ring of n items from ring[head],
+// which grows only when full, so its backing array is reused.
+type flow struct {
+	w, last float64
+	ring    []*Item
+	head, n int
 }
 
 // Scheduler is a weighted fair queue. The zero value is not usable;
 // construct with New. Scheduler is not safe for concurrent use.
 type Scheduler struct {
-	weights    map[uint32]float64
-	lastFinish map[uint32]float64
-	virtual    float64
-	seq        uint64
-	heap       itemHeap
-	defaultW   float64
+	flows    map[uint32]*flow
+	backlog  []*flow // heap of flows with queued items, by head item
+	virtual  float64
+	seq      uint64
+	n        int
+	defaultW float64
 }
 
 // New returns a scheduler whose flows default to the given weight.
@@ -48,11 +59,7 @@ func New(defaultWeight float64) (*Scheduler, error) {
 	if defaultWeight <= 0 {
 		return nil, fmt.Errorf("wfq: default weight %v must be positive", defaultWeight)
 	}
-	return &Scheduler{
-		weights:    make(map[uint32]float64),
-		lastFinish: make(map[uint32]float64),
-		defaultW:   defaultWeight,
-	}, nil
+	return &Scheduler{flows: make(map[uint32]*flow), defaultW: defaultWeight}, nil
 }
 
 // SetWeight assigns a weight to a flow. Weights must be positive.
@@ -60,51 +67,67 @@ func (s *Scheduler) SetWeight(flow uint32, w float64) error {
 	if w <= 0 {
 		return fmt.Errorf("wfq: weight %v for flow %d must be positive", w, flow)
 	}
-	s.weights[flow] = w
+	s.flowOf(flow).w = w
 	return nil
 }
 
-// RemoveFlow forgets a flow's weight and finish-time state so the
-// maps don't leak as tenants or lambdas churn. Queued items of the
-// flow are unaffected; if the flow is re-added later it restarts from
-// the current virtual time like a brand-new flow.
-func (s *Scheduler) RemoveFlow(flow uint32) {
-	delete(s.weights, flow)
-	delete(s.lastFinish, flow)
-}
-
-func (s *Scheduler) weight(flow uint32) float64 {
-	if w, ok := s.weights[flow]; ok {
-		return w
+func (s *Scheduler) flowOf(id uint32) *flow {
+	f := s.flows[id]
+	if f == nil {
+		f = &flow{w: s.defaultW}
+		s.flows[id] = f
 	}
-	return s.defaultW
+	return f
 }
 
 // Enqueue adds an item, stamping its virtual finish time.
 func (s *Scheduler) Enqueue(it *Item) {
+	f := s.flowOf(it.Flow)
 	start := s.virtual
-	if last, ok := s.lastFinish[it.Flow]; ok && last > start {
-		start = last
+	if f.last > start {
+		start = f.last
 	}
 	size := it.Size
 	if size == 0 {
 		size = 1 // zero-size items still need a strictly increasing stamp
 	}
-	it.finish = start + float64(size)/s.weight(it.Flow)
+	it.finish = start + float64(size)/f.w
 	it.seq = s.seq
 	s.seq++
-	s.lastFinish[it.Flow] = it.finish
-	heap.Push(&s.heap, it)
+	f.last = it.finish
+	s.n++
+	if f.n == len(f.ring) {
+		grown := make([]*Item, max(4, 2*f.n))
+		k := copy(grown, f.ring[f.head:])
+		copy(grown[k:], f.ring[:f.head])
+		f.ring, f.head = grown, 0
+	}
+	f.ring[(f.head+f.n)%len(f.ring)] = it
+	if f.n++; f.n == 1 {
+		s.backlog = append(s.backlog, f)
+		s.up(len(s.backlog) - 1)
+	}
 }
 
 // Dequeue removes and returns the item with the smallest virtual finish
 // time, or nil if the scheduler is empty. Virtual time advances to the
 // served item's finish time.
 func (s *Scheduler) Dequeue() *Item {
-	if s.heap.Len() == 0 {
+	if len(s.backlog) == 0 {
 		return nil
 	}
-	it := heap.Pop(&s.heap).(*Item)
+	f := s.backlog[0]
+	it := f.ring[f.head]
+	f.ring[f.head] = nil
+	f.head = (f.head + 1) % len(f.ring)
+	if f.n--; f.n == 0 {
+		last := len(s.backlog) - 1
+		s.backlog[0] = s.backlog[last]
+		s.backlog[last] = nil
+		s.backlog = s.backlog[:last]
+	}
+	s.down(0)
+	s.n--
 	if it.finish > s.virtual {
 		s.virtual = it.finish
 	}
@@ -112,49 +135,44 @@ func (s *Scheduler) Dequeue() *Item {
 }
 
 // Len returns the number of queued items.
-func (s *Scheduler) Len() int { return s.heap.Len() }
+func (s *Scheduler) Len() int { return s.n }
 
-// Backlog returns the number of queued items for one flow. It is O(n)
-// and intended for tests and diagnostics.
-func (s *Scheduler) Backlog(flow uint32) int {
-	n := 0
-	for _, it := range s.heap {
-		if it.Flow == flow {
-			n++
+// less orders backlogged flows by their head items' finish times, ties
+// by arrival.
+func (s *Scheduler) less(i, j int) bool {
+	a, b := s.backlog[i], s.backlog[j]
+	x, y := a.ring[a.head], b.ring[b.head]
+	if x.finish != y.finish {
+		return x.finish < y.finish
+	}
+	return x.seq < y.seq
+}
+
+func (s *Scheduler) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			return
 		}
+		s.backlog[i], s.backlog[p] = s.backlog[p], s.backlog[i]
+		i = p
 	}
-	return n
 }
 
-type itemHeap []*Item
-
-func (h itemHeap) Len() int { return len(h) }
-
-func (h itemHeap) Less(i, j int) bool {
-	if h[i].finish != h[j].finish {
-		return h[i].finish < h[j].finish
+func (s *Scheduler) down(i int) {
+	n := len(s.backlog)
+	for {
+		m := i
+		if l := 2*i + 1; l < n && s.less(l, m) {
+			m = l
+		}
+		if r := 2*i + 2; r < n && s.less(r, m) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		s.backlog[i], s.backlog[m] = s.backlog[m], s.backlog[i]
+		i = m
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h itemHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *itemHeap) Push(x any) {
-	it := x.(*Item)
-	it.index = len(*h)
-	*h = append(*h, it)
-}
-
-func (h *itemHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	it.index = -1
-	*h = old[:n-1]
-	return it
 }

@@ -146,19 +146,6 @@ func TestZeroSizeItems(t *testing.T) {
 	}
 }
 
-func TestBacklog(t *testing.T) {
-	s := mustNew(t, 1)
-	s.Enqueue(&Item{Flow: 1, Size: 1})
-	s.Enqueue(&Item{Flow: 1, Size: 1})
-	s.Enqueue(&Item{Flow: 2, Size: 1})
-	if got := s.Backlog(1); got != 2 {
-		t.Errorf("Backlog(1) = %d, want 2", got)
-	}
-	if got := s.Backlog(9); got != 0 {
-		t.Errorf("Backlog(9) = %d, want 0", got)
-	}
-}
-
 func TestConservationProperty(t *testing.T) {
 	// Property: everything enqueued is dequeued exactly once, in
 	// nondecreasing virtual-finish order.
@@ -191,5 +178,21 @@ func TestConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// A flow that stays backlogged cycles through its FIFO's backing array:
+// steady-state churn at a fixed depth never regrows it.
+func TestFlowFIFOReusesBackingArray(t *testing.T) {
+	s := mustNew(t, 1)
+	for i := 0; i < 100; i++ {
+		s.Enqueue(&Item{Flow: 1, Size: 10})
+	}
+	ring := s.flows[1].ring
+	for i := 0; i < 1000; i++ {
+		s.Enqueue(s.Dequeue())
+	}
+	if got := s.flows[1].ring; &got[0] != &ring[0] || len(got) != len(ring) {
+		t.Fatalf("FIFO regrew from %d to %d slots", len(ring), len(got))
 	}
 }
