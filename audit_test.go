@@ -31,13 +31,10 @@ var auditAllow = map[string]string{
 
 	// Oracles, test hooks and observers: tests use them to drive or
 	// observe code that stays.
-	"internal/mcc.LinkInterp":                "the reference interpreter oracle: the backend, matchlambda and rack-set differential tests hold the compiled engine and its replays to it",
-	"internal/mcc.Executable.RunStandalone":  "runs one function outside a NIC; the interpreter and compiler tests drive the engines through it",
-	"internal/mcc.Executable.Engine":         "observes which engine Link chose (TestDispatchKinds)",
-	"internal/mcc.Executable.DispatchKind":   "observes how the compiled engine dispatches (jump table, match chain, direct)",
-	"internal/mcc.Executable.Fusion":         "observes the compiled engine's fusion layout (TestDisassembleFusedRoundTrip)",
+	"internal/mcc.LinkNoReplay":              "the image that executes every request: the matchlambda and rack-set differential tests hold replays to it",
+	"internal/mcc.Executable.RunStandalone":  "runs one function outside a NIC; the interpreter tests drive it through it",
 	"internal/mcc.Executable.Program":        "observes the linked program the rack tests compare across NICs",
-	"internal/backend.LambdaNIC.Executable":  "observes the deployed firmware image the engine-parity and shared-firmware tests compare",
+	"internal/backend.LambdaNIC.Executable":  "observes the deployed firmware image the shared-firmware tests compare",
 	"internal/backend.LambdaNIC.RDMA":        "observes the backend's RDMA engine counters in the bypass and in-place tests",
 	"internal/backend.Result.Reply":          "builds a replayed reply's bytes; tests read them to check what the lambda returned",
 	"internal/rdma.Engine.Counters":          "observes the engine's verb, doorbell and window-stall counts that ten RDMA and backend tests assert",

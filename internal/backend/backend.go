@@ -116,10 +116,6 @@ type LambdaNIC struct {
 	exe     *mcc.Executable
 	region  *rdma.Region
 
-	// link links the firmware image: mcc.Link, or the reference
-	// interpreter's mcc.LinkInterp in the engine-parity test.
-	link func(*mcc.Program) (*mcc.Executable, error)
-
 	// maxInflight tracks the peak number of concurrent requests, for
 	// NIC memory accounting.
 	inflight, maxInflight int
@@ -157,7 +153,7 @@ func NewLambdaNICWithConfig(s *sim.Sim, tb cluster.Testbed, nicCfg nicsim.Config
 		PerPacketDMA: 100 * time.Nanosecond,
 		MTU:          workloads.MTU,
 	})
-	return &LambdaNIC{sim: s, testbed: tb, nic: nic, rdma: eng, link: mcc.Link}, nil
+	return &LambdaNIC{sim: s, testbed: tb, nic: nic, rdma: eng}, nil
 }
 
 // Name implements Backend.
@@ -195,18 +191,18 @@ func (b *LambdaNIC) Deploy(ws []*workloads.Workload) error {
 	if err != nil {
 		return err
 	}
-	return b.Load(prog)
-}
-
-// Load links the optimized program for this NIC and loads the image —
-// the control plane compiling once and installing on every NIC. Linking
-// is per NIC because the image owns its object memory and the compiled
-// code points into it; the program itself is shared and not modified.
-func (b *LambdaNIC) Load(prog *mcc.Program) error {
-	exe, err := b.link(prog)
+	exe, err := mcc.Link(prog)
 	if err != nil {
 		return fmt.Errorf("lambda-nic deploy: %w", err)
 	}
+	return b.Load(exe)
+}
+
+// Load loads a linked firmware image on this NIC — the control plane
+// compiling once and installing on every NIC. The image is the NIC's
+// own: it owns its object memory and replay recordings (a rack relinks
+// one image per NIC, mcc.Executable.Relink).
+func (b *LambdaNIC) Load(exe *mcc.Executable) error {
 	if err := b.nic.Load(exe); err != nil {
 		return fmt.Errorf("lambda-nic deploy: %w", err)
 	}

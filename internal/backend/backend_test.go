@@ -8,7 +8,6 @@ import (
 
 	"lambdanic/internal/cluster"
 	"lambdanic/internal/kvstore"
-	"lambdanic/internal/mcc"
 	"lambdanic/internal/nicsim"
 	"lambdanic/internal/sim"
 	"lambdanic/internal/workloads"
@@ -286,56 +285,6 @@ func TestSingleCoreBackendSlower(t *testing.T) {
 	}
 	if single, multi := run(true), run(false); single <= multi {
 		t.Errorf("single-core (%v) not slower than multi-core (%v)", single, multi)
-	}
-}
-
-// TestFirmwareEngineCycleParity pins the nicsim cost accounting across
-// execution engines: the compiled engine must report the same ExecStats
-// as the interpreter, so end-to-end virtual latency per workload is
-// identical no matter which engine the firmware was linked with. Also
-// asserts the optimizer's reduced match stage compiled into the
-// WorkloadID jump table.
-func TestFirmwareEngineCycleParity(t *testing.T) {
-	latencies := func(link func(*mcc.Program) (*mcc.Executable, error)) (map[uint32]sim.Time, string) {
-		s := sim.New(1)
-		b, err := NewLambdaNIC(s, cluster.Default(), nicsim.DispatchUniform)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.link = link
-		if err := b.Deploy(smallSet()); err != nil {
-			t.Fatal(err)
-		}
-		warm(t, s, b)
-		out := make(map[uint32]sim.Time)
-		for _, w := range smallSet() {
-			start := s.Now()
-			id := w.ID
-			b.Invoke(id, w.MakeRequest(3), func(r Result) {
-				if r.Err != nil {
-					t.Fatalf("invoke %d: %v", id, r.Err)
-				}
-				out[id] = s.Now() - start
-			})
-			if err := s.RunUntilIdle(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return out, b.Executable().DispatchKind()
-	}
-
-	compiled, kind := latencies(mcc.Link)
-	if kind != "jump-table" {
-		t.Fatalf("compiled firmware DispatchKind = %q, want jump-table", kind)
-	}
-	interp, kind := latencies(mcc.LinkInterp)
-	if kind != "interp" {
-		t.Fatalf("interpreter firmware DispatchKind = %q, want interp", kind)
-	}
-	for id, want := range interp {
-		if got := compiled[id]; got != want {
-			t.Errorf("workload %d: compiled latency %v != interpreter latency %v (ExecStats diverged)", id, got, want)
-		}
 	}
 }
 

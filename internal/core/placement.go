@@ -23,13 +23,6 @@ type WorkloadDemand struct {
 	// MemoryMBPerReplica is NIC memory per replica (working sets +
 	// objects).
 	MemoryMBPerReplica float64
-	// Optional NIC-level demands for tenant-quota planning
-	// (PlanTenantPlacements). Zero fields are simply omitted from the
-	// DRF demand vector — the zero-demand-key semantics: the resource
-	// is neither consumed nor counted toward dominant share.
-	InstrPerReplica     float64
-	IMEMBytesPerReplica float64
-	EMEMBytesPerReplica float64
 }
 
 // FleetCapacity aggregates worker NIC resources.
@@ -38,12 +31,6 @@ type FleetCapacity struct {
 	Threads float64
 	// MemoryMB is total NIC memory in MB.
 	MemoryMB float64
-	// Optional NIC-level capacities for tenant-quota planning
-	// (instruction-store bytes, IMEM/EMEM bytes across the fleet).
-	// Non-positive dimensions are omitted from the DRF capacity.
-	InstrStore float64
-	IMEMBytes  float64
-	EMEMBytes  float64
 	// Workers are the worker node names, used round-robin when
 	// materializing replica assignments.
 	Workers []string
@@ -52,9 +39,6 @@ type FleetCapacity struct {
 // PlannedPlacement is the DRF outcome for one workload.
 type PlannedPlacement struct {
 	Workload string
-	// Tenant is the owning tenant when planned by PlanTenantPlacements
-	// ("" for the per-lambda PlanPlacements path).
-	Tenant   string
 	Replicas int
 	// Workers are the nodes hosting the replicas (round-robin over the
 	// fleet; multiple replicas may share a node's NIC).

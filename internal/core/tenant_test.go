@@ -50,7 +50,7 @@ func TestRegisterTenantPublishesToControlStore(t *testing.T) {
 	stored, err := m.RegisterTenant(tenant.Tenant{
 		Name:  "bulk",
 		Class: tenant.ClassBatch,
-		Quota: tenant.Quota{NPUThreads: 64, RatePerSec: 100},
+		Quota: tenant.Quota{RatePerSec: 100, Burst: 20},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestRegisterTenantPublishesToControlStore(t *testing.T) {
 	if err := json.Unmarshal([]byte(raw), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != stored.ID || got.Quota.NPUThreads != 64 || got.Quota.RatePerSec != 100 {
+	if got.ID != stored.ID || got.Quota.RatePerSec != 100 || got.Quota.Burst != 20 {
 		t.Errorf("control-store tenant = %+v, want %+v", got, *stored)
 	}
 }

@@ -271,10 +271,10 @@ func TestWireHeaderRoundTripProperty(t *testing.T) {
 }
 
 // TestComposedJumpTableDispatch closes the loop from Compose through
-// the optimizer to the compiled engine: the reduced match stage the
-// optimizer emits for a composed program must compile into the
-// WorkloadID jump table, and dispatch results must match the
-// interpreter exactly — including the unknown-ID miss path.
+// the optimizer to a linked image: the reduced match stage the
+// optimizer emits for a composed program dispatches every ID exactly as
+// an image that never replays does — including the unknown-ID miss
+// path.
 func TestComposedJumpTableDispatch(t *testing.T) {
 	build := func(t *testing.T) *mcc.Program {
 		p, err := Compose([]*LambdaSpec{
@@ -291,34 +291,31 @@ func TestComposedJumpTableDispatch(t *testing.T) {
 		}
 		return opt
 	}
-	compiled, err := mcc.Link(build(t))
+	replaying, err := mcc.Link(build(t))
 	if err != nil {
-		t.Fatalf("Link compiled: %v", err)
+		t.Fatalf("Link: %v", err)
 	}
-	interp, err := mcc.LinkInterp(build(t))
+	ref, err := mcc.LinkNoReplay(build(t))
 	if err != nil {
-		t.Fatalf("Link interp: %v", err)
-	}
-	if kind := compiled.DispatchKind(); kind != "jump-table" {
-		t.Fatalf("composed+optimized DispatchKind = %q, want jump-table", kind)
+		t.Fatalf("LinkNoReplay: %v", err)
 	}
 	for _, id := range []uint32{10, 20, 30, 99} {
 		req := &nicsim.Request{LambdaID: id, Payload: []byte{0, 42, 0, 0, 0}, Packets: 1}
-		cresp, cerr := compiled.Execute(req)
-		iresp, ierr := interp.Execute(req)
+		got, gerr := replaying.Execute(req)
+		want, werr := ref.Execute(req)
 		// The unknown ID falls off the match chain and is forwarded to
-		// the host (StatusToHost) rather than faulting, in both engines.
-		if (cerr == nil) != (ierr == nil) {
-			t.Fatalf("id %d: error divergence: compiled=%v interp=%v", id, cerr, ierr)
+		// the host (StatusToHost) rather than faulting, on both images.
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("id %d: error divergence: replaying=%v executing=%v", id, gerr, werr)
 		}
-		if cerr != nil {
-			t.Fatalf("id %d: %v", id, cerr)
+		if gerr != nil {
+			t.Fatalf("id %d: %v", id, gerr)
 		}
-		if string(cresp.Payload) != string(iresp.Payload) {
-			t.Errorf("id %d: payload divergence: compiled=%q interp=%q", id, cresp.Payload, iresp.Payload)
+		if string(got.Payload) != string(want.Payload) {
+			t.Errorf("id %d: payload divergence: replaying=%q executing=%q", id, got.Payload, want.Payload)
 		}
-		if cresp.Stats != iresp.Stats {
-			t.Errorf("id %d: stats divergence:\ncompiled %+v\ninterp   %+v", id, cresp.Stats, iresp.Stats)
+		if got.Stats != want.Stats {
+			t.Errorf("id %d: stats divergence:\nreplaying %+v\nexecuting %+v", id, got.Stats, want.Stats)
 		}
 	}
 }

@@ -1,4 +1,4 @@
-// Steady-state allocation gate for the compiled engine, in an external
+// Steady-state allocation gate for the interpreter, in an external
 // test package so it can drive the real paper workloads through the
 // public API (workloads imports mcc; the internal test package cannot
 // import it back).
@@ -14,22 +14,22 @@ import (
 )
 
 // executing links ws without their native reply functions, so the
-// compiled engine executes every request rather than replaying it.
-func executing(tb testing.TB, ws []*workloads.Workload, target int, link func(*mcc.Program) (*mcc.Executable, error)) *mcc.Executable {
+// image executes every request rather than replaying it.
+func executing(tb testing.TB, ws []*workloads.Workload, target int) *mcc.Executable {
 	tb.Helper()
 	prog, _, err := workloads.OptimizedProgram(ws, target)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	prog.Native = nil
-	exe, err := link(prog)
+	exe, err := mcc.Link(prog)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return exe
 }
 
-// TestExecAllocs gates the tentpole's 0 allocs/op claim: steady-state
+// TestExecAllocs gates the 0 allocs/op claim: steady-state
 // pooled execution of the KV and grayscale lambdas (and the web
 // server) must not allocate. GC is disabled for the measurement so
 // sync.Pool eviction between runs cannot fake an allocation.
@@ -39,10 +39,7 @@ func TestExecAllocs(t *testing.T) {
 		workloads.KVGetClient(),
 		workloads.ImageTransformer(16, 16),
 	}
-	exe := executing(t, ws, 0, mcc.Link)
-	if kind := exe.DispatchKind(); kind != "jump-table" {
-		t.Fatalf("DispatchKind = %q, want jump-table for the optimized paper program", kind)
-	}
+	exe := executing(t, ws, 0)
 
 	cases := make(map[string]*nicsim.Request)
 	for _, w := range ws {

@@ -8,7 +8,7 @@ import (
 
 // benchProgram builds a representative lambda: header read, loop,
 // memory traffic, emit.
-func benchProgram(b *testing.B, engine Engine) *Executable {
+func benchProgram(b *testing.B) *Executable {
 	b.Helper()
 	bd := NewBuilder("bench")
 	bd.HdrGet(1, FieldArg0)
@@ -33,15 +33,15 @@ func benchProgram(b *testing.B, engine Engine) *Executable {
 	if err := p.AddEntry(1, "bench"); err != nil {
 		b.Fatal(err)
 	}
-	exe, err := linkEngine(p, defaultStepLimit, engine)
+	exe, err := Link(p)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return exe
 }
 
-func benchmarkExecute(b *testing.B, engine Engine) {
-	exe := benchProgram(b, engine)
+func BenchmarkExecute(b *testing.B) {
+	exe := benchProgram(b)
 	req := &nicsim.Request{LambdaID: 1, Payload: []byte{1, 2, 3}, Packets: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -57,10 +57,7 @@ func benchmarkExecute(b *testing.B, engine Engine) {
 	b.ReportMetric(float64(instr), "instr/req")
 }
 
-func BenchmarkInterpreterExecute(b *testing.B) { benchmarkExecute(b, EngineInterp) }
-func BenchmarkCompiledExecute(b *testing.B)    { benchmarkExecute(b, EngineCompiled) }
-
-func benchmarkBulkGray(b *testing.B, engine Engine) {
+func BenchmarkBulkGray(b *testing.B) {
 	bd := NewBuilder("gray")
 	bd.PktLen(2)
 	bd.MovImm(1, 0)
@@ -77,7 +74,7 @@ func benchmarkBulkGray(b *testing.B, engine Engine) {
 	if err := p.AddEntry(1, "gray"); err != nil {
 		b.Fatal(err)
 	}
-	exe, err := linkEngine(p, defaultStepLimit, engine)
+	exe, err := Link(p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -91,9 +88,6 @@ func benchmarkBulkGray(b *testing.B, engine Engine) {
 		}
 	}
 }
-
-func BenchmarkInterpreterBulkGray(b *testing.B) { benchmarkBulkGray(b, EngineInterp) }
-func BenchmarkCompiledBulkGray(b *testing.B)    { benchmarkBulkGray(b, EngineCompiled) }
 
 // BenchmarkGrayPixels converts a 512x512 RGBA image (1 MiB) one pixel
 // at a time (the oracle) and a word at a time (GrayPixels).

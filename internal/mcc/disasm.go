@@ -9,17 +9,6 @@ import (
 // Disassemble renders a function as readable assembly with labels at
 // branch targets, for debugging and compiler reports.
 func (f *Function) Disassemble() string {
-	return f.DisassembleFused(nil)
-}
-
-// DisassembleFused renders the function with the compiled engine's
-// fusion layout (Executable.Fusion) overlaid: each superinstruction is
-// bracketed by a `fuse{n}` marker carrying its one-shot block charge
-// and a closing `}`, with the component instructions listed unchanged
-// inside. Passing nil yields the plain listing; stripping the marker
-// lines always recovers it, which the round-trip test relies on to
-// keep traces debuggable.
-func (f *Function) DisassembleFused(fu *Fusion) string {
 	targets := map[int]string{}
 	for _, in := range f.Body {
 		switch in.Op {
@@ -30,29 +19,13 @@ func (f *Function) DisassembleFused(fu *Fusion) string {
 			}
 		}
 	}
-	starts := map[int]int{} // leader pc -> run length
-	if fu != nil {
-		for _, r := range fu.Runs {
-			starts[r.Start] = r.Len
-		}
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: ; %d instructions\n", f.Name, len(f.Body))
-	open := 0 // remaining instructions in the open fused block
 	for pc, in := range f.Body {
 		if label, ok := targets[pc]; ok {
 			fmt.Fprintf(&b, "%s:\n", label)
 		}
-		if n, ok := starts[pc]; ok {
-			fmt.Fprintf(&b, "  fuse{%d} ; charge %d once\n", n, n)
-			open = n
-		}
 		fmt.Fprintf(&b, "  %4d  %s\n", pc, formatInstr(&in, targets))
-		if open > 0 {
-			if open--; open == 0 {
-				b.WriteString("  }\n")
-			}
-		}
 	}
 	return b.String()
 }

@@ -50,7 +50,7 @@ func TestFootprint(t *testing.T) {
 func TestExecutableFootprintMatchesProgram(t *testing.T) {
 	p := footprintProgram(t)
 	want := Footprint(p)
-	e := link(t, p)
+	e := mustLink(t, p)
 	got := e.Footprint()
 	if got.Instructions != want.Instructions {
 		t.Errorf("linked Instructions = %d, want %d", got.Instructions, want.Instructions)

@@ -49,10 +49,10 @@ const (
 	maxCallDepth     = 16
 )
 
-// Execution errors. Faults are reported through these sentinels; both
-// engines return the exact same pre-built error values on the hot path
-// (no per-miss fmt.Errorf), so fault-injected bad programs stay cheap
-// and the differential tests can compare error identity.
+// Execution errors. Faults are reported through these sentinels, as
+// pre-built error values on the hot path (no per-miss fmt.Errorf), so
+// fault-injected bad programs stay cheap and the differential tests can
+// compare error identity.
 var (
 	ErrStepLimit   = errors.New("mcc: step limit exceeded")
 	ErrCallDepth   = errors.New("mcc: call depth exceeded")
@@ -60,21 +60,18 @@ var (
 	ErrNoEntry     = errors.New("mcc: no entry for lambda")
 )
 
-// Pre-built fault values shared by the interpreter and the compiled
-// engine. Per-object out-of-bounds errors live on the objectSlot.
+// Pre-built fault values. Per-object out-of-bounds errors live on the
+// objectSlot.
 var (
-	errHdrRange      = errors.New("mcc: header field out of range")
-	errPayloadOOB    = fmt.Errorf("%w: payload", ErrOutOfBounds)
-	errMemcpyNegLen  = fmt.Errorf("%w: memcpy negative length", ErrOutOfBounds)
-	errGrayLen       = fmt.Errorf("%w: gray length not a pixel multiple", ErrOutOfBounds)
-	errUnknownObject = errors.New("mcc: unknown object")
-	errUnknownFunc   = errors.New("mcc: call to unknown function")
-	errInvalidOp     = errors.New("mcc: invalid opcode")
+	errHdrRange     = errors.New("mcc: header field out of range")
+	errPayloadOOB   = fmt.Errorf("%w: payload", ErrOutOfBounds)
+	errMemcpyNegLen = fmt.Errorf("%w: memcpy negative length", ErrOutOfBounds)
+	errGrayLen      = fmt.Errorf("%w: gray length not a pixel multiple", ErrOutOfBounds)
+	errInvalidOp    = errors.New("mcc: invalid opcode")
 )
 
-// env is one request's execution context. The compiled engine pools
-// envs (and their response buffers) across requests; the interpreter
-// allocates one per request.
+// env is one request's execution context. An image pools envs (and
+// their response buffers) across requests (Executable.getEnv).
 type env struct {
 	exe          *Executable
 	headers      [NumFields]int64
@@ -83,13 +80,9 @@ type env struct {
 	resp         []byte
 	regs         [NumRegs]int64
 	stats        nicsim.ExecStats
-	steps        uint64
 	depth        int
-	// ret receives the status register when a compiled closure executes
-	// OpRet (closures signal "return" through a sentinel pc).
-	ret int64
-	// rec, when set, shadows every instruction the interpreter runs
-	// (replay.go). The compiled engine never sets it.
+	// rec, when set, shadows every instruction the run executes
+	// (replay.go).
 	rec *recorder
 }
 
@@ -102,9 +95,17 @@ func (e *env) reset() {
 	e.resp = e.resp[:0]
 	e.regs = [NumRegs]int64{}
 	e.stats = nicsim.ExecStats{}
-	e.steps = 0
 	e.depth = 0
-	e.ret = 0
+	e.rec = nil
+}
+
+// response is the env's outcome as a Response: the reply and its stats,
+// or the stats alone when the run failed with err.
+func (e *env) response(err error) nicsim.Response {
+	if err != nil {
+		return nicsim.Response{Stats: e.stats}
+	}
+	return nicsim.Response{Payload: e.resp, Size: len(e.resp), Stats: e.stats}
 }
 
 // set writes a register, discarding writes to RegZero.
@@ -114,30 +115,12 @@ func (e *env) set(r Reg, v int64) {
 	}
 }
 
+// charge retires instr instructions, failing past the step limit.
 func (e *env) charge(instr uint64) error {
-	e.steps += instr
 	e.stats.Instructions += instr
-	if e.steps > e.exe.stepLimit {
+	if e.stats.Instructions > e.exe.stepLimit {
 		return ErrStepLimit
 	}
-	return nil
-}
-
-// chargeExact charges n instructions but, when the step limit is
-// crossed, reports exactly limit+1 — the count a one-at-a-time charge
-// loop would have reached when it tripped. The compiled engine's jump
-// table uses it for dispatch chains whose only side effects before the
-// limit are scratch registers, keeping ExecStats bit-identical to the
-// interpreter walking the same chain.
-func (e *env) chargeExact(n uint64) error {
-	if e.steps+n > e.exe.stepLimit {
-		over := e.exe.stepLimit - e.steps + 1
-		e.steps += over
-		e.stats.Instructions += over
-		return ErrStepLimit
-	}
-	e.steps += n
-	e.stats.Instructions += n
 	return nil
 }
 
@@ -148,33 +131,23 @@ func bursts(n int64) uint64 {
 	return uint64((n + burstBytes - 1) / burstBytes)
 }
 
-// object resolves a name to its linked slot (dense array + side map;
-// the map is control-plane only, but the interpreter keeps using it so
-// its per-access cost profile stays the measured baseline).
-func (e *env) object(name string) (*objectSlot, error) {
-	idx, ok := e.exe.slotIndex[name]
-	if !ok {
-		return nil, errUnknownObject
-	}
-	return &e.exe.slots[idx], nil
-}
-
-// run executes a function to completion, returning its status register.
-func (e *env) run(f *Function) (int64, error) {
+// run executes function fi of the image to completion, returning its
+// status register. A fault ends the request, so only a return unwinds
+// the call depth; the next request starts from a reset env.
+func (e *env) run(fi int) (int64, error) {
 	if e.depth >= maxCallDepth {
 		return 0, ErrCallDepth
 	}
 	e.depth++
-	defer func() { e.depth-- }()
-
-	pc := 0
-	for pc < len(f.Body) {
-		in := &f.Body[pc]
-		if err := e.charge(1); err != nil {
-			return 0, err
+	f, refs, slots, limit := e.exe.prog.Funcs[fi], e.exe.refs[fi], e.exe.slots, e.exe.stepLimit
+	body := f.Body
+	for pc := 0; pc < len(body); {
+		in := &body[pc]
+		if e.stats.Instructions++; e.stats.Instructions > limit {
+			return 0, ErrStepLimit
 		}
 		if e.rec != nil {
-			e.rec.step(e, f, pc, in)
+			e.rec.step(e, f, pc, in, refs[pc])
 		}
 		next := pc + 1
 		switch in.Op {
@@ -214,10 +187,7 @@ func (e *env) run(f *Function) (int64, error) {
 				next = int(in.Imm)
 			}
 		case OpLoad, OpLoadW:
-			slot, err := e.object(in.Sym)
-			if err != nil {
-				return 0, err
-			}
+			slot := &slots[refs[pc].sym]
 			addr := e.regs[in.Rs1] + in.Imm
 			width := int64(1)
 			if in.Op == OpLoadW {
@@ -233,10 +203,7 @@ func (e *env) run(f *Function) (int64, error) {
 				e.set(in.Rd, int64(le64(slot.mem[addr:])))
 			}
 		case OpStore, OpStoreW:
-			slot, err := e.object(in.Sym)
-			if err != nil {
-				return 0, err
-			}
+			slot := &slots[refs[pc].sym]
 			addr := e.regs[in.Rs1] + in.Imm
 			width := int64(1)
 			if in.Op == OpStoreW {
@@ -271,10 +238,7 @@ func (e *env) run(f *Function) (int64, error) {
 		case OpPktLen:
 			e.set(in.Rd, int64(len(e.payload)))
 		case OpEmit:
-			slot, err := e.object(in.Sym)
-			if err != nil {
-				return 0, err
-			}
+			slot := &slots[refs[pc].sym]
 			off, n := e.regs[in.Rs1], e.regs[in.Rs2]
 			if off < 0 || n < 0 || off+n > int64(len(slot.mem)) {
 				return 0, slot.oobErr
@@ -287,25 +251,22 @@ func (e *env) run(f *Function) (int64, error) {
 		case OpEmitByte:
 			e.resp = append(e.resp, byte(e.regs[in.Rs1]))
 		case OpCall:
-			callee := e.exe.prog.Func(in.Sym)
-			if callee == nil {
-				return 0, errUnknownFunc
-			}
-			if _, err := e.run(callee); err != nil {
+			if _, err := e.run(int(refs[pc].sym)); err != nil {
 				return 0, err
 			}
 		case OpRet:
+			e.depth--
 			return e.regs[in.Rs1], nil
 		case OpMemcpy:
-			if err := e.bulkCopy(in); err != nil {
+			if err := e.bulkCopy(in, refs[pc]); err != nil {
 				return 0, err
 			}
 		case OpGray:
-			if err := e.bulkGray(in); err != nil {
+			if err := e.bulkGray(in, refs[pc]); err != nil {
 				return 0, err
 			}
 		case OpHash:
-			if err := e.bulkHash(in); err != nil {
+			if err := e.bulkHash(in, &slots[refs[pc].sym]); err != nil {
 				return 0, err
 			}
 		default:
@@ -314,31 +275,29 @@ func (e *env) run(f *Function) (int64, error) {
 		pc = next
 	}
 	// Falling off the end is an implicit StatusForward.
+	e.depth--
 	return StatusForward, nil
+}
+
+// bulkSrc returns the source bytes of a bulk op and their level: the
+// request payload for PayloadObject, the object's memory otherwise.
+func (e *env) bulkSrc(ref symRef) ([]byte, nicsim.MemLevel) {
+	if ref.sym2 == payloadRef {
+		return e.payload, e.payloadLevel
+	}
+	so := &e.exe.slots[ref.sym2]
+	return so.mem, so.level
 }
 
 // bulkCopy implements OpMemcpy: dst[rd..] <- src[rs1..], rs2 bytes. A
 // source name of PayloadObject copies from the request payload.
-func (e *env) bulkCopy(in *Instr) error {
+func (e *env) bulkCopy(in *Instr, ref symRef) error {
 	n := e.regs[in.Rs2]
 	if n < 0 {
 		return errMemcpyNegLen
 	}
-	dst, err := e.object(in.Sym)
-	if err != nil {
-		return err
-	}
-	var src []byte
-	var slvl nicsim.MemLevel
-	if in.Sym2 == PayloadObject {
-		src, slvl = e.payload, e.payloadLevel
-	} else {
-		so, err := e.object(in.Sym2)
-		if err != nil {
-			return err
-		}
-		src, slvl = so.mem, so.level
-	}
+	dst := &e.exe.slots[ref.sym]
+	src, slvl := e.bulkSrc(ref)
 	doff, soff := e.regs[in.Rd], e.regs[in.Rs1]
 	if doff < 0 || soff < 0 || doff+n > int64(len(dst.mem)) || soff+n > int64(len(src)) {
 		return dst.oobErr
@@ -355,27 +314,14 @@ func (e *env) bulkCopy(in *Instr) error {
 // bulkGray implements OpGray: convert rs2 bytes of RGBA in src[rs1..]
 // to grayscale bytes in dst[rd..] using the integer luma approximation
 // (77R + 150G + 29B) >> 8 — NPUs have no floating point (§3.1b).
-func (e *env) bulkGray(in *Instr) error {
+func (e *env) bulkGray(in *Instr, ref symRef) error {
 	n := e.regs[in.Rs2]
 	if n < 0 || n%4 != 0 {
 		return errGrayLen
 	}
 	pixels := n / 4
-	dst, err := e.object(in.Sym)
-	if err != nil {
-		return err
-	}
-	var src []byte
-	var slvl nicsim.MemLevel
-	if in.Sym2 == PayloadObject {
-		src, slvl = e.payload, e.payloadLevel
-	} else {
-		so, err := e.object(in.Sym2)
-		if err != nil {
-			return err
-		}
-		src, slvl = so.mem, so.level
-	}
+	dst := &e.exe.slots[ref.sym]
+	src, slvl := e.bulkSrc(ref)
 	doff, soff := e.regs[in.Rd], e.regs[in.Rs1]
 	if doff < 0 || soff < 0 || soff+n > int64(len(src)) || doff+pixels > int64(len(dst.mem)) {
 		return dst.oobErr
@@ -392,7 +338,7 @@ func (e *env) bulkGray(in *Instr) error {
 
 // GrayPixels converts the first len(dst) RGBA pixels of src to luma
 // bytes: (77R + 150G + 29B) >> 8 per pixel, alpha ignored. It is the
-// conversion assist behind OpGray on both engines, and the image
+// conversion assist behind OpGray, and the image
 // workload's native handler.
 //
 // It converts the two pixels of a 64-bit word at once. Masking the
@@ -432,11 +378,7 @@ func gray2(w uint64) uint64 {
 }
 
 // bulkHash implements OpHash: FNV-1a over obj[rs1 : rs1+rs2].
-func (e *env) bulkHash(in *Instr) error {
-	slot, err := e.object(in.Sym)
-	if err != nil {
-		return err
-	}
+func (e *env) bulkHash(in *Instr, slot *objectSlot) error {
 	off, n := e.regs[in.Rs1], e.regs[in.Rs2]
 	if off < 0 || n < 0 || off+n > int64(len(slot.mem)) {
 		return slot.oobErr

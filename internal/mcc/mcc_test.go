@@ -8,8 +8,8 @@ import (
 	"lambdanic/internal/nicsim"
 )
 
-// link is a test helper wrapping Link.
-func link(t *testing.T, p *Program) *Executable {
+// mustLink is a test helper wrapping Link.
+func mustLink(t *testing.T, p *Program) *Executable {
 	t.Helper()
 	e, err := Link(p)
 	if err != nil {
@@ -86,7 +86,7 @@ func TestInterpArithmetic(t *testing.T) {
 	b.EmitByte(3)
 	b.Ret(3)
 	p := singleEntry(t, b.MustBuild())
-	e := link(t, p)
+	e := mustLink(t, p)
 	status, resp, _, err := e.RunStandalone("alu", nil, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -108,7 +108,7 @@ func TestInterpLoop(t *testing.T) {
 	b.Brnz(1, "loop")
 	b.Ret(2)
 	p := singleEntry(t, b.MustBuild())
-	e := link(t, p)
+	e := mustLink(t, p)
 	status, _, stats, err := e.RunStandalone("sum", nil, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -132,7 +132,7 @@ func TestInterpMemoryAndLevels(t *testing.T) {
 	b.Ret(3)
 	obj := &Object{Name: "buf", Size: 16, Level: nicsim.MemIMEM}
 	p := singleEntry(t, b.MustBuild(), obj)
-	e := link(t, p)
+	e := mustLink(t, p)
 	_, resp, stats, err := e.RunStandalone("mem", nil, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -153,7 +153,7 @@ func TestInterpWordOps(t *testing.T) {
 	b.LoadW(3, "buf", 1, 0)
 	b.Ret(3)
 	p := singleEntry(t, b.MustBuild(), &Object{Name: "buf", Size: 8})
-	e := link(t, p)
+	e := mustLink(t, p)
 	status, _, _, err := e.RunStandalone("word", nil, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -171,7 +171,7 @@ func TestInterpOutOfBounds(t *testing.T) {
 	b.Load(2, "buf", 1, 0)
 	b.Ret(2)
 	p := singleEntry(t, b.MustBuild(), &Object{Name: "buf", Size: 8})
-	e := link(t, p)
+	e := mustLink(t, p)
 	_, _, _, err := e.RunStandalone("oob", nil, map[int]int64{FieldArg0: 100})
 	if !errors.Is(err, ErrOutOfBounds) {
 		t.Errorf("err = %v, want ErrOutOfBounds", err)
@@ -183,7 +183,7 @@ func TestInterpStepLimit(t *testing.T) {
 	b.Label("loop")
 	b.Jmp("loop")
 	p := singleEntry(t, b.MustBuild())
-	e, err := linkEngine(p, 1000, EngineCompiled)
+	e, err := link(p, 1000, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestInterpHeadersAndPayload(t *testing.T) {
 	b.Add(3, 3, 4)
 	b.Ret(3)
 	p := singleEntry(t, b.MustBuild())
-	e := link(t, p)
+	e := mustLink(t, p)
 	status, _, _, err := e.RunStandalone("hdr", []byte{9, 7, 5}, map[int]int64{FieldArg0: 100})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -218,7 +218,7 @@ func TestInterpZeroRegister(t *testing.T) {
 	b.Mov(1, RegZero)
 	b.Ret(1)
 	p := singleEntry(t, b.MustBuild())
-	e := link(t, p)
+	e := mustLink(t, p)
 	status, _, _, err := e.RunStandalone("zr", nil, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -245,7 +245,7 @@ func TestInterpCallAndSharedState(t *testing.T) {
 	if err := p.AddEntry(1, "main"); err != nil {
 		t.Fatal(err)
 	}
-	e := link(t, p)
+	e := mustLink(t, p)
 	status, _, _, err := e.RunStandalone("main", nil, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -313,7 +313,7 @@ func TestBulkMemcpyAndCosts(t *testing.T) {
 	src := &Object{Name: "src", Size: 128, Init: []byte(strings.Repeat("x", 128)), Level: nicsim.MemEMEM}
 	dst := &Object{Name: "dst", Size: 128, Level: nicsim.MemCTM}
 	p := singleEntry(t, b.MustBuild(), src, dst)
-	e := link(t, p)
+	e := mustLink(t, p)
 	_, resp, stats, err := e.RunStandalone("cp", nil, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -342,7 +342,7 @@ func TestBulkGrayFromPayload(t *testing.T) {
 	b.Emit("out", 3, 5)
 	b.Ret(5)
 	p := singleEntry(t, b.MustBuild(), &Object{Name: "out", Size: 64})
-	e := link(t, p)
+	e := mustLink(t, p)
 	// Two pixels: pure red and pure green.
 	payload := []byte{255, 0, 0, 255, 0, 255, 0, 255}
 	status, resp, stats, err := e.RunStandalone("gray", payload, nil)
@@ -367,7 +367,7 @@ func TestBulkGrayRejectsPartialPixel(t *testing.T) {
 	b.Gray("out", 3, PayloadObject, 1, 2)
 	b.Ret(2)
 	p := singleEntry(t, b.MustBuild(), &Object{Name: "out", Size: 64})
-	e := link(t, p)
+	e := mustLink(t, p)
 	if _, _, _, err := e.RunStandalone("gray", []byte{1, 2, 3}, nil); !errors.Is(err, ErrOutOfBounds) {
 		t.Errorf("err = %v, want ErrOutOfBounds", err)
 	}
@@ -380,7 +380,7 @@ func TestBulkHashDeterministic(t *testing.T) {
 	b.Hash(3, "key", 1, 2)
 	b.Ret(3)
 	p := singleEntry(t, b.MustBuild(), &Object{Name: "key", Size: 8, Init: []byte("abcdefgh")})
-	e := link(t, p)
+	e := mustLink(t, p)
 	s1, _, _, err := e.RunStandalone("h", nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -405,7 +405,7 @@ func TestObjectStatePersistsAcrossRuns(t *testing.T) {
 	b.StoreW("state", 1, 0, 2)
 	b.Ret(2)
 	p := singleEntry(t, b.MustBuild(), &Object{Name: "state", Size: 8})
-	e := link(t, p)
+	e := mustLink(t, p)
 	for want := int64(1); want <= 3; want++ {
 		got, _, _, err := e.RunStandalone("counter", nil, nil)
 		if err != nil {
@@ -434,7 +434,7 @@ func TestExecuteViaNICInterface(t *testing.T) {
 	b.Emit("buf", 3, 2)
 	b.Ret(2)
 	p := singleEntry(t, b.MustBuild(), &Object{Name: "buf", Size: 256})
-	e := link(t, p)
+	e := mustLink(t, p)
 	if !e.Handles(1) || e.Handles(2) {
 		t.Error("Handles wrong")
 	}
@@ -463,7 +463,7 @@ func TestExecuteUnknownEntry(t *testing.T) {
 	b := NewBuilder("f")
 	b.Ret(0)
 	p := singleEntry(t, b.MustBuild())
-	e := link(t, p)
+	e := mustLink(t, p)
 	if _, err := e.Execute(&nicsim.Request{LambdaID: 99}); !errors.Is(err, ErrNoEntry) {
 		t.Errorf("err = %v, want ErrNoEntry", err)
 	}
@@ -483,7 +483,7 @@ func TestMemoryBytesByLevel(t *testing.T) {
 		&Object{Name: "b", Size: 200, Level: nicsim.MemEMEM},
 		&Object{Name: "c", Size: 300}, // unassigned -> EMEM
 	)
-	e := link(t, p)
+	e := mustLink(t, p)
 	mem := e.MemoryBytes()
 	if mem[nicsim.MemCTM] != 100 || mem[nicsim.MemEMEM] != 500 {
 		t.Errorf("MemoryBytes = %v", mem)

@@ -1,6 +1,6 @@
 package mcc
 
-// This file lets a compiled image answer a request without executing
+// This file lets a linked image answer a request without executing
 // its lambda when the lambda's NIC cost provably ignores the request's
 // body. The cycle model reads nothing from an execution but its
 // ExecStats and reply length, so for such a lambda those of one
@@ -102,13 +102,10 @@ func (rec *recording) matches(req *nicsim.Request) bool {
 	return true
 }
 
-// armReplay builds the replay table of a compiled image: one entry per
-// lambda that has a native function, indexed by lambda ID (IDs past the
-// dense dispatch range always execute).
+// armReplay builds the replay table of an image: one entry per lambda
+// that has a native function, indexed by lambda ID (IDs past the dense
+// dispatch range always execute).
 func (e *Executable) armReplay() {
-	if e.engine != EngineCompiled {
-		return
-	}
 	for id, native := range e.prog.Native {
 		entry, ok := e.prog.Entries[id]
 		if !ok || id >= denseDispatchMax {
@@ -121,10 +118,10 @@ func (e *Executable) armReplay() {
 	}
 }
 
-// uses returns the image's objectUse, computing it on first use.
-func (e *Executable) uses() objectUse {
-	e.useOnce.Do(func() { e.use = useOfObjects(e.prog) })
-	return e.use
+// uses returns the program's objectUse, computing it on first use.
+func (c *code) uses() objectUse {
+	c.useOnce.Do(func() { c.use = useOfObjects(c.prog) })
+	return c.use
 }
 
 // replayer returns the replay state of a lambda, nil when it always
@@ -138,18 +135,9 @@ func (e *Executable) replayer(id uint32) *lambdaReplay {
 
 // serve answers req from an armed recording of its key — the reply's
 // length and no bytes — or records the key by executing req when it has
-// none; done is false when the compiled engine is to execute req.
+// none; done is false when req is to execute unrecorded.
 func (r *lambdaReplay) serve(e *Executable, req *nicsim.Request) (resp nicsim.Response, done bool, err error) {
-	r.mu.Lock()
-	var rec *recording
-	for _, c := range r.recs {
-		if c.matches(req) {
-			rec = c
-			break
-		}
-	}
-	full := len(r.recs) >= maxRecordings
-	r.mu.Unlock()
+	rec, full := r.lookup(req)
 	switch {
 	case rec != nil && rec.armed:
 		if raceEnabled {
@@ -168,12 +156,27 @@ func (r *lambdaReplay) serve(e *Executable, req *nicsim.Request) (resp nicsim.Re
 	return resp, true, err
 }
 
+// lookup returns the recording of req's key, nil when it has none, and
+// whether the lambda records no more keys.
+func (r *lambdaReplay) lookup(req *nicsim.Request) (rec *recording, full bool) {
+	r.mu.Lock()
+	for _, c := range r.recs {
+		if c.matches(req) {
+			rec = c
+			break
+		}
+	}
+	full = rec == nil && len(r.recs) >= maxRecordings
+	r.mu.Unlock()
+	return rec, full
+}
+
 // twin executes the IR for a replayed request and panics, naming the
 // lambda, the key and the first differing field, unless the IR's stats
 // and reply length are the recording's and its reply is the native
 // one. Race builds run it on every replay.
 func (r *lambdaReplay) twin(e *Executable, req *nicsim.Request, rec *recording) {
-	want, err := e.executeInterp(req, nil)
+	want, err := e.exec(req, nil)
 	var diff string
 	switch {
 	case err != nil:
@@ -196,7 +199,7 @@ func (r *lambdaReplay) twin(e *Executable, req *nicsim.Request, rec *recording) 
 }
 
 // Explain runs req through the image the way the first request of a new
-// key runs — on the interpreter, with the replay proof attached — and
+// key runs — executed, with the replay proof attached — and
 // returns the decision for that key and its reason, e.g. "replayed:
 // guard lib_state[0:8]; key header arg0" or "executed: ld f+1 address
 // depends on payload". Like Execute it updates object memory; it
@@ -209,12 +212,12 @@ func (e *Executable) Explain(req *nicsim.Request) string {
 	return "executed: " + rec.reason
 }
 
-// record executes req on the interpreter under a recorder and returns
+// record executes req under a recorder and returns
 // Execute's result together with the recording its key earns. A nil
 // native never arms the key.
 func (e *Executable) record(req *nicsim.Request, native func([]byte) ([]byte, error)) (nicsim.Response, *recording, error) {
 	r := &recorder{e: e, use: e.uses(), mem: make([][]label, len(e.slots))}
-	resp, err := e.executeInterp(req, r)
+	resp, err := e.exec(req, r)
 	rec := &recording{n: len(req.Payload), multi: req.Packets > 1, keyed: r.keyed,
 		size: resp.Size, stats: resp.Stats, guards: r.guards}
 	for m := r.keyed; m != 0; m &= m - 1 {
@@ -299,7 +302,7 @@ const body = 1 << 63
 
 func (t taint) join(u taint) taint { return taint{max(t.l, u.l), t.src | u.src} }
 
-// recorder is the taint shadow one interpreter run carries: a taint per
+// recorder is the taint shadow one run carries: a taint per
 // register and header slot, a label per object byte, the guard and the
 // key read so far, and the first breach of rules (a)/(b) and of rule
 // (c).
@@ -316,9 +319,10 @@ type recorder struct {
 	pin     string
 }
 
-// step shadows one instruction before the interpreter executes it.
-// Operands a fault rejects are left alone: a failed run is never armed.
-func (r *recorder) step(en *env, f *Function, pc int, in *Instr) {
+// step shadows one instruction, whose symbols ref resolves, before the
+// interpreter executes it. Operands a fault rejects are left alone: a
+// failed run is never armed.
+func (r *recorder) step(en *env, f *Function, pc int, in *Instr, ref symRef) {
 	regs := &en.regs
 	where := func() string { return fmt.Sprintf("%s %s+%d", in.Op, f.Name, pc) }
 	switch in.Op {
@@ -338,11 +342,11 @@ func (r *recorder) step(en *env, f *Function, pc int, in *Instr) {
 		}
 		switch addr := regs[in.Rs1] + in.Imm; {
 		case in.Op == OpStore || in.Op == OpStoreW:
-			r.write(where, in.Sym, addr, width, r.reg[in.Rs2].l)
+			r.write(where, ref.sym, addr, width, r.reg[in.Rs2].l)
 		case r.use.dead[f][pc]:
 			r.set(in.Rd, taint{}) // the value reaches nothing: not a read
 		default:
-			r.set(in.Rd, r.read(where, in.Sym, addr, width, at))
+			r.set(in.Rd, r.read(where, ref.sym, addr, width, at))
 		}
 	case OpHdrGet:
 		if in.Imm >= 0 && in.Imm < NumFields {
@@ -366,20 +370,20 @@ func (r *recorder) step(en *env, f *Function, pc int, in *Instr) {
 	case OpEmit, OpHash:
 		at := r.steer(where, "address ", r.reg[in.Rs1])
 		r.steer(where, "length ", r.reg[in.Rs2])
-		if t := r.read(where, in.Sym, regs[in.Rs1], regs[in.Rs2], at); in.Op == OpHash {
+		if t := r.read(where, ref.sym, regs[in.Rs1], regs[in.Rs2], at); in.Op == OpHash {
 			r.set(in.Rd, t)
 		}
 	case OpMemcpy, OpGray:
 		at := r.steer(where, "address ", r.reg[in.Rd].join(r.reg[in.Rs1]))
 		r.steer(where, "length ", r.reg[in.Rs2])
 		n, src := regs[in.Rs2], fromPayload
-		if in.Sym2 != PayloadObject {
-			src = r.read(where, in.Sym2, regs[in.Rs1], n, at).l
+		if ref.sym2 != payloadRef {
+			src = r.read(where, ref.sym2, regs[in.Rs1], n, at).l
 		}
 		if in.Op == OpGray {
 			n /= 4
 		}
-		r.write(where, in.Sym, regs[in.Rd], n, src)
+		r.write(where, ref.sym, regs[in.Rd], n, src)
 	}
 }
 
@@ -405,25 +409,23 @@ func (r *recorder) steer(where func() string, what string, t taint) taint {
 	return taint{}
 }
 
-// span resolves object bytes [addr, addr+n) to their slot, allocating
-// its shadow on first touch; ok is false when the access faults.
-func (r *recorder) span(sym string, addr, n int64) (i int, ok bool) {
-	i, ok = r.e.slotIndex[sym]
-	if !ok || addr < 0 || n < 0 || addr+n > int64(len(r.e.slots[i].mem)) {
-		return 0, false
+// span checks object bytes [addr, addr+n) of slot i, allocating its
+// shadow on first touch; it is false when the access faults.
+func (r *recorder) span(i uint16, addr, n int64) bool {
+	if addr < 0 || n < 0 || addr+n > int64(len(r.e.slots[i].mem)) {
+		return false
 	}
 	if r.mem[i] == nil {
 		r.mem[i] = make([]label, len(r.e.slots[i].mem))
 	}
-	return i, true
+	return true
 }
 
 // read returns the taint of object bytes [addr, addr+n) read at an
 // address tainted at, and enforces rule (b) on the bytes of written-to
 // objects that the run has not written.
-func (r *recorder) read(where func() string, sym string, addr, n int64, at taint) taint {
-	i, ok := r.span(sym, addr, n)
-	if !ok {
+func (r *recorder) read(where func() string, i uint16, addr, n int64, at taint) taint {
+	if !r.span(i, addr, n) {
 		return taint{}
 	}
 	slot, sh, l := &r.e.slots[i], r.mem[i], clean
@@ -435,7 +437,7 @@ func (r *recorder) read(where func() string, sym string, addr, n int64, at taint
 			// Still its Init: a link-time constant.
 		case at.l != clean:
 			if r.reject == "" {
-				r.reject = fmt.Sprintf("%s reads %s at a non-constant address", where(), sym)
+				r.reject = fmt.Sprintf("%s reads %s at a non-constant address", where(), slot.name)
 			}
 			return taint{l: max(l, persistent)}
 		case r.guarded == maxGuardBytes:
@@ -461,15 +463,14 @@ func (r *recorder) read(where func() string, sym string, addr, n int64, at taint
 }
 
 // write labels object bytes [addr, addr+n) and enforces rule (c).
-func (r *recorder) write(where func() string, sym string, addr, n int64, l label) {
-	i, ok := r.span(sym, addr, n)
-	if !ok {
+func (r *recorder) write(where func() string, i uint16, addr, n int64, l label) {
+	if !r.span(i, addr, n) {
 		return
 	}
 	for b := addr; b < addr+n; b++ {
 		r.mem[i][b] = l + 1
 	}
 	if reader := r.use.uncovered[i]; reader != "" && r.pin == "" {
-		r.pin = fmt.Sprintf("%s writes %s, which %s reads before writing", where(), sym, reader)
+		r.pin = fmt.Sprintf("%s writes %s, which %s reads before writing", where(), r.e.slots[i].name, reader)
 	}
 }

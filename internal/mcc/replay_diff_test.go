@@ -5,8 +5,8 @@ package mcc
 // branches on the parsed fields, bulk copies and emits sized by them
 // with helper calls between, guard reads with write-backs, loads whose
 // value goes nowhere, and genBody's noise around them — run one request
-// stream on two images of the same program: a compiled one, which
-// replays, and an EngineInterp one, which never does. Requests share
+// stream on two images of the same program: a Link one, which
+// replays, and a LinkNoReplay one, which never does. Requests share
 // keys (length, level, header bytes) and differ in body bytes. The
 // lambdas' Native function answers with the reference image's reply to
 // the same request, so a replay is wrong exactly when its stats, reply
@@ -146,11 +146,11 @@ func replayDifferential(t *testing.T, seed int64, hdr []byte) (linked bool, repl
 	oracle := func([]byte) ([]byte, error) { return reply, replyErr }
 	p.Native = map[uint32]func([]byte) ([]byte, error){1: oracle, 2: oracle}
 	limit := []uint64{157, 10000}[r.Intn(2)]
-	exe, err := linkEngine(p, limit, EngineCompiled)
+	exe, err := link(p, limit, true)
 	if err != nil {
 		return false, 0 // StaticCheck rejected it
 	}
-	ref, err := linkEngine(p, limit, EngineInterp)
+	ref, err := link(p, limit, false)
 	if err != nil {
 		t.Fatalf("seed %d: only the reference image fails to link: %v", seed, err)
 	}

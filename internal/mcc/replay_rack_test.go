@@ -48,13 +48,13 @@ func requestFor(w *workloads.Workload, rng *rand.Rand) []byte {
 }
 
 // TestReplayMatchesInterpreterOnRackSets streams each rack experiment's
-// requests through one firmware linked twice — compiled, which replays,
-// and by LinkInterp, which never does — and wants every request's stats,
-// reply and error identical, and object memory identical at the end
-// except in objects whose stores a replay may skip. The stream starts
-// cold, Resets both images half-way, mixes in payloads of 0-3 bytes,
-// images of mixed sizes and multi-packet requests, and runs at two
-// seeds. Every set must replay some key.
+// requests through one firmware linked twice — by Link, which replays,
+// and by LinkNoReplay, which never does — and wants every request's
+// stats, reply and error identical, and object memory identical at the
+// end except in objects whose stores a replay may skip. The stream
+// starts cold, Resets both images half-way, mixes in payloads of 0-3
+// bytes, images of mixed sizes and multi-packet requests, and runs at
+// two seeds. Every set must replay some key.
 func TestReplayMatchesInterpreterOnRackSets(t *testing.T) {
 	for name, ws := range rackSets() {
 		prog, _, err := workloads.OptimizedProgram(ws, workloads.NaiveProgramTarget)
@@ -63,11 +63,11 @@ func TestReplayMatchesInterpreterOnRackSets(t *testing.T) {
 		}
 		for _, seed := range []int64{1, 2} {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				compiled, err := mcc.Link(prog)
+				replaying, err := mcc.Link(prog)
 				if err != nil {
 					t.Fatal(err)
 				}
-				interp, err := mcc.LinkInterp(prog)
+				ref, err := mcc.LinkNoReplay(prog)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -75,8 +75,8 @@ func TestReplayMatchesInterpreterOnRackSets(t *testing.T) {
 				const n = 240
 				for i := 0; i < n; i++ {
 					if i == n/2 {
-						compiled.Reset()
-						interp.Reset()
+						replaying.Reset()
+						ref.Reset()
 					}
 					w := ws[rng.Intn(len(ws))]
 					payload := requestFor(w, rng)
@@ -87,21 +87,21 @@ func TestReplayMatchesInterpreterOnRackSets(t *testing.T) {
 						payload = append(payload, byte(rng.Intn(256)))
 					}
 					req := &nicsim.Request{LambdaID: w.ID, Payload: payload, Packets: 1 + rng.Intn(2)}
-					got, gerr := compiled.Execute(req)
-					want, werr := interp.Execute(req)
+					got, gerr := replaying.Execute(req)
+					want, werr := ref.Execute(req)
 					if fmt.Sprint(gerr) != fmt.Sprint(werr) || got.Stats != want.Stats || !bytes.Equal(got.Payload, want.Payload) {
-						t.Fatalf("request %d (%s, %x, %d packets): compiled %+v %x %v, interpreter %+v %x %v",
+						t.Fatalf("request %d (%s, %x, %d packets): replaying %+v %x %v, executing %+v %x %v",
 							i, w.Name, payload, req.Packets, got.Stats, got.Payload, gerr, want.Stats, want.Payload, werr)
 					}
 				}
 				for _, o := range prog.Objects {
-					if !compiled.SkipsStoresTo(o.Name) && !bytes.Equal(compiled.ObjectBytes(o.Name), interp.ObjectBytes(o.Name)) {
+					if !replaying.SkipsStoresTo(o.Name) && !bytes.Equal(replaying.ObjectBytes(o.Name), ref.ObjectBytes(o.Name)) {
 						t.Errorf("object %s differs at the end", o.Name)
 					}
 				}
 				armed := 0
 				for _, w := range ws {
-					armed += compiled.ArmedKeys(w.ID)
+					armed += replaying.ArmedKeys(w.ID)
 				}
 				if armed == 0 {
 					t.Error("no key armed")
@@ -111,11 +111,11 @@ func TestReplayMatchesInterpreterOnRackSets(t *testing.T) {
 	}
 }
 
-// TestReplayRackNeverCompiles serves each rack experiment's requests the
-// way its NICs receive them, cold, and wants the image left uncompiled:
-// every request replays or is recorded on the interpreter, so a rack
-// never pays for closures.
-func TestReplayRackNeverCompiles(t *testing.T) {
+// TestReplayRackExecutesOnlyRecorded serves each rack experiment's
+// requests the way its NICs receive them, cold, and wants none executed
+// without the recorder: every request replays its key, or is the first
+// of its key and records it.
+func TestReplayRackExecutesOnlyRecorded(t *testing.T) {
 	for _, name := range []string{"tenants", "skew", "boundary", "chaos"} {
 		ws := rackSets()[name]
 		t.Run(name, func(t *testing.T) {
@@ -130,12 +130,13 @@ func TestReplayRackNeverCompiles(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				w := ws[i%len(ws)]
 				payload := w.MakeRequest(i)
-				if _, err := exe.Serve(&nicsim.Request{LambdaID: w.ID, Payload: payload, Packets: workloads.Packets(len(payload))}); err != nil {
+				req := &nicsim.Request{LambdaID: w.ID, Payload: payload, Packets: workloads.Packets(len(payload))}
+				if exe.ExecutesUnrecorded(req) {
+					t.Fatalf("request %d (%s) executes without the recorder", i, w.Name)
+				}
+				if _, err := exe.Serve(req); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if exe.Closures() != nil {
-				t.Fatal("serving the rack's requests compiled the image")
 			}
 		})
 	}

@@ -7,18 +7,17 @@ package mcc_test
 import (
 	"testing"
 
-	"lambdanic/internal/mcc"
 	"lambdanic/internal/nicsim"
 	"lambdanic/internal/workloads"
 )
 
-func benchWorkloads(b *testing.B, link func(*mcc.Program) (*mcc.Executable, error)) {
+func BenchmarkWorkload(b *testing.B) {
 	ws := []*workloads.Workload{
 		workloads.WebServer(),
 		workloads.KVGetClient(),
 		workloads.ImageTransformer(16, 16),
 	}
-	exe := executing(b, ws, workloads.NaiveProgramTarget, link)
+	exe := executing(b, ws, workloads.NaiveProgramTarget)
 	for _, w := range ws {
 		payload := w.MakeRequest(7)
 		req := &nicsim.Request{
@@ -42,6 +41,3 @@ func benchWorkloads(b *testing.B, link func(*mcc.Program) (*mcc.Executable, erro
 		})
 	}
 }
-
-func BenchmarkWorkloadInterp(b *testing.B)   { benchWorkloads(b, mcc.LinkInterp) }
-func BenchmarkWorkloadCompiled(b *testing.B) { benchWorkloads(b, mcc.Link) }

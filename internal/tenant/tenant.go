@@ -47,18 +47,6 @@ func (c Class) DefaultWeight() float64 {
 // Quota is a tenant's resource envelope. Zero fields mean "unlimited"
 // so a registry can hold best-effort tenants without sentinel values.
 type Quota struct {
-	// NPUThreads caps the tenant's share of NPU hardware threads
-	// across the fleet (placement-time, via DRF).
-	NPUThreads float64
-	// InstrStoreBytes caps per-core instruction-store bytes the
-	// tenant's lambdas may occupy on one NIC.
-	InstrStoreBytes int
-	// IMEMBytes and EMEMBytes cap the tenant's object footprint in
-	// the NIC's internal and external memory levels.
-	IMEMBytes int
-	EMEMBytes int
-	// MemoryMB caps host-side memory for host-fallback replicas.
-	MemoryMB float64
 	// RatePerSec and Burst parameterize gateway admission: a token
 	// bucket refilled at RatePerSec with capacity Burst. RatePerSec
 	// <= 0 disables admission control for the tenant.
